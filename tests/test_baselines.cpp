@@ -188,6 +188,51 @@ TEST(Baselines, FasterMoEShadowingUsesMoreMemoryThanFastMoE) {
   EXPECT_GT(faster_mem, fast_mem);
 }
 
+TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
+  // FasterMoE's modeled step time and footprint, recorded from the
+  // standalone layer before it became a schedule over MoELayer: the
+  // schedule, buffers and shadowing accounting must survive the move
+  // unchanged. Seconds carry a 1e-9 relative tolerance (gcc and clang may
+  // contract floating-point expressions differently); bytes are exact.
+  struct Pin {
+    double skew;
+    double threshold;
+    double forward_seconds;
+    double backward_seconds;
+    std::uint64_t total_peak;
+    std::uint64_t model_states;
+  };
+  const Pin pins[] = {
+      // Unskewed: no destination is hot, shadowing stays off.
+      {0.0, 1.5, 0.0036294180947724743, 0.0055375046921712096,
+       1311375360ull, 1075445760ull},
+      // Skew 0.4: device 0 is hot and its expert is shadowed, adding the
+      // replicated parameters to every device's model states.
+      {0.4, 1.2, 0.0047433623400506475, 0.007966198085355921,
+       1660420096ull, 1142554624ull},
+  };
+  for (const Pin& pin : pins) {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+    baselines::FasterMoEOptions o;
+    o.d_model = 1024;
+    o.d_hidden = 4096;
+    o.num_experts = 64;
+    o.mode = core::ExecutionMode::kTimingOnly;
+    o.shadowing.threshold = pin.threshold;
+    baselines::FasterMoELayer layer(cluster, o);
+    const core::StepReport r = layer.step_timing(4096, pin.skew);
+    EXPECT_NEAR(r.forward_seconds, pin.forward_seconds,
+                1e-9 * pin.forward_seconds)
+        << "skew " << pin.skew;
+    EXPECT_NEAR(r.backward_seconds, pin.backward_seconds,
+                1e-9 * pin.backward_seconds)
+        << "skew " << pin.skew;
+    EXPECT_EQ(r.memory.total_peak, pin.total_peak) << "skew " << pin.skew;
+    EXPECT_EQ(r.memory.model_states, pin.model_states)
+        << "skew " << pin.skew;
+  }
+}
+
 TEST(Shadowing, SelectsHotDestinationsOnly) {
   baselines::ShadowingConfig cfg;
   cfg.threshold = 1.5;
