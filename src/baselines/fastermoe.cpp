@@ -17,17 +17,13 @@ using sim::StreamKind;
 
 namespace {
 
-std::uint64_t model_state_bytes(const FasterMoEOptions& options, int epd) {
-  const std::uint64_t params =
-      static_cast<std::uint64_t>(options.num_experts) * options.d_model +
-      static_cast<std::uint64_t>(epd) *
-          (2ull * options.d_model * options.d_hidden + options.d_hidden +
-           options.d_model);
-  return 4ull * params * sizeof(float);
-}
-
 std::string tag(const char* name, int j) {
   return std::string(name) + std::to_string(j);
+}
+
+std::int64_t num_experts(const MoeStepContext& ctx) {
+  return static_cast<std::int64_t>(ctx.plan.experts_per_device) *
+         ctx.num_devices();
 }
 
 // Hazard declarations for the parallel executor (sim/graph_executor.h):
@@ -36,127 +32,53 @@ std::string tag(const char* name, int j) {
 // the expert parameter/gradient declarations are the shared helpers in
 // core/restore.h.
 
+core::MoELayerOptions to_layer_options(const FasterMoEOptions& options) {
+  core::MoELayerOptions o;
+  o.d_model = options.d_model;
+  o.d_hidden = options.d_hidden;
+  o.num_experts = options.num_experts;
+  o.activation = options.activation;
+  // One partition holding the whole batch, per-step stash buffers and
+  // eagerly freed gradient scratch: the split-by-N pipeline runs over the
+  // destination devices inside the schedule, not over micro-batches.
+  o.pipeline = false;
+  o.num_partitions = 1;
+  o.memory_reuse = false;
+  o.sequential_temp_accounting = true;
+  o.compute_scale = options.compute_scale;
+  o.parallel_execution = options.parallel_execution;
+  o.mode = options.mode;
+  o.seed = options.seed;
+  return o;
+}
+
 }  // namespace
 
-FasterMoELayer::FasterMoELayer(sim::Cluster& cluster,
-                               FasterMoEOptions options)
-    : cluster_(&cluster),
-      options_(std::move(options)),
-      world_(comm::ProcessGroup::world(cluster)) {
-  const int P = cluster.num_devices();
-  MPIPE_EXPECTS(options_.num_experts % P == 0,
-                "num_experts must be a multiple of the device count");
-  MPIPE_EXPECTS(options_.compute_scale > 0.0, "bad compute scale");
-  const int epd = options_.num_experts / P;
-  for (int d = 0; d < P; ++d) {
-    allocators_.emplace_back(d);
-    model_state_allocs_.push_back(allocators_.back().allocate(
-        mem::Category::kModelState, model_state_bytes(options_, epd)));
-  }
-  if (options_.mode == core::ExecutionMode::kFull) {
-    Rng master(options_.seed);
-    Rng gate_rng = master.fork();
-    for (int d = 0; d < P; ++d) {
-      Rng replica = gate_rng;
-      gates_.emplace_back(options_.d_model, options_.num_experts, replica);
-    }
-    experts_.resize(static_cast<std::size_t>(P));
-    for (int d = 0; d < P; ++d) {
-      for (int k = 0; k < epd; ++k) {
-        Rng expert_rng = master.fork();
-        experts_[static_cast<std::size_t>(d)].emplace_back(
-            options_.d_model, options_.d_hidden, options_.activation,
-            expert_rng);
-      }
-    }
-  }
+FasterMoEScheduleBuilder::FasterMoEScheduleBuilder(
+    const sim::Cluster& cluster, double compute_scale,
+    ShadowingConfig shadowing)
+    : world_(comm::ProcessGroup::world(cluster)),
+      compute_scale_(compute_scale),
+      shadowing_(shadowing) {
+  MPIPE_EXPECTS(compute_scale_ > 0.0, "bad compute scale");
 }
 
-mem::DeviceAllocator& FasterMoELayer::allocator(int device) {
-  MPIPE_EXPECTS(device >= 0 && device < num_devices(),
-                "device out of range");
-  return allocators_[static_cast<std::size_t>(device)];
+ShadowingDecision FasterMoEScheduleBuilder::shadowing_for(
+    const MoeStepContext& ctx) const {
+  // Functional steps validate the P2P pipeline numerics without shadowing.
+  if (ctx.functional()) return {};
+  return select_shadowed(ctx.plan.part(0).recv_rows, shadowing_);
 }
 
-moe::GatingNetwork& FasterMoELayer::gate(int device) {
-  MPIPE_EXPECTS(!gates_.empty(), "no parameters in timing-only mode");
-  return gates_[static_cast<std::size_t>(device)];
+std::uint64_t FasterMoEScheduleBuilder::step_model_state_bytes(
+    const MoeStepContext& ctx) const {
+  // Shadowed parameters are replicated on every device for the step.
+  return shadow_bytes_per_destination(ctx.d_model, ctx.d_hidden, 1) *
+         shadowing_for(ctx).shadowed.size();
 }
 
-moe::ExpertFFN& FasterMoELayer::expert(int device, int local_index) {
-  MPIPE_EXPECTS(!experts_.empty(), "no parameters in timing-only mode");
-  return experts_[static_cast<std::size_t>(device)]
-                 [static_cast<std::size_t>(local_index)];
-}
-
-void FasterMoELayer::setup_forward_buffers(MoeStepContext& ctx) {
-  const bool mat = ctx.functional();
-  const std::int64_t M = ctx.d_model;
-  const std::int64_t H = ctx.d_hidden;
-  const std::int64_t B = ctx.plan.tokens_per_device;
-  const std::int64_t E = options_.num_experts;
-  for (int d = 0; d < ctx.num_devices(); ++d) {
-    auto& st = ctx.dev[static_cast<std::size_t>(d)];
-    auto& alloc = allocator(d);
-    st.x_alloc = alloc.allocate(
-        mem::Category::kActivation,
-        static_cast<std::uint64_t>(B) * M * sizeof(float));
-    auto out = alloc.alloc_tensor(Shape{B, M}, mem::Category::kActivation,
-                                  mat);
-    st.out = out.tensor;
-    st.out_alloc = std::move(out.allocation);
-    st.gating_alloc = alloc.allocate(
-        mem::Category::kActivation,
-        static_cast<std::uint64_t>(B) * E * sizeof(float));
-    const std::int64_t rows = std::max<std::int64_t>(
-        1, ctx.plan.part(0).recv_rows[static_cast<std::size_t>(d)]);
-    st.tdi_parts.push_back(
-        alloc.alloc_tensor(Shape{rows, M}, mem::Category::kActivation, mat));
-    st.tm_parts.push_back(
-        alloc.alloc_tensor(Shape{rows, H}, mem::Category::kActivation, mat));
-    st.tdo_parts.push_back(
-        alloc.alloc_tensor(Shape{rows, M}, mem::Category::kActivation, mat));
-  }
-}
-
-void FasterMoELayer::setup_backward_buffers(MoeStepContext& ctx) {
-  const bool mat = ctx.functional();
-  const std::int64_t M = ctx.d_model;
-  const std::int64_t H = ctx.d_hidden;
-  const std::int64_t B = ctx.plan.tokens_per_device;
-  for (int d = 0; d < ctx.num_devices(); ++d) {
-    auto& st = ctx.dev[static_cast<std::size_t>(d)];
-    auto& alloc = allocator(d);
-    auto dx = alloc.alloc_tensor(Shape{B, M}, mem::Category::kTempBuffer,
-                                 mat);
-    st.dx = dx.tensor;
-    st.dx_alloc = std::move(dx.allocation);
-    st.dgate.assign(static_cast<std::size_t>(B), 0.0f);
-    // Serial gradient scratch, freed eagerly (Eq 3 peak).
-    {
-      auto walk = alloc.allocate(
-          mem::Category::kTempBuffer,
-          static_cast<std::uint64_t>(B) * (M + H) * sizeof(float));
-    }
-    const std::int64_t rows = std::max<std::int64_t>(
-        1, ctx.plan.part(0).recv_rows[static_cast<std::size_t>(d)]);
-    auto untracked = [&](Shape shape, bool materialize) {
-      mem::TrackedTensor t;
-      if (materialize) t.tensor = Tensor(shape);
-      return t;
-    };
-    st.d_ys_parts.push_back(untracked(Shape{std::max<std::int64_t>(1, B), M},
-                                      mat));
-    st.d_tdo_parts.push_back(untracked(Shape{rows, M}, mat));
-    st.d_tm_parts.push_back(untracked(Shape{rows, H}, false));
-    st.d_tdi_parts.push_back(untracked(Shape{rows, M}, mat));
-  }
-}
-
-std::int64_t FasterMoELayer::compute_rows(const MoeStepContext& ctx,
-                                          int device,
-                                          const ShadowingDecision& shadow)
-    const {
+std::int64_t FasterMoEScheduleBuilder::compute_rows(
+    const MoeStepContext& ctx, int device, const ShadowingDecision& shadow) {
   const auto& part = ctx.plan.part(0);
   std::int64_t rows = 0;
   if (shadow.is_shadowed(device)) {
@@ -175,16 +97,17 @@ std::int64_t FasterMoELayer::compute_rows(const MoeStepContext& ctx,
   return rows;
 }
 
-sim::OpGraph FasterMoELayer::build_forward(MoeStepContext& ctx,
-                                           const ShadowingDecision& shadow) {
-  const auto& cost = cluster_->cost_model();
+sim::OpGraph FasterMoEScheduleBuilder::build_forward(
+    MoeStepContext& ctx, const core::LayerRefs& refs) const {
+  const auto& cost = world_.cluster().cost_model();
   const int P = ctx.num_devices();
   const std::int64_t M = ctx.d_model;
   const std::int64_t H = ctx.d_hidden;
   const std::int64_t B = ctx.plan.tokens_per_device;
-  const std::int64_t E = options_.num_experts;
-  const double cs = options_.compute_scale;
+  const std::int64_t E = num_experts(ctx);
+  const double cs = compute_scale_;
   const auto& part = ctx.plan.part(0);
+  const ShadowingDecision shadow = shadowing_for(ctx);
 
   sim::OpGraph g;
 
@@ -272,7 +195,7 @@ sim::OpGraph FasterMoELayer::build_forward(MoeStepContext& ctx,
     std::function<void()> fn;
     if (ctx.functional()) {
       auto* c = &ctx;
-      auto* experts = &experts_;
+      auto* experts = refs.experts;
       fn = [c, experts, j] {
         const auto& spans_of =
             c->plan.part(0).expert_spans[static_cast<std::size_t>(j)];
@@ -298,7 +221,7 @@ sim::OpGraph FasterMoELayer::build_forward(MoeStepContext& ctx,
       op.writes.push_back(
           sim::access_rows(core::tdo_buffer(ctx, j, 0), 0, recv));
       core::declare_expert_param_reads(
-          op, experts_[static_cast<std::size_t>(j)], /*ffn1=*/true,
+          op, (*refs.experts)[static_cast<std::size_t>(j)], /*ffn1=*/true,
           /*ffn2=*/true);
     }
     c_ops[static_cast<std::size_t>(j)] = id;
@@ -371,16 +294,17 @@ sim::OpGraph FasterMoELayer::build_forward(MoeStepContext& ctx,
   return g;
 }
 
-sim::OpGraph FasterMoELayer::build_backward(
-    MoeStepContext& ctx, const ShadowingDecision& shadow) {
-  const auto& cost = cluster_->cost_model();
+sim::OpGraph FasterMoEScheduleBuilder::build_backward(
+    MoeStepContext& ctx, const core::LayerRefs& refs) const {
+  const auto& cost = world_.cluster().cost_model();
   const int P = ctx.num_devices();
   const std::int64_t M = ctx.d_model;
   const std::int64_t H = ctx.d_hidden;
   const std::int64_t B = ctx.plan.tokens_per_device;
-  const std::int64_t E = options_.num_experts;
-  const double cs = options_.compute_scale;
+  const std::int64_t E = num_experts(ctx);
+  const double cs = compute_scale_;
   const auto& part = ctx.plan.part(0);
+  const ShadowingDecision shadow = shadowing_for(ctx);
 
   sim::OpGraph g;
 
@@ -482,8 +406,6 @@ sim::OpGraph FasterMoELayer::build_backward(
   }
 
   for (int j = 0; j < P; ++j) {
-    const bool shadowed = shadow.is_shadowed(j);
-    (void)shadowed;
     // Expert backward on j.
     const std::int64_t rows =
         std::max<std::int64_t>(1, compute_rows(ctx, j, shadow));
@@ -492,7 +414,7 @@ sim::OpGraph FasterMoELayer::build_backward(
     std::function<void()> fn;
     if (ctx.functional()) {
       auto* c = &ctx;
-      auto* experts = &experts_;
+      auto* experts = refs.experts;
       fn = [c, experts, j] {
         const auto& spans_of =
             c->plan.part(0).expert_spans[static_cast<std::size_t>(j)];
@@ -521,7 +443,7 @@ sim::OpGraph FasterMoELayer::build_backward(
           sim::access_rows(core::tm_buffer(ctx, j, 0), 0, recv));
       op.writes.push_back(
           sim::access_rows(core::d_tdi_buffer(ctx, j, 0), 0, recv));
-      auto& experts = experts_[static_cast<std::size_t>(j)];
+      auto& experts = (*refs.experts)[static_cast<std::size_t>(j)];
       core::declare_expert_param_reads(op, experts, /*ffn1=*/true,
                                        /*ffn2=*/true);
       core::declare_expert_grad_accum(op, experts);
@@ -580,7 +502,7 @@ sim::OpGraph FasterMoELayer::build_backward(
     std::function<void()> fn;
     if (ctx.functional()) {
       auto* c = &ctx;
-      auto* gates = &gates_;
+      auto* gates = refs.gates;
       fn = [c, gates, d] {
         auto& st = c->dev[static_cast<std::size_t>(d)];
         Tensor dxg = (*gates)[static_cast<std::size_t>(d)].backward(
@@ -597,7 +519,7 @@ sim::OpGraph FasterMoELayer::build_backward(
               cost.gemm_efficiency(std::max<std::int64_t>(B, 1)));
     if (ctx.functional()) {
       auto& st = ctx.dev[static_cast<std::size_t>(d)];
-      auto& gate = gates_[static_cast<std::size_t>(d)];
+      auto& gate = (*refs.gates)[static_cast<std::size_t>(d)];
       sim::Op& op = g.op(id);
       op.reads.push_back(sim::access_whole(st.x));
       op.reads.push_back(sim::access_whole(st.gating.probs));
@@ -616,7 +538,8 @@ sim::OpGraph FasterMoELayer::build_backward(
   if (ctx.functional()) {
     std::vector<Tensor*> grads;
     for (int d = 0; d < P; ++d) {
-      grads.push_back(&gates_[static_cast<std::size_t>(d)].weight_grad());
+      grads.push_back(
+          &(*refs.gates)[static_cast<std::size_t>(d)].weight_grad());
     }
     comm::allreduce_sum(g, world_, std::move(grads), "ARg", gb);
   } else {
@@ -627,127 +550,10 @@ sim::OpGraph FasterMoELayer::build_backward(
   return g;
 }
 
-std::vector<Tensor> FasterMoELayer::forward(
-    const std::vector<Tensor>& inputs) {
-  MPIPE_EXPECTS(options_.mode == core::ExecutionMode::kFull,
-                "forward() requires full execution mode");
-  MPIPE_EXPECTS(static_cast<int>(inputs.size()) == num_devices(),
-                "need one input batch per device");
-  for (auto& a : allocators_) a.tracker().reset_peaks();
-
-  ctx_.emplace();
-  ctx_->mode = core::ExecutionMode::kFull;
-  ctx_->strategy = core::ReuseStrategy::kNone;
-  ctx_->d_model = options_.d_model;
-  ctx_->d_hidden = options_.d_hidden;
-  ctx_->dev.resize(static_cast<std::size_t>(num_devices()));
-
-  std::vector<std::vector<std::int64_t>> expert_of;
-  for (int d = 0; d < num_devices(); ++d) {
-    auto& st = ctx_->dev[static_cast<std::size_t>(d)];
-    st.x = inputs[static_cast<std::size_t>(d)];
-    st.gating = gates_[static_cast<std::size_t>(d)].forward(st.x);
-    expert_of.push_back(st.gating.expert_of);
-  }
-  ctx_->plan = moe::Dispatcher::build(expert_of, num_devices(),
-                                      experts_per_device(), 1);
-  setup_forward_buffers(*ctx_);
-
-  // Functional steps validate the P2P pipeline without shadowing.
-  ShadowingDecision no_shadow;
-  sim::OpGraph graph = build_forward(*ctx_, no_shadow);
-  report_ = core::StepReport{};
-  report_.n_partitions = num_devices();
-  report_.forward_timing = cluster_->run(
-      graph, options_.parallel_execution ? sim::ExecutionPolicy::kParallel
-                                         : sim::ExecutionPolicy::kSerial);
-  report_.forward_seconds = report_.forward_timing.makespan;
-
-  std::vector<Tensor> outputs;
-  for (int d = 0; d < num_devices(); ++d) {
-    outputs.push_back(ctx_->dev[static_cast<std::size_t>(d)].out);
-  }
-  return outputs;
-}
-
-std::vector<Tensor> FasterMoELayer::backward(
-    const std::vector<Tensor>& grad_outputs) {
-  MPIPE_EXPECTS(ctx_.has_value(), "backward() without a prior forward()");
-  for (int d = 0; d < num_devices(); ++d) {
-    ctx_->dev[static_cast<std::size_t>(d)].dy =
-        grad_outputs[static_cast<std::size_t>(d)];
-  }
-  setup_backward_buffers(*ctx_);
-  ShadowingDecision no_shadow;
-  sim::OpGraph graph = build_backward(*ctx_, no_shadow);
-  report_.backward_timing = cluster_->run(
-      graph, options_.parallel_execution ? sim::ExecutionPolicy::kParallel
-                                         : sim::ExecutionPolicy::kSerial);
-  report_.backward_seconds = report_.backward_timing.makespan;
-  report_.mean_gpu_utilization = core::combined_utilization(
-      report_.forward_timing, report_.backward_timing);
-
-  std::vector<core::MemorySnapshot> snaps;
-  for (const auto& a : allocators_) snaps.push_back(core::snapshot_peaks(a));
-  report_.memory = core::max_over_devices(snaps);
-
-  std::vector<Tensor> grads;
-  for (int d = 0; d < num_devices(); ++d) {
-    grads.push_back(ctx_->dev[static_cast<std::size_t>(d)].dx);
-  }
-  ctx_.reset();
-  return grads;
-}
-
-core::StepReport FasterMoELayer::step_timing(std::int64_t tokens_per_device,
-                                             double skew) {
-  MPIPE_EXPECTS(tokens_per_device > 0, "empty batch");
-  for (auto& a : allocators_) a.tracker().reset_peaks();
-
-  core::MoeStepContext ctx;
-  ctx.mode = core::ExecutionMode::kTimingOnly;
-  ctx.strategy = core::ReuseStrategy::kNone;
-  ctx.d_model = options_.d_model;
-  ctx.d_hidden = options_.d_hidden;
-  ctx.plan = moe::Dispatcher::synthetic(tokens_per_device, num_devices(),
-                                        experts_per_device(), 1, skew);
-  ctx.dev.resize(static_cast<std::size_t>(num_devices()));
-  setup_forward_buffers(ctx);
-
-  const ShadowingDecision shadow =
-      select_shadowed(ctx.plan.part(0).recv_rows, options_.shadowing);
-  // Shadowed parameters are replicated on every device for the step.
-  shadow_allocs_.clear();
-  if (!shadow.shadowed.empty()) {
-    const std::uint64_t bytes =
-        shadow_bytes_per_destination(options_.d_model, options_.d_hidden,
-                                     1) *
-        shadow.shadowed.size();
-    for (auto& a : allocators_) {
-      shadow_allocs_.push_back(
-          a.allocate(mem::Category::kModelState, bytes));
-    }
-  }
-
-  core::StepReport report;
-  report.n_partitions = num_devices();
-  sim::OpGraph fwd = build_forward(ctx, shadow);
-  report.forward_timing = cluster_->time_only(fwd);
-  report.forward_seconds = report.forward_timing.makespan;
-
-  setup_backward_buffers(ctx);
-  sim::OpGraph bwd = build_backward(ctx, shadow);
-  report.backward_timing = cluster_->time_only(bwd);
-  report.backward_seconds = report.backward_timing.makespan;
-  report.mean_gpu_utilization = core::combined_utilization(
-      report.forward_timing, report.backward_timing);
-
-  std::vector<core::MemorySnapshot> snaps;
-  for (const auto& a : allocators_) snaps.push_back(core::snapshot_peaks(a));
-  report.memory = core::max_over_devices(snaps);
-  shadow_allocs_.clear();
-  report_ = report;
-  return report;
-}
+FasterMoELayer::FasterMoELayer(sim::Cluster& cluster,
+                               FasterMoEOptions options)
+    : layer_(cluster, to_layer_options(options),
+             std::make_unique<FasterMoEScheduleBuilder>(
+                 cluster, options.compute_scale, options.shadowing)) {}
 
 }  // namespace mpipe::baselines

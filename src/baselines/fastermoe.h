@@ -9,17 +9,15 @@
 /// per-step synchronisation waits for the slowest link. Includes dynamic
 /// expert shadowing (timing mode), which trades replicated expert memory
 /// for reduced traffic on hot experts.
-
-#include <deque>
+///
+/// The schedule is a core::ScheduleBuilder; FasterMoELayer runs it on
+/// core::MoELayer with one partition, no buffer reuse and sequential temp
+/// accounting, so parameters, buffers, checks and step drivers are the
+/// shared runtime's.
 
 #include "baselines/shadowing.h"
-#include "core/execution_context.h"
-#include "core/pipeline_executor.h"
-#include "mem/device_allocator.h"
-#include "moe/expert.h"
-#include "moe/gating.h"
-#include "sim/cluster.h"
 #include "comm/process_group.h"
+#include "core/moe_layer.h"
 
 namespace mpipe::baselines {
 
@@ -40,45 +38,68 @@ struct FasterMoEOptions {
   std::uint64_t seed = 42;
 };
 
+/// FasterMoE's split-by-N schedule over a one-partition step context: per
+/// destination device, P2P gathers, the expert computation and P2P
+/// scatters, with all gathers enqueued first. Timing-only steps shadow hot
+/// destinations (parameter broadcast before, gradient AllReduce after);
+/// functional steps run without shadowing.
+class FasterMoEScheduleBuilder : public core::ScheduleBuilder {
+ public:
+  FasterMoEScheduleBuilder(const sim::Cluster& cluster, double compute_scale,
+                           ShadowingConfig shadowing);
+
+  sim::OpGraph build_forward(core::MoeStepContext& ctx,
+                             const core::LayerRefs& refs) const override;
+  sim::OpGraph build_backward(core::MoeStepContext& ctx,
+                              const core::LayerRefs& refs) const override;
+  /// The shadowed experts' replicated parameters + gradients.
+  std::uint64_t step_model_state_bytes(
+      const core::MoeStepContext& ctx) const override;
+
+ private:
+  ShadowingDecision shadowing_for(const core::MoeStepContext& ctx) const;
+  /// Rows device d computes given the shadowing decision.
+  static std::int64_t compute_rows(const core::MoeStepContext& ctx,
+                                   int device,
+                                   const ShadowingDecision& shadow);
+
+  comm::ProcessGroup world_;
+  double compute_scale_;
+  ShadowingConfig shadowing_;
+};
+
+/// Thin adapter over MoELayer running the FasterMoE schedule.
 class FasterMoELayer {
  public:
   FasterMoELayer(sim::Cluster& cluster, FasterMoEOptions options);
 
-  std::vector<Tensor> forward(const std::vector<Tensor>& inputs);
-  std::vector<Tensor> backward(const std::vector<Tensor>& grad_outputs);
-  core::StepReport step_timing(std::int64_t tokens_per_device,
-                               double skew = 0.0);
-
-  const core::StepReport& last_report() const { return report_; }
-  mem::DeviceAllocator& allocator(int device);
-  int num_devices() const { return cluster_->num_devices(); }
-  int experts_per_device() const {
-    return options_.num_experts / num_devices();
+  std::vector<Tensor> forward(const std::vector<Tensor>& inputs) {
+    return layer_.forward(inputs);
   }
-  moe::GatingNetwork& gate(int device);
-  moe::ExpertFFN& expert(int device, int local_index);
+  std::vector<Tensor> backward(const std::vector<Tensor>& grad_outputs) {
+    return layer_.backward(grad_outputs);
+  }
+  core::StepReport step_timing(std::int64_t tokens_per_device,
+                               double skew = 0.0) {
+    return layer_.step_timing(tokens_per_device, skew);
+  }
+
+  const core::StepReport& last_report() const {
+    return layer_.last_report();
+  }
+  mem::DeviceAllocator& allocator(int device) {
+    return layer_.allocator(device);
+  }
+  int num_devices() const { return layer_.num_devices(); }
+  int experts_per_device() const { return layer_.experts_per_device(); }
+  moe::GatingNetwork& gate(int device) { return layer_.gate(device); }
+  moe::ExpertFFN& expert(int device, int local_index) {
+    return layer_.expert(device, local_index);
+  }
+  core::MoELayer& layer() { return layer_; }
 
  private:
-  void setup_forward_buffers(core::MoeStepContext& ctx);
-  void setup_backward_buffers(core::MoeStepContext& ctx);
-  sim::OpGraph build_forward(core::MoeStepContext& ctx,
-                             const ShadowingDecision& shadow);
-  sim::OpGraph build_backward(core::MoeStepContext& ctx,
-                              const ShadowingDecision& shadow);
-  /// Rows device d computes given the shadowing decision.
-  std::int64_t compute_rows(const core::MoeStepContext& ctx, int device,
-                            const ShadowingDecision& shadow) const;
-
-  sim::Cluster* cluster_;
-  FasterMoEOptions options_;
-  comm::ProcessGroup world_;
-  std::deque<mem::DeviceAllocator> allocators_;
-  std::vector<moe::GatingNetwork> gates_;
-  std::vector<std::vector<moe::ExpertFFN>> experts_;
-  std::vector<mem::Allocation> model_state_allocs_;
-  std::vector<mem::Allocation> shadow_allocs_;  ///< live during a step
-  std::optional<core::MoeStepContext> ctx_;
-  core::StepReport report_;
+  core::MoELayer layer_;
 };
 
 }  // namespace mpipe::baselines

@@ -32,6 +32,9 @@ struct DeviceStepState {
   moe::GatingForward gating;   ///< routing decisions (full mode)
   mem::Allocation gating_alloc;  ///< the (B, E) router probs — the "small
                                  ///< tensors" the paper's theory ignores
+  /// The schedule's step-scoped model state (ScheduleBuilder::
+  /// step_model_state_bytes), e.g. FasterMoE's shadowed expert replicas.
+  mem::Allocation step_model_state_alloc;
 
   // Reuse mode: ring pools shared across partitions (paper Fig 6).
   std::optional<mem::BufferPool> tdi, tm, tdo;

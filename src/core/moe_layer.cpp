@@ -33,6 +33,27 @@ std::uint64_t model_state_bytes(const MoELayerOptions& options,
   return bytes;
 }
 
+/// Strategy of a forward_only step. It is moot for inference: no backward
+/// means nothing to restore, and the forward_only flag already strips every
+/// offload op. kS4 (pure re-comm/recompute) is the honest label — its
+/// forward never stashes — and it turns the ring buffers on, so working
+/// memory is the paper's 2·cap·M + cap·H rings instead of n per-partition
+/// activation stashes.
+ReuseStrategy inference_strategy(const MoELayerOptions& options) {
+  return options.memory_reuse ? ReuseStrategy::kS4 : ReuseStrategy::kNone;
+}
+
+/// Rows of device d's ring slots: its own worst partition, not the
+/// cluster-wide maximum — under routing skew only the hot device pays.
+std::int64_t ring_capacity(const MoeStepContext& ctx, int d) {
+  std::int64_t cap = 1;
+  for (int p = 0; p < ctx.n(); ++p) {
+    cap = std::max(cap,
+                   ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
+  }
+  return cap;
+}
+
 }  // namespace
 
 sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
@@ -70,12 +91,15 @@ sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
   return status;
 }
 
-MoELayer::MoELayer(sim::Cluster& cluster, MoELayerOptions options)
+MoELayer::MoELayer(sim::Cluster& cluster, MoELayerOptions options,
+                   std::unique_ptr<ScheduleBuilder> schedule)
     : cluster_(&cluster),
       options_(std::move(options)),
       world_(comm::ProcessGroup::world(cluster)),
-      builder_(world_, staging_, options_.compute_scale,
-               options_.comm_scale) {
+      builder_(schedule ? std::move(schedule)
+                        : std::make_unique<PipelineScheduleBuilder>(
+                              world_, staging_, options_.compute_scale,
+                              options_.comm_scale)) {
   MPIPE_EXPECTS(options_.d_model > 0 && options_.d_hidden > 0,
                 "bad layer dimensions");
   MPIPE_EXPECTS(options_.top_k == 1,
@@ -225,8 +249,9 @@ ReuseStrategy MoELayer::configure_strategy(std::int64_t tokens_per_device,
   return strategy_choice_.strategy;
 }
 
-double MoELayer::probe_step_seconds(std::int64_t tokens_per_device, int n,
-                                    ReuseStrategy strategy) {
+MoeStepContext MoELayer::timing_context(std::int64_t tokens_per_device, int n,
+                                        ReuseStrategy strategy,
+                                        double skew) const {
   MoeStepContext ctx;
   ctx.mode = ExecutionMode::kTimingOnly;
   ctx.strategy = strategy;
@@ -234,11 +259,18 @@ double MoELayer::probe_step_seconds(std::int64_t tokens_per_device, int n,
   ctx.d_hidden = options_.d_hidden;
   ctx.dtype = options_.compute_dtype;
   ctx.plan = moe::Dispatcher::synthetic(tokens_per_device, num_devices(),
-                                        experts_per_device(), n, probe_skew_);
+                                        experts_per_device(), n, skew);
   ctx.dev.resize(static_cast<std::size_t>(num_devices()));
+  return ctx;
+}
+
+double MoELayer::probe_step_seconds(std::int64_t tokens_per_device, int n,
+                                    ReuseStrategy strategy) {
+  MoeStepContext ctx =
+      timing_context(tokens_per_device, n, strategy, probe_skew_);
   // Probes need no buffer accounting — only the schedule shape matters.
-  sim::OpGraph fwd = builder_.build_forward(ctx, LayerRefs{});
-  sim::OpGraph bwd = builder_.build_backward(ctx, LayerRefs{});
+  sim::OpGraph fwd = builder_->build_forward(ctx, LayerRefs{});
+  sim::OpGraph bwd = builder_->build_backward(ctx, LayerRefs{});
   // Probes are timing-shape-only: they must never materialise tensors,
   // carry closures, or spin up the parallel executor (time_only never
   // invokes closures, and an all-timing graph keeps it that way).
@@ -258,20 +290,12 @@ double MoELayer::probe_forward_seconds(std::int64_t tokens_per_device,
                                        int n) {
   MPIPE_EXPECTS(tokens_per_device > 0, "empty probe batch");
   MPIPE_EXPECTS(n >= 1, "probe needs at least one partition");
-  MoeStepContext ctx;
-  ctx.mode = ExecutionMode::kTimingOnly;
-  // Mirror forward_only's execution shape exactly: ring reuse when
-  // enabled, and the forward_only flag so no offload op is ever timed.
-  ctx.strategy =
-      options_.memory_reuse ? ReuseStrategy::kS4 : ReuseStrategy::kNone;
+  // Mirror forward_only's execution shape exactly: its strategy, and the
+  // forward_only flag so no offload op is ever timed.
+  MoeStepContext ctx = timing_context(
+      tokens_per_device, n, inference_strategy(options_), probe_skew_);
   ctx.forward_only = true;
-  ctx.d_model = options_.d_model;
-  ctx.d_hidden = options_.d_hidden;
-  ctx.dtype = options_.compute_dtype;
-  ctx.plan = moe::Dispatcher::synthetic(tokens_per_device, num_devices(),
-                                        experts_per_device(), n, probe_skew_);
-  ctx.dev.resize(static_cast<std::size_t>(num_devices()));
-  sim::OpGraph fwd = builder_.build_forward(ctx, LayerRefs{});
+  sim::OpGraph fwd = builder_->build_forward(ctx, LayerRefs{});
   MPIPE_EXPECTS(fwd.is_timing_only(),
                 "forward-only probe built a functional graph");
   sim::apply_corrections(fwd, corrections_);
@@ -285,19 +309,10 @@ void MoELayer::setup_forward_buffers(MoeStepContext& ctx) {
   const std::int64_t B = ctx.plan.tokens_per_device;
   const std::int64_t E = options_.num_experts;
   const int depth = std::min(2, ctx.n());
-  // Ring slots are sized to the device's own worst partition, not the
-  // cluster-wide maximum — under routing skew only the hot device pays.
-  auto device_cap = [&](int d) {
-    std::int64_t cap = 1;
-    for (int p = 0; p < ctx.n(); ++p) {
-      cap = std::max(cap,
-                     ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
-    }
-    return cap;
-  };
+  const std::uint64_t schedule_bytes = builder_->step_model_state_bytes(ctx);
 
   for (int d = 0; d < ctx.num_devices(); ++d) {
-    const std::int64_t cap = device_cap(d);
+    const std::int64_t cap = ring_capacity(ctx, d);
     auto& st = ctx.dev[static_cast<std::size_t>(d)];
     auto& alloc = allocator(d);
     // T_I is caller-owned but device-resident: account it.
@@ -336,6 +351,10 @@ void MoELayer::setup_forward_buffers(MoeStepContext& ctx) {
             Shape{rows, M}, mem::Category::kActivation, mat, ctx.dtype));
       }
     }
+    if (schedule_bytes > 0) {
+      st.step_model_state_alloc =
+          alloc.allocate(mem::Category::kModelState, schedule_bytes);
+    }
   }
 }
 
@@ -347,17 +366,9 @@ void MoELayer::setup_backward_buffers(MoeStepContext& ctx) {
   const std::int64_t chunk =
       std::max<std::int64_t>(1, ctx.plan.part(0).chunk_rows);
   const int depth = std::min(2, ctx.n());
-  auto device_cap = [&](int d) {
-    std::int64_t cap = 1;
-    for (int p = 0; p < ctx.n(); ++p) {
-      cap = std::max(cap,
-                     ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
-    }
-    return cap;
-  };
 
   for (int d = 0; d < ctx.num_devices(); ++d) {
-    const std::int64_t cap = device_cap(d);
+    const std::int64_t cap = ring_capacity(ctx, d);
     auto& st = ctx.dev[static_cast<std::size_t>(d)];
     auto& alloc = allocator(d);
     auto dx = alloc.alloc_tensor(Shape{B, M}, mem::Category::kTempBuffer,
@@ -431,97 +442,21 @@ void MoELayer::setup_backward_buffers(MoeStepContext& ctx) {
 }
 
 std::vector<Tensor> MoELayer::forward(const std::vector<Tensor>& inputs) {
-  MPIPE_EXPECTS(options_.mode == ExecutionMode::kFull,
-                "forward() requires full execution mode");
-  MPIPE_EXPECTS(static_cast<int>(inputs.size()) == num_devices(),
-                "need one input batch per device");
-  const std::int64_t B = inputs[0].dim(0);
-  for (const Tensor& t : inputs) {
-    MPIPE_EXPECTS(t.shape().rank() == 2 && t.dim(0) == B &&
-                      t.dim(1) == options_.d_model,
-                  "inputs must all be (B, d_model)");
-  }
-  for (auto& a : allocators_) a.tracker().reset_peaks();
-  staging_.clear();
-
-  const int n = configure_partitions(B);
-  const ReuseStrategy strategy = configure_strategy(B, n);
-
-  // Everything from here on allocates step state (ctx_ buffers, staging
-  // slots) and runs the graph; a failure part-way — injected OOM, a comm
-  // TransientError that exhausted its retries — must not leave that state
-  // resident, or every subsequent step inherits the leak. The catch
-  // releases it and rethrows, leaving the layer ready for a retried step.
-  try {
-  ctx_.emplace();
-  ctx_->mode = ExecutionMode::kFull;
-  ctx_->strategy = strategy;
-  ctx_->d_model = options_.d_model;
-  ctx_->d_hidden = options_.d_hidden;
-  ctx_->dtype = options_.compute_dtype;
-  ctx_->dev.resize(static_cast<std::size_t>(num_devices()));
-
-  // Gating runs first (the plan depends on it); the graph still carries a
-  // timed router op per device.
-  std::vector<std::vector<std::int64_t>> expert_of;
-  for (int d = 0; d < num_devices(); ++d) {
-    auto& st = ctx_->dev[static_cast<std::size_t>(d)];
-    st.x = inputs[static_cast<std::size_t>(d)];
-    st.gating = gates_[static_cast<std::size_t>(d)].forward(st.x);
-    expert_of.push_back(st.gating.expert_of);
-  }
-  ctx_->plan = moe::Dispatcher::build(expert_of, num_devices(),
-                                      experts_per_device(), n);
-  setup_forward_buffers(*ctx_);
-
-  sim::OpGraph graph = builder_.build_forward(*ctx_, refs());
-  report_ = StepReport{};
-  report_.n_partitions = n;
-  report_.strategy = strategy;
-  report_.compute_dtype = ctx_->dtype;
-  report_.alltoall_payload_bytes = ctx_->comm_payload_bytes;
-  report_.expert_weight_bytes = expert_weight_bytes();
-  sim::ExecutionProfile profile;
-  sim::ExecutionProfile* sink =
-      options_.profile_execution ? &profile : nullptr;
-  report_.forward_timing = cluster_->run(graph, exec_policy(), sink);
-  report_.forward_seconds = report_.forward_timing.makespan;
-  if (sink) {
-    report_.profiled = true;
-    report_.forward_measured =
-        sim::build_timeline(graph, profile, num_devices());
-    report_.forward_diff = sim::diff_schedules(
-        graph, report_.forward_timing, report_.forward_measured);
-    if (options_.straggler_threshold > 0.0) {
-      report_.stragglers = sim::detect_stragglers(
-          graph, report_.forward_diff, options_.straggler_threshold);
-    }
-    if (options_.trace_execution) {
-      report_.forward_trace_json = sim::to_chrome_trace(
-          graph, report_.forward_timing, report_.forward_measured);
-    }
-  }
-
-  std::vector<Tensor> outputs;
-  outputs.reserve(static_cast<std::size_t>(num_devices()));
-  for (int d = 0; d < num_devices(); ++d) {
-    outputs.push_back(ctx_->dev[static_cast<std::size_t>(d)].out);
-  }
-  return outputs;
-  } catch (...) {
-    ctx_.reset();
-    staging_.clear();
-    throw;
-  }
+  return forward_step(inputs, /*inference=*/false, /*n_override=*/0);
 }
 
 std::vector<Tensor> MoELayer::forward_only(const std::vector<Tensor>& inputs,
                                            int n_override) {
+  MPIPE_EXPECTS(n_override >= 0, "negative partition override");
+  return forward_step(inputs, /*inference=*/true, n_override);
+}
+
+std::vector<Tensor> MoELayer::forward_step(const std::vector<Tensor>& inputs,
+                                           bool inference, int n_override) {
   MPIPE_EXPECTS(options_.mode == ExecutionMode::kFull,
-                "forward_only() requires full execution mode");
+                "forward()/forward_only() require full execution mode");
   MPIPE_EXPECTS(static_cast<int>(inputs.size()) == num_devices(),
                 "need one input batch per device");
-  MPIPE_EXPECTS(n_override >= 0, "negative partition override");
   const std::int64_t B = inputs[0].dim(0);
   for (const Tensor& t : inputs) {
     MPIPE_EXPECTS(t.shape().rank() == 2 && t.dim(0) == B &&
@@ -532,27 +467,27 @@ std::vector<Tensor> MoELayer::forward_only(const std::vector<Tensor>& inputs,
   staging_.clear();
 
   const int n = n_override > 0 ? n_override : configure_partitions(B);
-  // Strategy is moot for inference: no backward means nothing to restore,
-  // and the forward_only flag already strips every offload op. kS4 (pure
-  // re-comm/recompute) is the honest label — its forward never stashes —
-  // and it turns the ring buffers on, so working memory is the paper's
-  // 2·cap·M + cap·H rings instead of n per-partition activation stashes.
-  const ReuseStrategy strategy =
-      options_.memory_reuse ? ReuseStrategy::kS4 : ReuseStrategy::kNone;
+  const ReuseStrategy strategy = inference ? inference_strategy(options_)
+                                           : configure_strategy(B, n);
 
-  // Same failure contract as forward(): a part-way failure (injected OOM,
-  // exhausted comm retries, a payload-scan detection) must release all
-  // step state before rethrowing, so the server can replay the batch.
+  // Everything from here on allocates step state (ctx_ buffers, staging
+  // slots) and runs the graph; a failure part-way — injected OOM, a comm
+  // TransientError that exhausted its retries, a payload-scan detection —
+  // must not leave that state resident, or every subsequent step inherits
+  // the leak. The catch releases it and rethrows, leaving the layer ready
+  // for a retried step (or the server's replayed batch).
   try {
     ctx_.emplace();
     ctx_->mode = ExecutionMode::kFull;
     ctx_->strategy = strategy;
-    ctx_->forward_only = true;
+    ctx_->forward_only = inference;
     ctx_->d_model = options_.d_model;
     ctx_->d_hidden = options_.d_hidden;
     ctx_->dtype = options_.compute_dtype;
     ctx_->dev.resize(static_cast<std::size_t>(num_devices()));
 
+    // Gating runs first (the plan depends on it); the graph still carries
+    // a timed router op per device.
     std::vector<std::vector<std::int64_t>> expert_of;
     for (int d = 0; d < num_devices(); ++d) {
       auto& st = ctx_->dev[static_cast<std::size_t>(d)];
@@ -564,56 +499,81 @@ std::vector<Tensor> MoELayer::forward_only(const std::vector<Tensor>& inputs,
                                         experts_per_device(), n);
     setup_forward_buffers(*ctx_);
 
-    sim::OpGraph graph = builder_.build_forward(*ctx_, refs());
-    report_ = StepReport{};
-    report_.n_partitions = n;
-    report_.strategy = strategy;
-    report_.compute_dtype = ctx_->dtype;
-    report_.alltoall_payload_bytes = ctx_->comm_payload_bytes;
-    report_.expert_weight_bytes = expert_weight_bytes();
-    sim::ExecutionProfile profile;
-    sim::ExecutionProfile* sink =
-        options_.profile_execution ? &profile : nullptr;
-    report_.forward_timing = cluster_->run(graph, exec_policy(), sink);
-    report_.forward_seconds = report_.forward_timing.makespan;
-    if (sink) {
-      report_.profiled = true;
-      report_.forward_measured =
-          sim::build_timeline(graph, profile, num_devices());
-      report_.forward_diff = sim::diff_schedules(
-          graph, report_.forward_timing, report_.forward_measured);
-      if (options_.straggler_threshold > 0.0) {
-        report_.stragglers = sim::detect_stragglers(
-            graph, report_.forward_diff, options_.straggler_threshold);
-      }
-      if (options_.trace_execution) {
-        report_.forward_trace_json = sim::to_chrome_trace(
-            graph, report_.forward_timing, report_.forward_measured);
-      }
-    }
-    report_.mean_gpu_utilization =
-        combined_utilization(report_.forward_timing, sim::TimingResult{});
-
-    std::vector<MemorySnapshot> snaps;
-    for (const auto& a : allocators_) snaps.push_back(snapshot_peaks(a));
-    report_.memory = max_over_devices(snaps);
+    start_report(n, strategy);
+    run_step_graph(*ctx_, builder_->build_forward(*ctx_, refs()),
+                   /*backward=*/false);
 
     std::vector<Tensor> outputs;
     outputs.reserve(static_cast<std::size_t>(num_devices()));
     for (int d = 0; d < num_devices(); ++d) {
       outputs.push_back(ctx_->dev[static_cast<std::size_t>(d)].out);
     }
-    // Nothing stashed for a backward: the step state dies here. The
-    // outputs survive via the Tensor's shared storage; a backward() call
-    // now fails its has-context precondition, exactly as intended.
-    ctx_.reset();
-    staging_.clear();
+    if (inference) {
+      // Nothing stashed for a backward: the step state dies here. The
+      // outputs survive via the Tensor's shared storage; a backward() call
+      // now fails its has-context precondition, exactly as intended.
+      ctx_.reset();
+      staging_.clear();
+    }
     return outputs;
   } catch (...) {
     ctx_.reset();
     staging_.clear();
     throw;
   }
+}
+
+void MoELayer::start_report(int n, ReuseStrategy strategy) {
+  report_ = StepReport{};
+  report_.n_partitions = n;
+  report_.strategy = strategy;
+  report_.compute_dtype = options_.compute_dtype;
+  report_.expert_weight_bytes = expert_weight_bytes();
+}
+
+void MoELayer::run_step_graph(const MoeStepContext& ctx,
+                              const sim::OpGraph& graph, bool backward) {
+  sim::TimingResult& timing =
+      backward ? report_.backward_timing : report_.forward_timing;
+  if (!ctx.functional()) {
+    MPIPE_EXPECTS(graph.is_timing_only(),
+                  "timing-only step built a functional graph");
+    timing = cluster_->time_only(graph);
+  } else {
+    sim::ExecutionProfile profile;
+    sim::ExecutionProfile* sink =
+        options_.profile_execution ? &profile : nullptr;
+    timing = cluster_->run(graph, exec_policy(), sink);
+    if (sink) {
+      report_.profiled = true;
+      sim::MeasuredTimeline& measured =
+          backward ? report_.backward_measured : report_.forward_measured;
+      sim::ScheduleDiff& diff =
+          backward ? report_.backward_diff : report_.forward_diff;
+      measured = sim::build_timeline(graph, profile, num_devices());
+      diff = sim::diff_schedules(graph, timing, measured);
+      if (options_.straggler_threshold > 0.0) {
+        auto flags = sim::detect_stragglers(graph, diff,
+                                            options_.straggler_threshold);
+        report_.stragglers.insert(report_.stragglers.end(), flags.begin(),
+                                  flags.end());
+      }
+      if (options_.trace_execution) {
+        (backward ? report_.backward_trace_json
+                  : report_.forward_trace_json) =
+            sim::to_chrome_trace(graph, timing, measured);
+      }
+    }
+  }
+  (backward ? report_.backward_seconds : report_.forward_seconds) =
+      timing.makespan;
+  // The backward graph's AllToAlls accumulate onto the forward's counter.
+  report_.alltoall_payload_bytes = ctx.comm_payload_bytes;
+  report_.mean_gpu_utilization =
+      combined_utilization(report_.forward_timing, report_.backward_timing);
+  std::vector<MemorySnapshot> snaps;
+  for (const auto& a : allocators_) snaps.push_back(snapshot_peaks(a));
+  report_.memory = max_over_devices(snaps);
 }
 
 std::vector<Tensor> MoELayer::backward(
@@ -631,48 +591,18 @@ std::vector<Tensor> MoELayer::backward(
   // Same failure contract as forward(): a part-way failure releases all
   // step state before rethrowing so a retried step starts clean.
   try {
-  setup_backward_buffers(*ctx_);
+    setup_backward_buffers(*ctx_);
+    run_step_graph(*ctx_, builder_->build_backward(*ctx_, refs()),
+                   /*backward=*/true);
 
-  sim::OpGraph graph = builder_.build_backward(*ctx_, refs());
-  // The backward graph's AllToAlls accumulated onto the same counter.
-  report_.alltoall_payload_bytes = ctx_->comm_payload_bytes;
-  sim::ExecutionProfile profile;
-  sim::ExecutionProfile* sink =
-      options_.profile_execution ? &profile : nullptr;
-  report_.backward_timing = cluster_->run(graph, exec_policy(), sink);
-  report_.backward_seconds = report_.backward_timing.makespan;
-  if (sink) {
-    report_.profiled = true;
-    report_.backward_measured =
-        sim::build_timeline(graph, profile, num_devices());
-    report_.backward_diff = sim::diff_schedules(
-        graph, report_.backward_timing, report_.backward_measured);
-    if (options_.straggler_threshold > 0.0) {
-      auto flags = sim::detect_stragglers(graph, report_.backward_diff,
-                                          options_.straggler_threshold);
-      report_.stragglers.insert(report_.stragglers.end(), flags.begin(),
-                                flags.end());
+    std::vector<Tensor> grads;
+    grads.reserve(static_cast<std::size_t>(num_devices()));
+    for (int d = 0; d < num_devices(); ++d) {
+      grads.push_back(ctx_->dev[static_cast<std::size_t>(d)].dx);
     }
-    if (options_.trace_execution) {
-      report_.backward_trace_json = sim::to_chrome_trace(
-          graph, report_.backward_timing, report_.backward_measured);
-    }
-  }
-  report_.mean_gpu_utilization =
-      combined_utilization(report_.forward_timing, report_.backward_timing);
-
-  std::vector<MemorySnapshot> snaps;
-  for (const auto& a : allocators_) snaps.push_back(snapshot_peaks(a));
-  report_.memory = max_over_devices(snaps);
-
-  std::vector<Tensor> grads;
-  grads.reserve(static_cast<std::size_t>(num_devices()));
-  for (int d = 0; d < num_devices(); ++d) {
-    grads.push_back(ctx_->dev[static_cast<std::size_t>(d)].dx);
-  }
-  ctx_.reset();  // releases activations and temp buffers
-  staging_.clear();
-  return grads;
+    ctx_.reset();  // releases activations and temp buffers
+    staging_.clear();
+    return grads;
   } catch (...) {
     ctx_.reset();
     staging_.clear();
@@ -689,48 +619,17 @@ StepReport MoELayer::step_timing(std::int64_t tokens_per_device,
   // skew as the step being configured.
   probe_skew_ = skew;
   const int n = configure_partitions(tokens_per_device);
-  const ReuseStrategy strategy =
-      configure_strategy(tokens_per_device, n);
+  const ReuseStrategy strategy = configure_strategy(tokens_per_device, n);
 
-  MoeStepContext ctx;
-  ctx.mode = options_.mode == ExecutionMode::kFull
-                 ? ExecutionMode::kTimingOnly  // timing probe on a full layer
-                 : options_.mode;
-  ctx.strategy = strategy;
-  ctx.d_model = options_.d_model;
-  ctx.d_hidden = options_.d_hidden;
-  ctx.dtype = options_.compute_dtype;
-  ctx.plan = moe::Dispatcher::synthetic(tokens_per_device, num_devices(),
-                                        experts_per_device(), n, skew);
-  ctx.dev.resize(static_cast<std::size_t>(num_devices()));
+  MoeStepContext ctx = timing_context(tokens_per_device, n, strategy, skew);
   setup_forward_buffers(ctx);
-
-  StepReport report;
-  report.n_partitions = n;
-  report.strategy = strategy;
-  report.compute_dtype = ctx.dtype;
-  report.expert_weight_bytes = expert_weight_bytes();
-  sim::OpGraph fwd = builder_.build_forward(ctx, LayerRefs{});
-  MPIPE_EXPECTS(fwd.is_timing_only(),
-                "timing-only step built a functional graph");
-  report.forward_timing = cluster_->time_only(fwd);
-  report.forward_seconds = report.forward_timing.makespan;
-
+  start_report(n, strategy);
+  run_step_graph(ctx, builder_->build_forward(ctx, LayerRefs{}),
+                 /*backward=*/false);
   setup_backward_buffers(ctx);
-  sim::OpGraph bwd = builder_.build_backward(ctx, LayerRefs{});
-  MPIPE_EXPECTS(bwd.is_timing_only(),
-                "timing-only step built a functional graph");
-  report.backward_timing = cluster_->time_only(bwd);
-  report.backward_seconds = report.backward_timing.makespan;
-  report.alltoall_payload_bytes = ctx.comm_payload_bytes;
-  report.mean_gpu_utilization =
-      combined_utilization(report.forward_timing, report.backward_timing);
-
-  std::vector<MemorySnapshot> snaps;
-  for (const auto& a : allocators_) snaps.push_back(snapshot_peaks(a));
-  report.memory = max_over_devices(snaps);
-  report_ = report;
-  return report;
+  run_step_graph(ctx, builder_->build_backward(ctx, LayerRefs{}),
+                 /*backward=*/true);
+  return report_;
 }
 
 void MoELayer::refresh_quantized_weights() {

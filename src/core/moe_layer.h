@@ -6,6 +6,11 @@
 /// FFN of a transformer block running under expert parallelism on a
 /// simulated cluster: forward()/backward() do real tensor math with a
 /// simulated timeline, step_timing() replays the schedule at paper scale.
+///
+/// MoELayer is the one layer runtime: every schedule — MPipeMoE's
+/// micro-batch pipeline (the default) or a baseline such as FasterMoE's
+/// split-by-N P2P pipeline — is a ScheduleBuilder handed to the
+/// constructor, and the layer's step drivers are shared by all of them.
 
 #include <deque>
 #include <memory>
@@ -67,7 +72,7 @@ struct MoELayerOptions {
   /// Eq-3 temp-buffer accounting for the sequential (n = 1, no-pipeline)
   /// execution: gradient scratch is freed as soon as it is consumed, so the
   /// peak is BM + BH instead of the pipeline's per-partition residency.
-  /// Used by the FastMoE baseline.
+  /// Used by the FastMoE and FasterMoE baselines.
   bool sequential_temp_accounting = false;
 
   /// Run the functional op graphs concurrently on the shared ThreadPool
@@ -119,7 +124,10 @@ sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
 
 class MoELayer {
  public:
-  MoELayer(sim::Cluster& cluster, MoELayerOptions options);
+  /// `schedule` builds the step graphs; null selects MPipeMoE's
+  /// PipelineScheduleBuilder (scaled by options.compute_scale/comm_scale).
+  MoELayer(sim::Cluster& cluster, MoELayerOptions options,
+           std::unique_ptr<ScheduleBuilder> schedule = nullptr);
 
   // ---- full-mode training step -------------------------------------------
   /// Runs the distributed forward pass on one (B, M) token batch per
@@ -217,6 +225,23 @@ class MoELayer {
   /// Timing-only probe used by the granularity search trial function.
   double probe_step_seconds(std::int64_t tokens_per_device, int n,
                             ReuseStrategy strategy);
+  /// Timing-only step context over a synthetic balanced (optionally
+  /// skewed) plan — shared by step_timing and the probes.
+  MoeStepContext timing_context(std::int64_t tokens_per_device, int n,
+                                ReuseStrategy strategy, double skew) const;
+  /// forward() and forward_only(): one functional forward step. An
+  /// `inference` step keeps nothing for a backward and releases its state
+  /// before returning.
+  std::vector<Tensor> forward_step(const std::vector<Tensor>& inputs,
+                                   bool inference, int n_override);
+  /// Resets report_ for a new step with its configuration fields.
+  void start_report(int n, ReuseStrategy strategy);
+  /// Runs one step graph and fills its half of report_: the simulated
+  /// timing (functional steps: executed, plus the measured timeline,
+  /// diff, stragglers and trace when profiling), then the utilisation and
+  /// per-category memory peaks of the step so far.
+  void run_step_graph(const MoeStepContext& ctx, const sim::OpGraph& graph,
+                      bool backward);
   void setup_forward_buffers(MoeStepContext& ctx);
   void setup_backward_buffers(MoeStepContext& ctx);
   LayerRefs refs();
@@ -226,7 +251,7 @@ class MoELayer {
   comm::ProcessGroup world_;
   std::deque<mem::DeviceAllocator> allocators_;
   mem::HostStaging staging_;
-  PipelineScheduleBuilder builder_;
+  std::unique_ptr<ScheduleBuilder> builder_;
 
   // Parameters (full mode only; timing-only keeps accounting records).
   std::vector<moe::GatingNetwork> gates_;
@@ -239,6 +264,29 @@ class MoELayer {
   sim::OpClassCorrections corrections_;
   std::optional<MoeStepContext> ctx_;
   StepReport report_;
+};
+
+/// Scoped override of a layer's profile_execution / trace_execution
+/// switches: snapshots both on entry and restores them on every exit —
+/// normal return or exception — so a warmup step that throws cannot leave
+/// profiling stuck on.
+class ProfileOverrideScope {
+ public:
+  explicit ProfileOverrideScope(MoELayer& layer)
+      : layer_(&layer),
+        profile_(layer.options().profile_execution),
+        trace_(layer.options().trace_execution) {}
+  ~ProfileOverrideScope() {
+    layer_->set_profile_execution(profile_);
+    layer_->set_trace_execution(trace_);
+  }
+  ProfileOverrideScope(const ProfileOverrideScope&) = delete;
+  ProfileOverrideScope& operator=(const ProfileOverrideScope&) = delete;
+
+ private:
+  MoELayer* layer_;
+  bool profile_;
+  bool trace_;
 };
 
 }  // namespace mpipe::core

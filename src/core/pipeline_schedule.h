@@ -7,6 +7,11 @@
 /// Backward mirrors it and inserts the strategy's restore operations.
 /// Ring-buffer reuse turns prior readers of a slot into dependencies of
 /// the next writer (WAR edges), which the tests assert.
+///
+/// MoELayer is the one layer runtime; a ScheduleBuilder is what plugs a
+/// schedule into it. The layer owns parameters, allocators, gating, the
+/// dispatch plan and the step buffers, runs the graphs and fills the
+/// StepReport; the builder only turns one step context into op graphs.
 
 #include "comm/process_group.h"
 #include "core/execution_context.h"
@@ -23,7 +28,29 @@ struct LayerRefs {
   std::vector<std::vector<moe::ExpertFFN>>* experts = nullptr;  ///< [dev][k]
 };
 
-class PipelineScheduleBuilder {
+/// The schedule half of a MoE layer step: turns the step context (plan +
+/// buffers, set up by MoELayer) into the forward and backward op graphs.
+/// Builders are stateless across steps — the backward must be derivable
+/// from the same context the forward saw.
+class ScheduleBuilder {
+ public:
+  virtual ~ScheduleBuilder() = default;
+
+  virtual sim::OpGraph build_forward(MoeStepContext& ctx,
+                                     const LayerRefs& refs) const = 0;
+  virtual sim::OpGraph build_backward(MoeStepContext& ctx,
+                                      const LayerRefs& refs) const = 0;
+
+  /// Model-state bytes each device holds on top of the layer's parameters
+  /// for the duration of the step (e.g. replicated expert parameters).
+  /// MoELayer allocates them with the step's forward buffers.
+  virtual std::uint64_t step_model_state_bytes(
+      const MoeStepContext& /*ctx*/) const {
+    return 0;
+  }
+};
+
+class PipelineScheduleBuilder : public ScheduleBuilder {
  public:
   /// `compute_scale` multiplies the effective compute throughput: the
   /// PipeMoE/MPipeMoE kernels use Tensor Cores (scale 1.0); the FastMoE /
@@ -36,12 +63,13 @@ class PipelineScheduleBuilder {
                           double comm_scale = 1.0);
 
   /// Emits gating + the n-partition S/C1/C2/R pipeline + gate scaling.
-  sim::OpGraph build_forward(MoeStepContext& ctx, const LayerRefs& refs) const;
+  sim::OpGraph build_forward(MoeStepContext& ctx,
+                             const LayerRefs& refs) const override;
 
   /// Emits grad scaling + the reversed pipeline with restore ops + gating
   /// backward + the gating-gradient AllReduce.
   sim::OpGraph build_backward(MoeStepContext& ctx,
-                              const LayerRefs& refs) const;
+                              const LayerRefs& refs) const override;
 
  private:
   /// Rescales the duration of the op `id` by 1/comm_scale.
