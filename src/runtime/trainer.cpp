@@ -74,10 +74,11 @@ double Trainer::train_step_impl(bool guard, bool& non_finite) {
   const bool last_warmup_step =
       warmup_profiling && steps_run_ + 1 >= options_.profile_warmup_steps;
   // Snapshot the layer's own settings at step entry (not at Trainer
-  // construction): a user toggle between steps must survive the warmup
-  // override's restore below.
-  const bool layer_profiling = layer_->options().profile_execution;
-  const bool layer_tracing = layer_->options().trace_execution;
+  // construction) and restore them on every exit — return or throw — so a
+  // user toggle between steps survives, and a caller that stops short of
+  // profile_warmup_steps (or a step that throws into a replay) is never
+  // left with warmup profiling stuck on.
+  core::ProfileOverrideScope restore_switches(*layer_);
   if (warmup_profiling) {
     layer_->set_profile_execution(true);
     // The trace dump reads the last warmup step's report; earlier steps
@@ -87,95 +88,67 @@ double Trainer::train_step_impl(bool guard, bool& non_finite) {
     }
   }
 
-  try {
-    layer_->zero_grad();
-    auto batch = workload_.next_batch();
-    auto targets = workload_.targets_for(batch);
-    auto outputs = layer_->forward(batch);
+  layer_->zero_grad();
+  auto batch = workload_.next_batch();
+  auto targets = workload_.targets_for(batch);
+  auto outputs = layer_->forward(batch);
 
-    double loss = 0.0;
-    std::vector<Tensor> grads;
-    grads.reserve(outputs.size());
-    for (std::size_t d = 0; d < outputs.size(); ++d) {
-      loss += mse_loss(outputs[d], targets[d]);
-      grads.push_back(mse_loss_grad(outputs[d], targets[d]));
-    }
-    loss /= static_cast<double>(outputs.size());
+  double loss = 0.0;
+  std::vector<Tensor> grads;
+  grads.reserve(outputs.size());
+  for (std::size_t d = 0; d < outputs.size(); ++d) {
+    loss += mse_loss(outputs[d], targets[d]);
+    grads.push_back(mse_loss_grad(outputs[d], targets[d]));
+  }
+  loss /= static_cast<double>(outputs.size());
 
-    if (guard && !std::isfinite(loss)) {
-      // Rung 1: poisoned forward. The step is abandoned before backward —
-      // no optimizer state, metrics, or step count moved.
-      non_finite = true;
-      if (warmup_profiling) {
-        layer_->set_profile_execution(layer_profiling);
-        layer_->set_trace_execution(layer_tracing);
-      }
-      return loss;
-    }
+  if (guard && !std::isfinite(loss)) {
+    // Rung 1: poisoned forward. The step is abandoned before backward —
+    // no optimizer state, metrics, or step count moved.
+    non_finite = true;
+    return loss;
+  }
 
-    layer_->backward(grads);
+  layer_->backward(grads);
 
-    if (guard) {
-      for (Tensor* g : layer_->gradients()) {
-        if (!all_finite(*g)) {
-          non_finite = true;
-          break;
-        }
-      }
-      if (non_finite) {
-        if (warmup_profiling) {
-          layer_->set_profile_execution(layer_profiling);
-          layer_->set_trace_execution(layer_tracing);
-        }
+  if (guard) {
+    for (Tensor* g : layer_->gradients()) {
+      if (!all_finite(*g)) {
+        non_finite = true;
         return loss;
       }
     }
+  }
 
-    optimizer_->step();
-    // The optimizer wrote new fp32 masters; a non-f32 layer's compute path
-    // reads the quantized caches, which are stale until re-quantized.
-    layer_->refresh_quantized_weights();
-    const core::StepReport& report = layer_->last_report();
-    metrics_.record_step(loss, report);
-    metrics_.recovery().straggler_flags += report.stragglers.size();
-    ++steps_run_;
+  optimizer_->step();
+  // The optimizer wrote new fp32 masters; a non-f32 layer's compute path
+  // reads the quantized caches, which are stale until re-quantized.
+  layer_->refresh_quantized_weights();
+  const core::StepReport& report = layer_->last_report();
+  metrics_.record_step(loss, report);
+  metrics_.recovery().straggler_flags += report.stragglers.size();
+  ++steps_run_;
 
-    if (warmup_profiling) {
-      // Restore the overrides after every warmup step, not just the last —
-      // a caller may stop short of profile_warmup_steps (e.g. run() with
-      // fewer steps) and must not be left with profiling stuck on.
-      layer_->set_profile_execution(layer_profiling);
-      layer_->set_trace_execution(layer_tracing);
-    }
-    if (warmup_profiling && report.profiled) {
-      // Accumulate measured-vs-modeled per-class seconds; after the last
-      // warmup step, fit the correction factors and hand them to the layer —
-      // the searcher cache is flushed there, so the very next step re-ranks
-      // granularity and strategy with reality-corrected costs.
-      correction_fit_.add(report.forward_diff);
-      correction_fit_.add(report.backward_diff);
-      if (steps_run_ >= options_.profile_warmup_steps) {
-        corrections_ = correction_fit_.fit();
-        layer_->set_corrections(corrections_);
-        corrections_installed_ = true;
-        if (!options_.trace_path.empty()) {
-          write_json(options_.trace_path + ".fwd.json",
-                     report.forward_trace_json);
-          write_json(options_.trace_path + ".bwd.json",
-                     report.backward_trace_json);
-        }
+  if (warmup_profiling && report.profiled) {
+    // Accumulate measured-vs-modeled per-class seconds; after the last
+    // warmup step, fit the correction factors and hand them to the layer —
+    // the searcher cache is flushed there, so the very next step re-ranks
+    // granularity and strategy with reality-corrected costs.
+    correction_fit_.add(report.forward_diff);
+    correction_fit_.add(report.backward_diff);
+    if (steps_run_ >= options_.profile_warmup_steps) {
+      corrections_ = correction_fit_.fit();
+      layer_->set_corrections(corrections_);
+      corrections_installed_ = true;
+      if (!options_.trace_path.empty()) {
+        write_json(options_.trace_path + ".fwd.json",
+                   report.forward_trace_json);
+        write_json(options_.trace_path + ".bwd.json",
+                   report.backward_trace_json);
       }
     }
-    return loss;
-  } catch (...) {
-    // A throwing step (injected comm fault, OOM) must not leave warmup
-    // profiling stuck on for the replay.
-    if (warmup_profiling) {
-      layer_->set_profile_execution(layer_profiling);
-      layer_->set_trace_execution(layer_tracing);
-    }
-    throw;
   }
+  return loss;
 }
 
 double Trainer::train_step_fault_tolerant() {

@@ -81,15 +81,18 @@ void Server::execute_batch(MicroBatch mb) {
   const bool warmup = profiled_batches_ < options_.profile_warmup_batches &&
                       !corrections_installed_;
   const bool profiled = warmup || options_.profile_execution;
-  const bool layer_profiled = layer_->options().profile_execution;
-  if (profiled != layer_profiled) layer_->set_profile_execution(profiled);
-  const auto wall0 = std::chrono::steady_clock::now();
-  std::vector<Tensor> outs = layer_->forward_only(inputs, n);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  if (profiled != layer_profiled) {
-    layer_->set_profile_execution(layer_profiled);
+  std::vector<Tensor> outs;
+  double wall_seconds = 0.0;
+  {
+    // Restores the layer's own switch on every exit, including a
+    // forward_only that throws.
+    core::ProfileOverrideScope restore_switches(*layer_);
+    layer_->set_profile_execution(profiled);
+    const auto wall0 = std::chrono::steady_clock::now();
+    outs = layer_->forward_only(inputs, n);
+    wall_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - wall0)
+                       .count();
   }
   const core::StepReport& report = layer_->last_report();
 

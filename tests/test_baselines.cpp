@@ -7,6 +7,7 @@
 
 #include "baselines/fastermoe.h"
 #include "baselines/fastmoe.h"
+#include "common/check.h"
 #include "core/moe_layer.h"
 #include "tensor/random_init.h"
 
@@ -89,6 +90,37 @@ TEST(Baselines, FasterMoEMatchesMPipeMoEForwardAndBackward) {
   for (std::size_t d = 0; d < da.size(); ++d) {
     EXPECT_LT(max_abs_diff(da[d], db[d]), 1e-5f) << "bwd device " << d;
   }
+}
+
+TEST(Baselines, FasterMoERejectsMisshapedInputsAndGradients) {
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+  baselines::FasterMoEOptions fo;
+  fo.d_model = 12;
+  fo.d_hidden = 24;
+  fo.num_experts = 8;
+  fo.seed = 5;
+  baselines::FasterMoELayer faster(cluster, fo);
+
+  // Wrong width on one device, ragged batch sizes, wrong device count.
+  auto inputs = make_inputs(4, 19, 12, 77);
+  auto wide = inputs;
+  wide[2] = Tensor(Shape{19, 13});
+  EXPECT_THROW(faster.forward(wide), CheckError);
+  auto ragged = inputs;
+  ragged[1] = Tensor(Shape{18, 12});
+  EXPECT_THROW(faster.forward(ragged), CheckError);
+  EXPECT_THROW(faster.forward(make_inputs(3, 19, 12, 77)), CheckError);
+
+  // A rejected forward leaves the layer usable.
+  const auto outs = faster.forward(inputs);
+  std::vector<Tensor> grads;
+  for (const Tensor& out : outs) grads.emplace_back(out.shape());
+  auto too_few = grads;
+  too_few.pop_back();
+  EXPECT_THROW(faster.backward(too_few), CheckError);
+  auto misshaped = grads;
+  misshaped[0] = Tensor(Shape{19, 11});
+  EXPECT_THROW(faster.backward(misshaped), CheckError);
 }
 
 TEST(Baselines, FasterMoEParallelExecutionMatchesSerialBitwise) {

@@ -488,6 +488,27 @@ TEST(Server, WarmupFitsCorrectionsAndReplans) {
   EXPECT_GE(measured, 2u);
 }
 
+TEST(Server, WarmupBatchThatThrowsRestoresLayerProfiling) {
+  // Every comm attempt fails, so the first (warmup, profiled) batch's
+  // forward_only exhausts its retries and throws out of drain(). The
+  // server's temporary profiling override must not outlive the batch.
+  core::MoELayerOptions o = serve_layer_options();
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+  FaultInjectionConfig faults;
+  faults.comm_failure_prob = 1.0;
+  cluster.set_fault_injection(faults);
+  core::MoELayer layer(cluster, o);
+  ASSERT_FALSE(layer.options().profile_execution);
+
+  serve::ServerOptions sopt;
+  sopt.slo.max_tokens_per_device = 8;
+  sopt.profile_warmup_batches = 1;
+  serve::Server server(layer, sopt);
+  server.queue().push(make_request(0, 3, o.d_model, 0.0));
+  EXPECT_THROW(server.drain(1), TransientError);
+  EXPECT_FALSE(layer.options().profile_execution);
+}
+
 TEST(Server, ConcurrentProducerDrainsCleanly) {
   // TSAN tier: one producer thread stamps arrivals while the server loop
   // drains — the queue mutex and the batcher on top must keep every
