@@ -105,7 +105,7 @@ std::uint64_t max_bytes_sent(const std::vector<RowSegment>& segments,
 }
 
 double alltoall_duration(const ProcessGroup& group,
-                         std::uint64_t payload_bytes, DType payload_dtype) {
+                         std::uint64_t payload_bytes) {
   // alltoall_seconds models a symmetric exchange of bytes_per_device with a
   // (P-1)/P factor; the payload already excludes the self share, so
   // compensate.
@@ -115,8 +115,8 @@ double alltoall_duration(const ProcessGroup& group,
   const double p = static_cast<double>(group.size());
   const std::uint64_t bytes_per_device = static_cast<std::uint64_t>(
       static_cast<double>(payload_bytes) * p / (p - 1.0));
-  return group.cluster().cost_model().alltoall_seconds(
-      bytes_per_device, group.devices(), payload_dtype);
+  return group.cluster().cost_model().alltoall_seconds(bytes_per_device,
+                                                      group.devices());
 }
 
 void declare_segment_accesses(sim::Op& op,
@@ -133,8 +133,8 @@ void declare_segment_accesses(sim::Op& op,
 int alltoall(sim::OpGraph& graph, const ProcessGroup& group,
              std::vector<RowSegment> segments, std::string label,
              std::vector<int> deps, DType payload_dtype) {
-  const double seconds = alltoall_duration(
-      group, max_bytes_sent(segments, payload_dtype), payload_dtype);
+  const double seconds =
+      alltoall_duration(group, max_bytes_sent(segments, payload_dtype));
   auto moved = std::make_shared<std::vector<RowSegment>>(std::move(segments));
   auto injector = group.cluster().fault_injector_shared();
   const std::uint64_t key = injector ? injector->reserve_key() : 0;
@@ -159,9 +159,8 @@ int alltoall(sim::OpGraph& graph, const ProcessGroup& group,
 
 int alltoall_timed(sim::OpGraph& graph, const ProcessGroup& group,
                    std::uint64_t payload_bytes, std::string label,
-                   std::vector<int> deps, DType payload_dtype) {
-  const double seconds =
-      alltoall_duration(group, payload_bytes, payload_dtype);
+                   std::vector<int> deps) {
+  const double seconds = alltoall_duration(group, payload_bytes);
   return graph.add(std::move(label), sim::OpCategory::kAllToAll,
                    sim::StreamKind::kComm, group.devices(), seconds,
                    std::move(deps), nullptr);

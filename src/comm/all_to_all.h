@@ -75,11 +75,11 @@ std::uint64_t max_bytes_sent(const std::vector<RowSegment>& segments,
 
 /// Modelled duration of a fused AllToAll where the busiest participant
 /// sends `payload_bytes` to its peers (its local share already excluded —
-/// the inverse of alltoall_seconds' (P-1)/P payload factor). Degenerate
-/// groups (size <= 1) pay only the collective launch latency.
+/// the inverse of alltoall_seconds' (P-1)/P payload factor), counted in
+/// its wire format. Degenerate groups (size <= 1) pay only the collective
+/// launch latency.
 double alltoall_duration(const ProcessGroup& group,
-                         std::uint64_t payload_bytes,
-                         DType payload_dtype = DType::kF32);
+                         std::uint64_t payload_bytes);
 
 /// Appends one fused AllToAll op over the group's comm streams. Returns the
 /// op id. Row counts may be ragged across pairs (AllToAll-v semantics).
@@ -88,10 +88,10 @@ int alltoall(sim::OpGraph& graph, const ProcessGroup& group,
              std::vector<int> deps, DType payload_dtype = DType::kF32);
 
 /// Timing-only AllToAll: `payload_bytes` is what the busiest participant
-/// sends to peers (excluding its local share); no functional closure.
+/// sends to peers (excluding its local share), counted in the wire format;
+/// no functional closure.
 int alltoall_timed(sim::OpGraph& graph, const ProcessGroup& group,
                    std::uint64_t payload_bytes, std::string label,
-                   std::vector<int> deps,
-                   DType payload_dtype = DType::kF32);
+                   std::vector<int> deps);
 
 }  // namespace mpipe::comm

@@ -84,8 +84,7 @@ sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
   sim::CalibrationStatus status = sim::try_apply_calibration_files(
       config, rows.first, rows.second, payloads.first, payloads.second,
       options.compute_dtype);
-  if (status.gemm_loaded || status.comm_loaded ||
-      status.gemm_dtype_loaded || status.comm_dtype_loaded) {
+  if (status.gemm_loaded || status.comm_loaded || status.gemm_dtype_loaded) {
     cluster.set_cost_config(std::move(config));
   }
   return status;
@@ -206,8 +205,7 @@ int MoELayer::configure_partitions(std::int64_t tokens_per_device) {
         experts_per_device());
     curve.validate_covers(range.first, range.second);
   }
-  const auto& comm_curve =
-      cluster_->cost_model().config().comm_curve_for(options_.compute_dtype);
+  const auto& comm_curve = cluster_->cost_model().config().comm_curve;
   if (!comm_curve.empty() && num_devices() >= 2) {
     // Same contract for the comm side: the probe's AllToAll payloads must
     // sit inside the calibrated sweep, not extrapolate past it. Steps that

@@ -121,7 +121,7 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
       const std::uint64_t payload = dispatch_payload_bytes(ctx, p);
       ctx.comm_payload_bytes += payload;
       r_ops[static_cast<std::size_t>(p)] = comm::alltoall_timed(
-          g, group_, payload, tag("R", p), std::move(deps), dt);
+          g, group_, payload, tag("R", p), std::move(deps));
     }
     apply_comm_scale(g, r_ops[static_cast<std::size_t>(p)]);
   };
@@ -151,7 +151,7 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
       const std::uint64_t payload = dispatch_payload_bytes(ctx, p);
       ctx.comm_payload_bytes += payload;
       s_ops[static_cast<std::size_t>(p)] = comm::alltoall_timed(
-          g, group_, payload, tag("S", p), std::move(s_deps), dt);
+          g, group_, payload, tag("S", p), std::move(s_deps));
     }
     apply_comm_scale(g, s_ops[static_cast<std::size_t>(p)]);
 
@@ -447,7 +447,7 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
       const std::uint64_t payload = dispatch_payload_bytes(ctx, p);
       ctx.comm_payload_bytes += payload;
       sb[static_cast<std::size_t>(p)] = comm::alltoall_timed(
-          g, group_, payload, tag("S'", p), std::move(s_deps), dt);
+          g, group_, payload, tag("S'", p), std::move(s_deps));
     }
     apply_comm_scale(g, sb[static_cast<std::size_t>(p)]);
 
@@ -485,7 +485,7 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
           const std::uint64_t payload = dispatch_payload_bytes(ctx, p);
           ctx.comm_payload_bytes += payload;
           rc_tdi[static_cast<std::size_t>(p)] = comm::alltoall_timed(
-              g, group_, payload, tag("Sr", p), std::move(deps), dt);
+              g, group_, payload, tag("Sr", p), std::move(deps));
         }
         apply_comm_scale(g, rc_tdi[static_cast<std::size_t>(p)]);
         for (int d = 0; d < P; ++d) {
@@ -660,7 +660,7 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
         const std::uint64_t payload = dispatch_payload_bytes(ctx, q);
         ctx.comm_payload_bytes += payload;
         rb[static_cast<std::size_t>(q)] = comm::alltoall_timed(
-            g, group_, payload, tag("R'", q), std::move(deps), dt);
+            g, group_, payload, tag("R'", q), std::move(deps));
       }
       apply_comm_scale(g, rb[static_cast<std::size_t>(q)]);
     };

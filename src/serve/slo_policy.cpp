@@ -56,16 +56,9 @@ ServePlan SloSelector::plan() {
       }
       return "calibrated[shared]";
     };
-    auto comm_src = [&]() -> std::string {
-      const auto& c = cfg.comm_curve_for(dt);
-      if (c.empty()) return "analytic";
-      if (dt != DType::kF32 && &c != &cfg.comm_curve) {
-        return std::string("calibrated[") + to_string(dt) + "]";
-      }
-      return "calibrated[shared]";
-    };
     plan.curve_provenance =
-        "gemm " + gemm_src() + ", comm " + comm_src();
+        "gemm " + gemm_src() + ", comm " +
+        (cfg.comm_curve.empty() ? "analytic" : "calibrated[shared]");
   }
 
   // Probe ladder: powers of two up to max_tokens_per_device, plus the cap

@@ -63,8 +63,9 @@ struct ServePlan {
   DType compute_dtype = DType::kF32;
   /// Which cost curves the ranked probes consulted, e.g.
   /// "gemm calibrated[bf16], comm calibrated[shared]" — calibrated[<dtype>]
-  /// is a dtype-specific sweep, calibrated[shared] the fp32 curve fallback,
-  /// analytic the closed-form model.
+  /// is a dtype-specific GEMM sweep, calibrated[shared] the shared curve
+  /// (the only comm curve: payloads are counted in wire bytes), analytic
+  /// the closed-form model.
   std::string curve_provenance;
 
   std::string summary() const;

@@ -289,36 +289,6 @@ CalibrationStatus try_apply_calibration_files(
              << "], analytic model in effect";
     }
   }
-
-  if (dtype != DType::kF32) {
-    const std::string name =
-        std::string("CALIBRATION_alltoall_") + to_string(dtype) + ".csv";
-    const std::string path = find_in_dirs(search_dirs, name);
-    detail << "; comm[" << to_string(dtype) << "]: ";
-    if (path.empty()) {
-      detail << name << " not found, shared curve in effect";
-    } else {
-      CommBandwidthCurve curve = load_comm_curve(path);
-      if (curve.min_bytes() <= comm_required_lo &&
-          curve.max_bytes() >= comm_required_hi) {
-        curve.validate_covers(comm_required_lo, comm_required_hi);
-        CommBandwidthCurve& slot = dtype == DType::kBF16
-                                       ? config.comm_curve_bf16
-                                       : config.comm_curve_i8;
-        slot = std::move(curve);
-        status.comm_dtype_loaded = true;
-        // The dtype curve is the one ranked probes will consult; report
-        // its clamp counters instead of the shared fallback's.
-        status.comm_clamps = slot.clamps;
-        detail << "calibrated from " << path;
-      } else {
-        detail << path << " knots [" << curve.min_bytes() << ", "
-               << curve.max_bytes() << "] do not cover probed payloads ["
-               << comm_required_lo << ", " << comm_required_hi
-               << "], shared curve in effect";
-      }
-    }
-  }
   status.detail = detail.str();
   return status;
 }

@@ -165,15 +165,6 @@ const GemmEfficiencyCurve& CostModelConfig::gemm_curve_for(
   return gemm_curve;
 }
 
-const CommBandwidthCurve& CostModelConfig::comm_curve_for(
-    DType dtype) const {
-  if (dtype == DType::kBF16 && !comm_curve_bf16.empty()) {
-    return comm_curve_bf16;
-  }
-  if (dtype == DType::kI8 && !comm_curve_i8.empty()) return comm_curve_i8;
-  return comm_curve;
-}
-
 CostModel::CostModel(CostModelConfig config, Topology topology)
     : config_(std::move(config)), topology_(std::move(topology)) {
   MPIPE_EXPECTS(config_.peak_flops > 0, "peak_flops must be positive");
@@ -186,16 +177,9 @@ CostModel::CostModel(CostModelConfig config, Topology topology)
         &config_.gemm_curve_i8}) {
     if (!curve->empty()) curve->validate();
   }
-  for (const auto* curve :
-       {&config_.comm_curve, &config_.comm_curve_bf16,
-        &config_.comm_curve_i8}) {
-    if (!curve->empty()) curve->validate();
-  }
-  for (DType dtype : {DType::kF32, DType::kBF16, DType::kI8}) {
-    const CommBandwidthCurve& curve = config_.comm_curve_for(dtype);
-    if (!curve.empty()) {
-      comm_peak_rate_[static_cast<int>(dtype)] = curve.peak_rate();
-    }
+  if (!config_.comm_curve.empty()) {
+    config_.comm_curve.validate();
+    comm_peak_rate_ = config_.comm_curve.peak_rate();
   }
 }
 
@@ -215,8 +199,7 @@ double CostModel::gemm_seconds(std::uint64_t flops, std::int64_t rows,
 }
 
 double CostModel::alltoall_seconds(std::uint64_t bytes_per_device,
-                                   const std::vector<int>& group,
-                                   DType dtype) const {
+                                   const std::vector<int>& group) const {
   MPIPE_EXPECTS(group.size() >= 2, "alltoall needs >= 2 participants");
   const double p = static_cast<double>(group.size());
   double bw = topology_.alltoall_bandwidth(group);
@@ -225,10 +208,10 @@ double CostModel::alltoall_seconds(std::uint64_t bytes_per_device,
   // A calibrated curve derates the link by the measured payload-dependent
   // efficiency (small exchanges never saturate it); the curve's shape is
   // measured on the calibration host, the scale stays the topology's.
-  const CommBandwidthCurve& curve = config_.comm_curve_for(dtype);
+  const CommBandwidthCurve& curve = config_.comm_curve;
   if (!curve.empty() && payload >= 1.0) {
     bw *= curve.efficiency_at(static_cast<std::uint64_t>(payload),
-                              comm_peak_rate_[static_cast<int>(dtype)]);
+                              comm_peak_rate_);
   }
   return config_.comm_launch_latency + payload / bw;
 }

@@ -146,18 +146,15 @@ struct CostModelConfig {
   /// payload range is asserted up front.
   CommBandwidthCurve comm_curve;
 
-  /// Optional per-dtype overrides for the mixed-precision expert path
-  /// (MoELayerOptions::compute_dtype): bf16/int8 GEMM panels and AllToAll
-  /// payloads consult their own measured curves when loaded
-  /// (CALIBRATION_gemm_bf16.csv / CALIBRATION_alltoall_bf16.csv, …) and
-  /// fall back to the shared curves above otherwise — reduced-dtype
-  /// payloads are just fewer bytes down the same link until a
-  /// dtype-specific sweep says otherwise. Select via *_curve_for.
+  /// Optional per-dtype GEMM overrides for the mixed-precision expert path
+  /// (MoELayerOptions::compute_dtype): bf16/int8 panels consult their own
+  /// measured curves when loaded (CALIBRATION_gemm_bf16.csv, …) and fall
+  /// back to the shared curve above otherwise. Select via gemm_curve_for.
+  /// Comm has no per-dtype slot: the curve maps wire bytes to seconds, and
+  /// a reduced-dtype payload is just fewer bytes down the same link.
   GemmEfficiencyCurve gemm_curve_bf16, gemm_curve_i8;
-  CommBandwidthCurve comm_curve_bf16, comm_curve_i8;
 
   const GemmEfficiencyCurve& gemm_curve_for(DType dtype) const;
-  const CommBandwidthCurve& comm_curve_for(DType dtype) const;
 };
 
 class CostModel {
@@ -174,12 +171,10 @@ class CostModel {
                       DType dtype = DType::kF32) const;
 
   /// Duration of a fused AllToAll where every participant holds
-  /// `bytes_per_device` and exchanges all but its own 1/P share. `dtype`
-  /// is the wire format the bytes were counted in — it selects the
-  /// matching calibrated curve (or the shared one as fallback).
+  /// `bytes_per_device` (counted in the payload's wire format) and
+  /// exchanges all but its own 1/P share.
   double alltoall_seconds(std::uint64_t bytes_per_device,
-                          const std::vector<int>& group,
-                          DType dtype = DType::kF32) const;
+                          const std::vector<int>& group) const;
 
   /// Duration of a point-to-point transfer.
   double p2p_seconds(std::uint64_t bytes, int src, int dst) const;
@@ -201,11 +196,10 @@ class CostModel {
  private:
   CostModelConfig config_;
   Topology topology_;
-  /// peak_rate() of the calibrated comm curve each dtype resolves to,
-  /// computed once at construction (0 when no curve is loaded) —
-  /// alltoall_seconds sits in the granularity search's trial loop.
-  /// Indexed by DType's underlying value.
-  double comm_peak_rate_[3] = {0.0, 0.0, 0.0};
+  /// peak_rate() of the calibrated comm curve, computed once at
+  /// construction (0 when no curve is loaded) — alltoall_seconds sits in
+  /// the granularity search's trial loop.
+  double comm_peak_rate_ = 0.0;
 };
 
 }  // namespace mpipe::sim
