@@ -552,8 +552,9 @@ sim::OpGraph FasterMoEScheduleBuilder::build_backward(
 
 FasterMoELayer::FasterMoELayer(sim::Cluster& cluster,
                                FasterMoEOptions options)
-    : layer_(cluster, to_layer_options(options),
-             std::make_unique<FasterMoEScheduleBuilder>(
-                 cluster, options.compute_scale, options.shadowing)) {}
+    : core::MoELayer(cluster, to_layer_options(options),
+                     std::make_unique<FasterMoEScheduleBuilder>(
+                         cluster, options.compute_scale, options.shadowing)) {
+}
 
 }  // namespace mpipe::baselines

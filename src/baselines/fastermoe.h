@@ -68,38 +68,11 @@ class FasterMoEScheduleBuilder : public core::ScheduleBuilder {
   ShadowingConfig shadowing_;
 };
 
-/// Thin adapter over MoELayer running the FasterMoE schedule.
-class FasterMoELayer {
+/// A MoELayer running the FasterMoE schedule: the constructor only maps
+/// the options and fixes the schedule.
+class FasterMoELayer : public core::MoELayer {
  public:
   FasterMoELayer(sim::Cluster& cluster, FasterMoEOptions options);
-
-  std::vector<Tensor> forward(const std::vector<Tensor>& inputs) {
-    return layer_.forward(inputs);
-  }
-  std::vector<Tensor> backward(const std::vector<Tensor>& grad_outputs) {
-    return layer_.backward(grad_outputs);
-  }
-  core::StepReport step_timing(std::int64_t tokens_per_device,
-                               double skew = 0.0) {
-    return layer_.step_timing(tokens_per_device, skew);
-  }
-
-  const core::StepReport& last_report() const {
-    return layer_.last_report();
-  }
-  mem::DeviceAllocator& allocator(int device) {
-    return layer_.allocator(device);
-  }
-  int num_devices() const { return layer_.num_devices(); }
-  int experts_per_device() const { return layer_.experts_per_device(); }
-  moe::GatingNetwork& gate(int device) { return layer_.gate(device); }
-  moe::ExpertFFN& expert(int device, int local_index) {
-    return layer_.expert(device, local_index);
-  }
-  core::MoELayer& layer() { return layer_; }
-
- private:
-  core::MoELayer layer_;
 };
 
 }  // namespace mpipe::baselines

@@ -23,6 +23,6 @@ core::MoELayerOptions to_layer_options(const FastMoEOptions& options) {
 }  // namespace
 
 FastMoELayer::FastMoELayer(sim::Cluster& cluster, FastMoEOptions options)
-    : layer_(cluster, to_layer_options(options)) {}
+    : core::MoELayer(cluster, to_layer_options(options)) {}
 
 }  // namespace mpipe::baselines

@@ -28,28 +28,11 @@ struct FastMoEOptions {
   std::uint64_t seed = 42;
 };
 
-/// Thin adapter over MoELayer with pipelining and reuse disabled.
-class FastMoELayer {
+/// A MoELayer with pipelining and reuse disabled: the constructor only
+/// maps the options.
+class FastMoELayer : public core::MoELayer {
  public:
   FastMoELayer(sim::Cluster& cluster, FastMoEOptions options);
-
-  std::vector<Tensor> forward(const std::vector<Tensor>& inputs) {
-    return layer_.forward(inputs);
-  }
-  std::vector<Tensor> backward(const std::vector<Tensor>& grad_outputs) {
-    return layer_.backward(grad_outputs);
-  }
-  core::StepReport step_timing(std::int64_t tokens_per_device,
-                               double skew = 0.0) {
-    return layer_.step_timing(tokens_per_device, skew);
-  }
-  const core::StepReport& last_report() const {
-    return layer_.last_report();
-  }
-  core::MoELayer& layer() { return layer_; }
-
- private:
-  core::MoELayer layer_;
 };
 
 }  // namespace mpipe::baselines

@@ -128,6 +128,12 @@ class MoELayer {
   /// PipelineScheduleBuilder (scaled by options.compute_scale/comm_scale).
   MoELayer(sim::Cluster& cluster, MoELayerOptions options,
            std::unique_ptr<ScheduleBuilder> schedule = nullptr);
+  /// Baselines (FastMoE, FasterMoE) are MoELayer subclasses that only fix
+  /// the options and schedule. Not copyable or movable: the schedule
+  /// builder and the granularity searcher hold references into the layer.
+  virtual ~MoELayer() = default;
+  MoELayer(const MoELayer&) = delete;
+  MoELayer& operator=(const MoELayer&) = delete;
 
   // ---- full-mode training step -------------------------------------------
   /// Runs the distributed forward pass on one (B, M) token batch per

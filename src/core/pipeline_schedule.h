@@ -34,7 +34,12 @@ struct LayerRefs {
 /// from the same context the forward saw.
 class ScheduleBuilder {
  public:
+  ScheduleBuilder() = default;
   virtual ~ScheduleBuilder() = default;
+  ScheduleBuilder(const ScheduleBuilder&) = default;
+  ScheduleBuilder& operator=(const ScheduleBuilder&) = default;
+  ScheduleBuilder(ScheduleBuilder&&) = default;
+  ScheduleBuilder& operator=(ScheduleBuilder&&) = default;
 
   virtual sim::OpGraph build_forward(MoeStepContext& ctx,
                                      const LayerRefs& refs) const = 0;
