@@ -10,27 +10,31 @@ namespace mpipe::core {
 
 namespace {
 
+/// Accounted bytes of one device's quantized W1/W2 side copies (0 for
+/// kF32, where the fp32 masters are the compute weights).
+std::uint64_t quantized_expert_bytes(const MoELayerOptions& options,
+                                     int experts_per_device) {
+  if (options.compute_dtype == DType::kF32) return 0;
+  return static_cast<std::uint64_t>(experts_per_device) *
+         (quantized_bytes(options.d_model, options.d_hidden,
+                          options.compute_dtype) +
+          quantized_bytes(options.d_hidden, options.d_model,
+                          options.compute_dtype));
+}
+
 std::uint64_t model_state_bytes(const MoELayerOptions& options,
                                 int experts_per_device) {
   // Parameters held by one device: replicated gating (E*M) plus the local
   // experts (2*M*H + H + M each). Adam keeps 4 copies (params, grads,
-  // momentum, variance).
+  // momentum, variance). The quantized side copies the forward path reads
+  // live next to the fp32 masters (which the optimizer still owns).
   const std::uint64_t params =
       static_cast<std::uint64_t>(options.num_experts) * options.d_model +
       static_cast<std::uint64_t>(experts_per_device) *
           (2ull * options.d_model * options.d_hidden + options.d_hidden +
            options.d_model);
-  std::uint64_t bytes = 4ull * params * sizeof(float);
-  if (options.compute_dtype != DType::kF32) {
-    // The quantized W1/W2 side copies the forward path reads live next to
-    // the fp32 masters (which the optimizer still owns).
-    bytes += static_cast<std::uint64_t>(experts_per_device) *
-             (quantized_bytes(options.d_model, options.d_hidden,
-                              options.compute_dtype) +
-              quantized_bytes(options.d_hidden, options.d_model,
-                              options.compute_dtype));
-  }
-  return bytes;
+  return 4ull * params * sizeof(float) +
+         quantized_expert_bytes(options, experts_per_device);
 }
 
 /// Strategy of a forward_only step. It is moot for inference: no backward
@@ -262,26 +266,26 @@ MoeStepContext MoELayer::timing_context(std::int64_t tokens_per_device, int n,
   return ctx;
 }
 
-double MoELayer::probe_step_seconds(std::int64_t tokens_per_device, int n,
-                                    ReuseStrategy strategy) {
-  MoeStepContext ctx =
-      timing_context(tokens_per_device, n, strategy, probe_skew_);
-  // Probes need no buffer accounting — only the schedule shape matters.
-  sim::OpGraph fwd = builder_->build_forward(ctx, LayerRefs{});
-  sim::OpGraph bwd = builder_->build_backward(ctx, LayerRefs{});
+double MoELayer::corrected_seconds(sim::OpGraph graph) const {
   // Probes are timing-shape-only: they must never materialise tensors,
   // carry closures, or spin up the parallel executor (time_only never
   // invokes closures, and an all-timing graph keeps it that way).
-  MPIPE_EXPECTS(fwd.is_timing_only() && bwd.is_timing_only(),
-                "granularity probe built a functional graph");
+  MPIPE_EXPECTS(graph.is_timing_only(), "probe built a functional graph");
   // Reality correction: scale each op class by its fitted measured/modeled
   // factor before timing, so the search ranks candidates by what profiled
   // steps say the hardware actually does (identity factors are a no-op).
-  sim::apply_corrections(fwd, corrections_);
-  sim::apply_corrections(bwd, corrections_);
-  const double t_fwd = cluster_->time_only(fwd).makespan;
-  const double t_bwd = cluster_->time_only(bwd).makespan;
-  return t_fwd + t_bwd;
+  sim::apply_corrections(graph, corrections_);
+  return cluster_->time_only(graph).makespan;
+}
+
+double MoELayer::probe_step_seconds(std::int64_t tokens_per_device, int n,
+                                    ReuseStrategy strategy) {
+  // Probes need no buffer accounting — only the schedule shape matters.
+  MoeStepContext ctx =
+      timing_context(tokens_per_device, n, strategy, probe_skew_);
+  const double t_fwd =
+      corrected_seconds(builder_->build_forward(ctx, LayerRefs{}));
+  return t_fwd + corrected_seconds(builder_->build_backward(ctx, LayerRefs{}));
 }
 
 double MoELayer::probe_forward_seconds(std::int64_t tokens_per_device,
@@ -293,11 +297,7 @@ double MoELayer::probe_forward_seconds(std::int64_t tokens_per_device,
   MoeStepContext ctx = timing_context(
       tokens_per_device, n, inference_strategy(options_), probe_skew_);
   ctx.forward_only = true;
-  sim::OpGraph fwd = builder_->build_forward(ctx, LayerRefs{});
-  MPIPE_EXPECTS(fwd.is_timing_only(),
-                "forward-only probe built a functional graph");
-  sim::apply_corrections(fwd, corrections_);
-  return cluster_->time_only(fwd).makespan;
+  return corrected_seconds(builder_->build_forward(ctx, LayerRefs{}));
 }
 
 void MoELayer::setup_forward_buffers(MoeStepContext& ctx) {
@@ -640,14 +640,7 @@ void MoELayer::refresh_quantized_weights() {
 std::uint64_t MoELayer::expert_weight_bytes() const {
   if (options_.mode != ExecutionMode::kFull) {
     // Timing-only layers hold no tensors; report the accounted size.
-    if (options_.compute_dtype == DType::kF32) return 0;
-    const std::uint64_t epd =
-        static_cast<std::uint64_t>(options_.num_experts) /
-        static_cast<std::uint64_t>(cluster_->num_devices());
-    return epd * (quantized_bytes(options_.d_model, options_.d_hidden,
-                                  options_.compute_dtype) +
-                  quantized_bytes(options_.d_hidden, options_.d_model,
-                                  options_.compute_dtype));
+    return quantized_expert_bytes(options_, experts_per_device());
   }
   std::uint64_t peak = 0;
   for (const auto& device_experts : experts_) {

@@ -235,6 +235,9 @@ class MoELayer {
   /// skewed) plan — shared by step_timing and the probes.
   MoeStepContext timing_context(std::int64_t tokens_per_device, int n,
                                 ReuseStrategy strategy, double skew) const;
+  /// Makespan of a timing-only probe graph after the installed
+  /// per-op-class corrections.
+  double corrected_seconds(sim::OpGraph graph) const;
   /// forward() and forward_only(): one functional forward step. An
   /// `inference` step keeps nothing for a backward and releases its state
   /// before returning.

@@ -221,11 +221,10 @@ TEST(Baselines, FasterMoEShadowingUsesMoreMemoryThanFastMoE) {
 }
 
 TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
-  // FasterMoE's modeled step time and footprint, recorded from the
-  // standalone layer before it became a schedule over MoELayer: the
-  // schedule, buffers and shadowing accounting must survive the move
-  // unchanged. Seconds carry a 1e-9 relative tolerance (gcc and clang may
-  // contract floating-point expressions differently); bytes are exact.
+  // FasterMoE's modeled step time and footprint: its schedule, step
+  // buffers and shadowing accounting must reproduce these recorded values.
+  // Seconds carry a 1e-9 relative tolerance (gcc and clang may contract
+  // floating-point expressions differently); bytes are exact.
   struct Pin {
     double skew;
     double threshold;
