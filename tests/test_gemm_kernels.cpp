@@ -1,5 +1,6 @@
 // The packed GEMM micro-kernel path: every transpose variant and fused
-// epilogue against a naive reference on ragged shapes, the grain contract
+// epilogue against a naive reference on ragged shapes, the bitwise
+// invariance pins (pool size, row-by-row), the grain contract
 // of the lock-light parallel_for, and span-vs-row-index equivalence of the
 // dispatcher's receive-buffer layout.
 
@@ -7,8 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -143,16 +147,156 @@ TEST_P(GemmVariants, FusedEpiloguesMatchSeparatePasses) {
   expect_close(got, gelu(want));
 }
 
+// ---- invariance pins ---------------------------------------------------------
+// Every entry point's output is a pure function of its inputs: bitwise the
+// same at any pool size, and row i of C bitwise equals the one-row GEMM of
+// row i of A (serving's batch-vs-solo check relies on the latter).
+
+/// One GEMM entry point over a fixed B (and bias): `run` reads the logical
+/// A (stored k x m when `trans_a`) and the initial C, writes C, and returns
+/// any second output (the bias gradient) or an undefined tensor.
+struct EntryPoint {
+  std::string name;
+  bool trans_a;
+  std::function<Tensor(const Tensor& a, Tensor& c)> run;
+};
+
+std::vector<EntryPoint> entry_points(const Tensor& b, const Tensor& bt,
+                                     const Tensor& bias) {
+  std::vector<EntryPoint> eps;
+  for (bool acc : {false, true}) {
+    const std::string sfx = acc ? "_acc" : "";
+    eps.push_back({"gemm" + sfx, false, [&b, acc](const Tensor& a, Tensor& c) {
+                     gemm(a, b, c, acc);
+                     return Tensor();
+                   }});
+    eps.push_back({"gemm_nt" + sfx, false,
+                   [&bt, acc](const Tensor& a, Tensor& c) {
+                     gemm_nt(a, bt, c, acc);
+                     return Tensor();
+                   }});
+    eps.push_back({"gemm_tn" + sfx, true, [&b, acc](const Tensor& a, Tensor& c) {
+                     gemm_tn(a, b, c, acc);
+                     return Tensor();
+                   }});
+    eps.push_back({"gemm_tn_bias_grad" + sfx, true,
+                   [&b, acc](const Tensor& a, Tensor& c) {
+                     Tensor db(Shape{b.dim(1)});
+                     gemm_tn_bias_grad(a, b, c, db, acc);
+                     return db;
+                   }});
+  }
+  for (GemmEpilogue ep : {GemmEpilogue::kNone, GemmEpilogue::kBias,
+                          GemmEpilogue::kBiasReLU, GemmEpilogue::kBiasGELU}) {
+    eps.push_back({"gemm_bias_act" + std::to_string(static_cast<int>(ep)),
+                   false, [&b, &bias, ep](const Tensor& a, Tensor& c) {
+                     gemm_bias_act(a, b, bias, ep, c);
+                     return Tensor();
+                   }});
+  }
+  eps.push_back({"gemm_bias", false, [&b, &bias](const Tensor& a, Tensor& c) {
+                   gemm_bias(a, b, bias, c);
+                   return Tensor();
+                 }});
+  eps.push_back({"matmul", false, [&b](const Tensor& a, Tensor& c) {
+                   c = matmul(a, b);
+                   return Tensor();
+                 }});
+  return eps;
+}
+
+/// Row i of the logical A: a (1 x k) slice, or (k x 1) when A is stored
+/// transposed.
+Tensor a_row(const Tensor& a, bool trans_a, std::int64_t i) {
+  if (!trans_a) return a.slice_rows(i, i + 1);
+  Tensor r(Shape{a.dim(0), 1});
+  for (std::int64_t kk = 0; kk < a.dim(0); ++kk) r.at(kk, 0) = a.at(kk, i);
+  return r;
+}
+
+void expect_bitwise(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.defined(), want.defined()) << what;
+  if (!want.defined()) return;
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    std::uint32_t g, w;
+    std::memcpy(&g, got.data() + i, sizeof(g));
+    std::memcpy(&w, want.data() + i, sizeof(w));
+    ASSERT_EQ(g, w) << what << " element " << i;
+  }
+}
+
+/// Inputs shared by the pins: A in both storage orders, B and B^T, bias and
+/// a nonzero initial C so the accumulate variants read it.
+struct PinInputs {
+  Tensor a, at, b, bt, bias, c0;
+  PinInputs(const GemmShape& s, std::uint64_t seed) {
+    Rng rng(seed);
+    a = Tensor(Shape{s.m, s.k});
+    at = Tensor(Shape{s.k, s.m});
+    b = Tensor(Shape{s.k, s.n});
+    bt = Tensor(Shape{s.n, s.k});
+    bias = Tensor(Shape{s.n});
+    c0 = Tensor(Shape{s.m, s.n});
+    for (Tensor* t : {&a, &at, &b, &bt, &bias, &c0}) init_normal(*t, rng);
+  }
+  const Tensor& a_for(const EntryPoint& ep) const { return ep.trans_a ? at : a; }
+};
+
+TEST_P(GemmVariants, BitwiseAcrossPoolSizes) {
+  const PinInputs in(GetParam(), 14);
+  const auto eps = entry_points(in.b, in.bt, in.bias);
+  std::vector<std::pair<Tensor, Tensor>> reference;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool::reset_shared(threads);
+    for (std::size_t e = 0; e < eps.size(); ++e) {
+      Tensor c = in.c0.clone();
+      Tensor aux = eps[e].run(in.a_for(eps[e]), c);
+      if (threads == 1) {
+        reference.emplace_back(c, aux);
+        continue;
+      }
+      const std::string what =
+          eps[e].name + " threads=" + std::to_string(threads);
+      expect_bitwise(c, reference[e].first, what);
+      expect_bitwise(aux, reference[e].second, what + " aux");
+    }
+  }
+  ThreadPool::reset_shared(0);  // restore the machine-sized pool
+}
+
+TEST_P(GemmVariants, RowsMatchOneRowGemm) {
+  const PinInputs in(GetParam(), 15);
+  for (const EntryPoint& ep : entry_points(in.b, in.bt, in.bias)) {
+    const Tensor& a = in.a_for(ep);
+    Tensor c = in.c0.clone();
+    const Tensor aux = ep.run(a, c);
+    for (std::int64_t i = 0; i < c.dim(0); ++i) {
+      Tensor row = in.c0.slice_rows(i, i + 1);
+      const Tensor row_aux = ep.run(a_row(a, ep.trans_a, i), row);
+      const std::string what = ep.name + " row " + std::to_string(i);
+      expect_bitwise(row, c.slice_rows(i, i + 1), what);
+      expect_bitwise(row_aux, aux, what + " aux");
+    }
+  }
+}
+
 // Ragged shapes around every blocking boundary: unit, primes, tall/skinny,
 // wide/flat, and micro-tile edges (the packed kernel is 8x16 over
-// 64x128x256 panels).
+// 64x128x256 panels); the expert-panel shapes of the FFN forward (64 rows
+// through 128 -> 512 and 512 -> 128) and weight-grad backward (K = 64
+// rows); and a multi-slice K that is not a multiple of the 8-wide pack
+// transpose.
 INSTANTIATE_TEST_SUITE_P(
     Ragged, GemmVariants,
     testing::Values(GemmShape{1, 1, 1}, GemmShape{17, 13, 29},
                     GemmShape{8, 16, 16}, GemmShape{9, 257, 17},
                     GemmShape{257, 8, 3}, GemmShape{3, 5, 301},
                     GemmShape{65, 129, 127}, GemmShape{64, 256, 128},
-                    GemmShape{100, 300, 70}),
+                    GemmShape{100, 300, 70}, GemmShape{64, 128, 512},
+                    GemmShape{64, 512, 128}, GemmShape{512, 64, 128},
+                    GemmShape{128, 64, 512}, GemmShape{40, 333, 96}),
     [](const auto& info) {
       return "m" + std::to_string(info.param.m) + "k" +
              std::to_string(info.param.k) + "n" +

@@ -11,10 +11,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "comm/all_to_all.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "common/thread_pool.h"
 #include "core/moe_layer.h"
 #include "mem/host_staging.h"
 #include "moe/expert.h"
@@ -235,14 +238,108 @@ TEST_P(QuantGemmSweep, ToleranceVsF32) {
   }
 }
 
+/// Runs every quantized entry point (each epilogue of gemm_bias_act_q,
+/// both gemm_nt_q modes) for each reduced dtype on `a` and returns the
+/// outputs in a fixed order; `c0` seeds the accumulating variant.
+std::vector<Tensor> run_quant_entry_points(const Tensor& a, const Tensor& c0,
+                                           const QuantizedMatrix* qs,
+                                           const QuantizedMatrix* qts,
+                                           const Tensor& bias) {
+  std::vector<Tensor> outs;
+  for (int d = 0; d < 2; ++d) {
+    for (GemmEpilogue ep : {GemmEpilogue::kNone, GemmEpilogue::kBias,
+                            GemmEpilogue::kBiasReLU,
+                            GemmEpilogue::kBiasGELU}) {
+      Tensor c(c0.shape());
+      gemm_bias_act_q(a, qview(qs[d]), bias, ep, c);
+      outs.push_back(c);
+    }
+    for (bool acc : {false, true}) {
+      Tensor c = c0.clone();
+      gemm_nt_q(a, qview(qts[d]), c, acc);
+      outs.push_back(c);
+    }
+  }
+  return outs;
+}
+
+/// Quantized weights for the invariance pins: B (k x n) and B^T (n x k) in
+/// bf16 and int8.
+struct QuantPinInputs {
+  Tensor a, bias, c0;
+  QuantizedMatrix q[2], qt[2];
+  explicit QuantPinInputs(const QuantGemmCase& s) {
+    Rng rng(s.m * 37 + s.k * 11 + s.n);
+    a = Tensor(Shape{s.m, s.k});
+    bias = Tensor(Shape{s.n});
+    c0 = Tensor(Shape{s.m, s.n});
+    Tensor w(Shape{s.k, s.n}), wt(Shape{s.n, s.k});
+    for (Tensor* t : {&a, &bias, &c0, &w, &wt}) init_normal(*t, rng, 1.0f);
+    const DType dts[2] = {DType::kBF16, DType::kI8};
+    for (int d = 0; d < 2; ++d) {
+      q[d] = quantize_matrix(w, dts[d]);
+      qt[d] = quantize_matrix(wt, dts[d]);
+    }
+  }
+};
+
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(bits_of(got.data()[i]), bits_of(want.data()[i]))
+        << what << " element " << i;
+  }
+}
+
+TEST_P(QuantGemmSweep, BitwiseAcrossPoolSizes) {
+  const QuantPinInputs in(GetParam());
+  std::vector<Tensor> reference;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool::reset_shared(threads);
+    const auto outs = run_quant_entry_points(in.a, in.c0, in.q, in.qt, in.bias);
+    if (threads == 1) {
+      reference = outs;
+      continue;
+    }
+    for (std::size_t e = 0; e < outs.size(); ++e) {
+      expect_same_bits(outs[e], reference[e],
+                       "entry " + std::to_string(e) + " threads=" +
+                           std::to_string(threads));
+    }
+  }
+  ThreadPool::reset_shared(0);  // restore the machine-sized pool
+}
+
+TEST_P(QuantGemmSweep, RowsMatchOneRowGemm) {
+  const QuantPinInputs in(GetParam());
+  const auto full = run_quant_entry_points(in.a, in.c0, in.q, in.qt, in.bias);
+  for (std::int64_t i = 0; i < in.a.dim(0); ++i) {
+    const auto rows =
+        run_quant_entry_points(in.a.slice_rows(i, i + 1),
+                               in.c0.slice_rows(i, i + 1), in.q, in.qt,
+                               in.bias);
+    for (std::size_t e = 0; e < full.size(); ++e) {
+      expect_same_bits(rows[e], full[e].slice_rows(i, i + 1),
+                       "entry " + std::to_string(e) + " row " +
+                           std::to_string(i));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, QuantGemmSweep,
-    testing::Values(QuantGemmCase{0, 16, 16},   // rows=0 panel
-                    QuantGemmCase{1, 16, 16},   // rows=1 panel
-                    QuantGemmCase{5, 19, 23},   // ragged everywhere
-                    QuantGemmCase{8, 16, 16},   // exact register block
-                    QuantGemmCase{64, 48, 32},  // multiple tiles
-                    QuantGemmCase{97, 33, 129}  // ragged multi-tile
+    testing::Values(QuantGemmCase{0, 16, 16},    // rows=0 panel
+                    QuantGemmCase{1, 16, 16},    // rows=1 panel
+                    QuantGemmCase{5, 19, 23},    // ragged everywhere
+                    QuantGemmCase{8, 16, 16},    // exact register block
+                    QuantGemmCase{64, 48, 32},   // multiple tiles
+                    QuantGemmCase{97, 33, 129},  // ragged multi-tile
+                    QuantGemmCase{64, 128, 512},  // FFN1 expert panel
+                    QuantGemmCase{64, 512, 128},  // FFN2 expert panel
+                    QuantGemmCase{512, 64, 128},  // K = 64 panels
+                    QuantGemmCase{128, 64, 512},
+                    QuantGemmCase{40, 333, 96}  // K > 256, K % 8 != 0
                     ));
 
 TEST(QuantGemmF32Pin, F32QuantViewIsBitwiseThePlainPath) {
