@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -155,6 +156,89 @@ BENCHMARK(BM_GemmFFN)
     ->Args({64, 64, 256})
     ->Args({256, 256, 1024})
     ->Args({512, 1024, 4096});
+
+// ---- expert panels at one pool worker -------------------------------------
+
+/// Pins the shared pool to one worker for the benchmark's lifetime, the
+/// end-to-end benchmark's setting, then restores the machine-sized pool.
+struct OneWorkerPool {
+  OneWorkerPool() { ThreadPool::reset_shared(1); }
+  ~OneWorkerPool() { ThreadPool::reset_shared(0); }
+};
+
+/// The expert FFN's GEMMs at the training-step panel shape (64 routed rows,
+/// d_model 128, d_hidden 512). Args are the logical m, k, n of C = A*B;
+/// each GEMM is the call ExpertFFN makes at that shape.
+void BM_PanelFfn1(benchmark::State& state) {  // forward FFN1, bias+ReLU
+  const OneWorkerPool pool;
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  Rng rng(1);
+  Tensor a(Shape{m, k}), b(Shape{k, n}), bias(Shape{n}), c(Shape{m, n});
+  init_normal(a, rng);
+  init_normal(b, rng);
+  init_normal(bias, rng);
+  for (auto _ : state) {
+    gemm_bias_act(a, b, bias, GemmEpilogue::kBiasReLU, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  flops_counter(state, m, n, k);
+}
+BENCHMARK(BM_PanelFfn1)->Args({64, 128, 512});
+
+void BM_PanelFfn2(benchmark::State& state) {  // forward FFN2, bias
+  const OneWorkerPool pool;
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  Rng rng(1);
+  Tensor a(Shape{m, k}), b(Shape{k, n}), bias(Shape{n}), c(Shape{m, n});
+  init_normal(a, rng);
+  init_normal(b, rng);
+  init_normal(bias, rng);
+  for (auto _ : state) {
+    gemm_bias(a, b, bias, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  flops_counter(state, m, n, k);
+}
+BENCHMARK(BM_PanelFfn2)->Args({64, 512, 128});
+
+void BM_PanelDgradNT(benchmark::State& state) {  // backward dX = dY W^T
+  const OneWorkerPool pool;
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  Rng rng(1);
+  Tensor a(Shape{m, k}), b(Shape{n, k}), c(Shape{m, n});
+  init_normal(a, rng);
+  init_normal(b, rng);
+  for (auto _ : state) {
+    gemm_nt(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  flops_counter(state, m, n, k);
+}
+BENCHMARK(BM_PanelDgradNT)->Args({64, 128, 512})->Args({64, 512, 128});
+
+void BM_PanelWgradTN(benchmark::State& state) {  // backward dW, db
+  const OneWorkerPool pool;
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  Rng rng(1);
+  Tensor a(Shape{k, m}), b(Shape{k, n}), c(Shape{m, n}), db(Shape{n});
+  init_normal(a, rng);
+  init_normal(b, rng);
+  for (auto _ : state) {
+    gemm_tn_bias_grad(a, b, c, db, /*accumulate=*/true);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
+  }
+  flops_counter(state, m, n, k);
+}
+BENCHMARK(BM_PanelWgradTN)->Args({512, 64, 128})->Args({128, 64, 512});
 
 // ---- mixed-precision B operand (pack-time dequant) -------------------------
 

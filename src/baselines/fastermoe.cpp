@@ -272,8 +272,7 @@ sim::OpGraph FasterMoEScheduleBuilder::build_forward(
       auto* c = &ctx;
       fn = [c, d] {
         auto& st = c->dev[static_cast<std::size_t>(d)];
-        std::vector<float> gate_copy = st.gating.gate;
-        scale_rows_(st.out, gate_copy);
+        core::scale_by_gate(st, 0, st.out.dim(0));
       };
     }
     const int id =
@@ -315,23 +314,10 @@ sim::OpGraph FasterMoEScheduleBuilder::build_backward(
     if (ctx.functional()) {
       auto* c = &ctx;
       fn = [c, d] {
-        auto& st = c->dev[static_cast<std::size_t>(d)];
-        const auto& routing = c->plan.part(0).src[static_cast<std::size_t>(d)];
-        Tensor& ys = core::d_ys_buffer(*c, d, 0);
-        for (std::size_t i = 0; i < routing.order.size(); ++i) {
-          const std::int64_t t = routing.order[i];
-          const float gate = st.gating.gate[static_cast<std::size_t>(t)];
-          double dot = 0.0;
-          for (std::int64_t col = 0; col < c->d_model; ++col) {
-            dot += static_cast<double>(st.dy.at(t, col)) * st.out.at(t, col);
-          }
-          st.dgate[static_cast<std::size_t>(t)] =
-              static_cast<float>(dot / gate);
-          for (std::int64_t col = 0; col < c->d_model; ++col) {
-            ys.at(static_cast<std::int64_t>(i), col) =
-                gate * st.dy.at(t, col);
-          }
-        }
+        core::scale_by_gate_backward(
+            c->dev[static_cast<std::size_t>(d)],
+            c->plan.part(0).src[static_cast<std::size_t>(d)].order,
+            core::d_ys_buffer(*c, d, 0));
       };
     }
     const int id =

@@ -312,15 +312,9 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
       if (ctx.functional()) {
         auto* c = &ctx;
         fn = [c, p, d] {
-          auto& st = c->dev[static_cast<std::size_t>(d)];
           const auto& part = c->plan.part(p);
-          for (std::int64_t t = part.chunk_begin;
-               t < part.chunk_begin + part.chunk_rows; ++t) {
-            const float gate = st.gating.gate[static_cast<std::size_t>(t)];
-            for (std::int64_t col = 0; col < c->d_model; ++col) {
-              st.out.at(t, col) *= gate;
-            }
-          }
+          scale_by_gate(c->dev[static_cast<std::size_t>(d)],
+                        part.chunk_begin, part.chunk_rows);
         };
       }
       const int id = g.add(tag("scale", p, d), OpCategory::kElementwise,
@@ -377,25 +371,10 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
       if (ctx.functional()) {
         auto* c = &ctx;
         fn = [c, p, d] {
-          auto& st = c->dev[static_cast<std::size_t>(d)];
-          const auto& part = c->plan.part(p);
-          const auto& routing = part.src[static_cast<std::size_t>(d)];
-          Tensor& ys = d_ys_buffer(*c, d, p);
-          for (std::size_t i = 0; i < routing.order.size(); ++i) {
-            const std::int64_t t = routing.order[i];
-            const float gate = st.gating.gate[static_cast<std::size_t>(t)];
-            double dot = 0.0;
-            for (std::int64_t col = 0; col < c->d_model; ++col) {
-              dot += static_cast<double>(st.dy.at(t, col)) *
-                     st.out.at(t, col);
-            }
-            st.dgate[static_cast<std::size_t>(t)] =
-                static_cast<float>(dot / gate);
-            for (std::int64_t col = 0; col < c->d_model; ++col) {
-              ys.at(static_cast<std::int64_t>(i), col) =
-                  gate * st.dy.at(t, col);
-            }
-          }
+          scale_by_gate_backward(
+              c->dev[static_cast<std::size_t>(d)],
+              c->plan.part(p).src[static_cast<std::size_t>(d)].order,
+              d_ys_buffer(*c, d, p));
         };
       }
       const int id =

@@ -1,5 +1,7 @@
 #include "core/restore.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace mpipe::core {
@@ -218,6 +220,55 @@ void prefetch_rows(mem::HostStaging& staging, int device,
   Tensor staged = staging.load(device, key);
   buf.copy_into_rows(0, staged);
   staging.drop(device, key);
+}
+
+void scale_by_gate(DeviceStepState& st, std::int64_t begin,
+                   std::int64_t rows) {
+  Tensor& out = st.out;
+  MPIPE_EXPECTS(out.shape().rank() == 2, "gate scaling expects a matrix");
+  MPIPE_EXPECTS(begin >= 0 && rows >= 0 && begin + rows <= out.dim(0) &&
+                    begin + rows <=
+                        static_cast<std::int64_t>(st.gating.gate.size()),
+                "gate scaling rows out of range");
+  const std::int64_t cols = out.dim(1);
+  for (std::int64_t t = begin; t < begin + rows; ++t) {
+    const float gate = st.gating.gate[static_cast<std::size_t>(t)];
+    float* MPIPE_RESTRICT row = out.data() + t * cols;
+    for (std::int64_t col = 0; col < cols; ++col) row[col] *= gate;
+  }
+}
+
+void scale_by_gate_backward(DeviceStepState& st,
+                            const std::vector<std::int64_t>& order,
+                            Tensor& ys) {
+  const Tensor& out = st.out;
+  const Tensor& dy = st.dy;
+  MPIPE_EXPECTS(out.shape().rank() == 2 && dy.shape() == out.shape(),
+                "gate scaling backward: dy and out shapes differ");
+  const std::int64_t cols = out.dim(1);
+  const auto n = static_cast<std::int64_t>(order.size());
+  MPIPE_EXPECTS(ys.shape().rank() == 2 && ys.dim(0) >= n &&
+                    ys.dim(1) == cols,
+                "gate scaling backward: ys too small");
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(order.begin(), order.end());
+  MPIPE_EXPECTS(*lo >= 0 && *hi < out.dim(0) &&
+                    *hi < static_cast<std::int64_t>(st.gating.gate.size()) &&
+                    *hi < static_cast<std::int64_t>(st.dgate.size()),
+                "gate scaling backward: token out of range");
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t t = order[static_cast<std::size_t>(i)];
+    const float gate = st.gating.gate[static_cast<std::size_t>(t)];
+    const float* MPIPE_RESTRICT dyr = dy.data() + t * cols;
+    const float* MPIPE_RESTRICT outr = out.data() + t * cols;
+    float* MPIPE_RESTRICT ysr = ys.data() + i * cols;
+    double dot = 0.0;
+    for (std::int64_t col = 0; col < cols; ++col) {
+      dot += static_cast<double>(dyr[col]) * outr[col];
+    }
+    st.dgate[static_cast<std::size_t>(t)] = static_cast<float>(dot / gate);
+    for (std::int64_t col = 0; col < cols; ++col) ysr[col] = gate * dyr[col];
+  }
 }
 
 }  // namespace mpipe::core

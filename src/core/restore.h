@@ -80,4 +80,19 @@ void offload_rows(mem::HostStaging& staging, int device,
 void prefetch_rows(mem::HostStaging& staging, int device,
                    const std::string& key, Tensor& buf);
 
+// ---- gate scaling (full mode only) ------------------------------------------
+// The combine's last step and its backward, shared by every schedule
+// builder. Each validates its row range once, then walks raw rows.
+
+/// T_O rows [begin, begin + rows) *= their token's gate.
+void scale_by_gate(DeviceStepState& st, std::int64_t begin,
+                   std::int64_t rows);
+
+/// Backward of scale_by_gate for the tokens in `order`: for t = order[i],
+/// st.dgate[t] = <dy[t], out[t]> / gate[t] (a double sum in column order)
+/// and row i of `ys` = gate[t] * dy[t].
+void scale_by_gate_backward(DeviceStepState& st,
+                            const std::vector<std::int64_t>& order,
+                            Tensor& ys);
+
 }  // namespace mpipe::core

@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -9,23 +10,33 @@
 #include "common/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
+#include "tensor/simd.h"
 
 namespace mpipe {
 
 namespace {
 
 // ---- blocking parameters --------------------------------------------------
-// One C tile is MC x NC; K is consumed in KC slices. Per K slice the packed
-// A tile (MC*KC floats) lives in L2 and each packed B micro-panel (KC*NR
-// floats, 16 KiB) in L1. The micro-kernel is MR x NR = 8 x 16: eight
-// vector accumulators with one B load and eight A broadcasts per k step,
-// written so the compiler turns the unit-stride j loop into FMAs.
+// One C tile is MC x NC; K is consumed in KC slices. Per K slice every A
+// and B element is packed once, A into MR-row micro panels and B into
+// NR-column micro panels (KC*NR floats, 16 KiB, L1-resident while a tile
+// sweeps its rows). The micro-kernel is MR x NR = 8 x 16: eight vector
+// accumulators with one B load and eight A broadcasts per k step, written
+// so the compiler turns the unit-stride j loop into FMAs.
 constexpr std::int64_t kMR = 8;
 constexpr std::int64_t kNR = 16;
 constexpr std::int64_t kMC = 64;
 constexpr std::int64_t kNC = 128;
 constexpr std::int64_t kKC = 256;
+// A is packed in blocks of up to kMA rows per slice, so the packed-panel
+// scratch stays within (kMA + N_pad) x KC floats however tall A is.
+constexpr std::int64_t kMA = 256;
 static_assert(kMC % kMR == 0 && kNC % kNR == 0, "tile/micro mismatch");
+static_assert(kMA % kMC == 0, "A block/tile mismatch");
+
+std::int64_t round_up(std::int64_t x, std::int64_t to) {
+  return (x + to - 1) / to * to;
+}
 
 /// 64-byte-aligned thread-local scratch for packed panels.
 class AlignedScratch {
@@ -41,119 +52,165 @@ class AlignedScratch {
   std::vector<float> raw_;
 };
 
-/// A matrix operand as the kernel sees it: `trans` means the logical
-/// (rows x cols) element (r, c) lives at data[c * ld + r].
-struct MatView {
-  const float* data;
-  std::int64_t ld;
-  bool trans;
-};
-
-/// Packs the logical A block [i0, i0+mb) x [k0, k0+kc) into MR-row micro
-/// panels: panel ip holds kc columns of MR consecutive row values
-/// ([k][m] order). Ragged rows are zero-padded so the micro-kernel never
-/// branches in its FMA loop.
-void pack_a(const MatView& a, std::int64_t i0, std::int64_t k0,
-            std::int64_t mb, std::int64_t kc, float* MPIPE_RESTRICT out) {
-  for (std::int64_t ip = 0; ip < mb; ip += kMR) {
-    const std::int64_t mr = std::min(kMR, mb - ip);
-    float* MPIPE_RESTRICT panel = out + ip * kc;
-    if (a.trans) {
-      // A stored (k x m): rows of the panel are unit-stride in memory.
-      for (std::int64_t k = 0; k < kc; ++k) {
-        const float* MPIPE_RESTRICT src =
-            a.data + (k0 + k) * a.ld + i0 + ip;
-        float* MPIPE_RESTRICT dst = panel + k * kMR;
-        for (std::int64_t m = 0; m < mr; ++m) dst[m] = src[m];
-        for (std::int64_t m = mr; m < kMR; ++m) dst[m] = 0.0f;
-      }
-    } else {
-      for (std::int64_t m = 0; m < mr; ++m) {
-        const float* MPIPE_RESTRICT src =
-            a.data + (i0 + ip + m) * a.ld + k0;
-        for (std::int64_t k = 0; k < kc; ++k) panel[k * kMR + m] = src[k];
-      }
-      for (std::int64_t m = mr; m < kMR; ++m) {
-        for (std::int64_t k = 0; k < kc; ++k) panel[k * kMR + m] = 0.0f;
-      }
-    }
-  }
-}
-
-/// The B operand in any storage dtype: `trans` means the logical
-/// (k x n) element (k, j) lives at data[j * ld + k]. `scales` is the
-/// per-stored-row fp32 scale array (kI8 only).
-struct BView {
+/// One GEMM operand as the packer reads it: a logical (K x lanes) matrix,
+/// where the lanes are A's rows or B's columns. Element (k, l) is stored
+/// at data[k * ld + l] when `lanes_contiguous` (tn-A, nn-B), otherwise at
+/// data[l * ld + k] (nn-A, nt-B: the pack transposes). `dtype` is the
+/// storage format; `scales` is the per-stored-row fp32 scale array (kI8
+/// only). A is always fp32.
+struct Operand {
   const void* data;
   std::int64_t ld;
-  bool trans;
+  bool lanes_contiguous;
   DType dtype = DType::kF32;
   const float* scales = nullptr;
 };
 
-/// Packs the logical B block [k0, k0+kc) x [j0, j0+nb) into NR-column micro
-/// panels ([k][j] order), zero-padding ragged columns. Templated over the
-/// stored element type with a converter mapping (element, stored row) to
-/// fp32 — dequantization rides the same pass as the nt transpose, so the
-/// micro-kernel always consumes fp32 panels. The fp32 instantiation's
-/// converter is the identity: loop-for-loop the legacy copy.
-template <typename T, typename Conv>
-void pack_b_t(const T* MPIPE_RESTRICT data, std::int64_t ld, bool trans,
-              const Conv& conv, std::int64_t k0, std::int64_t j0,
-              std::int64_t kc, std::int64_t nb, float* MPIPE_RESTRICT out) {
-  for (std::int64_t jp = 0; jp < nb; jp += kNR) {
-    const std::int64_t nr = std::min(kNR, nb - jp);
-    float* MPIPE_RESTRICT panel = out + jp * kc;
-    if (trans) {
-      // B stored (n x k): each output column is unit-stride in k.
-      for (std::int64_t j = 0; j < nr; ++j) {
-        const std::int64_t row = j0 + jp + j;
-        const T* MPIPE_RESTRICT src = data + row * ld + k0;
-        for (std::int64_t k = 0; k < kc; ++k) {
-          panel[k * kNR + j] = conv(src[k], row);
+// ---- element readers --------------------------------------------------------
+// Map (element offset, stored row) to fp32, one element or eight
+// consecutive ones. Dequantization rides the pack pass, so the
+// micro-kernel always consumes fp32 panels; the vector form computes each
+// lane exactly as the scalar form does.
+
+struct F32Elems {
+  const float* data;
+  float operator()(std::int64_t i, std::int64_t) const { return data[i]; }
+#if defined(MPIPE_SIMD)
+  simd::VF load8(std::int64_t i, std::int64_t) const {
+    return simd::load(data + i);
+  }
+#endif
+};
+
+struct Bf16Elems {
+  const std::uint16_t* data;
+  float operator()(std::int64_t i, std::int64_t) const {
+    return f32_from_bf16(data[i]);
+  }
+#if defined(MPIPE_SIMD)
+  simd::VF load8(std::int64_t i, std::int64_t) const {
+    typedef std::uint16_t U16x8 __attribute__((vector_size(16)));
+    typedef std::uint32_t U32x8 __attribute__((vector_size(32)));
+    U16x8 v;
+    __builtin_memcpy(&v, data + i, sizeof(v));
+    return std::bit_cast<simd::VF>(__builtin_convertvector(v, U32x8) << 16);
+  }
+#endif
+};
+
+struct I8Elems {
+  const std::int8_t* data;
+  const float* scales;
+  float operator()(std::int64_t i, std::int64_t row) const {
+    return static_cast<float>(data[i]) * scales[row];
+  }
+#if defined(MPIPE_SIMD)
+  simd::VF load8(std::int64_t i, std::int64_t row) const {
+    typedef std::int8_t I8x8 __attribute__((vector_size(8)));
+    I8x8 v;
+    __builtin_memcpy(&v, data + i, sizeof(v));
+    return __builtin_convertvector(v, simd::VF) * scales[row];
+  }
+#endif
+};
+
+/// Packs lanes [l_begin, l_end) x steps [k0, k0+kc) into W-lane micro
+/// panels: panel p holds kc steps of W consecutive lane values ([k][lane]
+/// order) at out + p * W * kc. Full panels take fixed-width paths: 8-lane
+/// copies when lanes are contiguous (row by row, so the source streams
+/// sequentially), 8x8 in-register transposes when steps are. The generic
+/// loop packs the ragged last panel, zero-padding its missing lanes so the
+/// micro-kernel never branches in its FMA loop, and the kc % 8 step tail
+/// the transposes leave.
+template <std::int64_t W, typename Elems>
+void pack_panels(const Elems& src, std::int64_t ld, bool lanes_contiguous,
+                 std::int64_t k0, std::int64_t kc, std::int64_t l_begin,
+                 std::int64_t l_end, float* MPIPE_RESTRICT out) {
+  // The fast paths pack steps [0, k_full) of the whole panels in
+  // lanes [l_begin, l_full).
+  std::int64_t l_full = l_begin;
+  std::int64_t k_full = 0;
+#if defined(MPIPE_SIMD)
+  static_assert(W % simd::kLanes == 0, "panel width must be whole vectors");
+  l_full = l_begin + (l_end - l_begin) / W * W;
+  if (lanes_contiguous) {
+    k_full = kc;
+    for (std::int64_t k = 0; k < kc; ++k) {
+      const std::int64_t row = k0 + k;
+      for (std::int64_t l0 = l_begin; l0 < l_full; l0 += W) {
+        float* MPIPE_RESTRICT dst = out + (l0 - l_begin) * kc + k * W;
+        for (std::int64_t l = 0; l < W; l += simd::kLanes) {
+          simd::store(dst + l, src.load8(row * ld + l0 + l, row));
         }
       }
-      for (std::int64_t j = nr; j < kNR; ++j) {
-        for (std::int64_t k = 0; k < kc; ++k) panel[k * kNR + j] = 0.0f;
+    }
+  } else {
+    k_full = kc - kc % simd::kLanes;
+    for (std::int64_t l0 = l_begin; l0 < l_full; l0 += W) {
+      float* MPIPE_RESTRICT panel = out + (l0 - l_begin) * kc;
+      for (std::int64_t l = 0; l < W; l += simd::kLanes) {
+        for (std::int64_t k = 0; k < k_full; k += simd::kLanes) {
+          simd::VF r[simd::kLanes];
+          for (std::int64_t i = 0; i < simd::kLanes; ++i) {
+            const std::int64_t row = l0 + l + i;
+            r[i] = src.load8(row * ld + k0 + k, row);
+          }
+          simd::transpose8x8(r);
+          for (std::int64_t i = 0; i < simd::kLanes; ++i) {
+            simd::store(panel + (k + i) * W + l, r[i]);
+          }
+        }
+      }
+    }
+  }
+#endif
+  for (std::int64_t l0 = l_begin; l0 < l_end; l0 += W) {
+    const std::int64_t w = std::min(W, l_end - l0);
+    const std::int64_t k_begin = l0 < l_full ? k_full : 0;
+    float* MPIPE_RESTRICT panel = out + (l0 - l_begin) * kc;
+    if (lanes_contiguous) {
+      for (std::int64_t k = k_begin; k < kc; ++k) {
+        const std::int64_t row = k0 + k;
+        float* MPIPE_RESTRICT dst = panel + k * W;
+        for (std::int64_t l = 0; l < w; ++l) {
+          dst[l] = src(row * ld + l0 + l, row);
+        }
+        for (std::int64_t l = w; l < W; ++l) dst[l] = 0.0f;
       }
     } else {
-      for (std::int64_t k = 0; k < kc; ++k) {
-        const std::int64_t row = k0 + k;
-        const T* MPIPE_RESTRICT src = data + row * ld + j0 + jp;
-        float* MPIPE_RESTRICT dst = panel + k * kNR;
-        for (std::int64_t j = 0; j < nr; ++j) dst[j] = conv(src[j], row);
-        for (std::int64_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
+      for (std::int64_t l = 0; l < w; ++l) {
+        const std::int64_t row = l0 + l;
+        for (std::int64_t k = k_begin; k < kc; ++k) {
+          panel[k * W + l] = src(row * ld + k0 + k, row);
+        }
+      }
+      for (std::int64_t l = w; l < W; ++l) {
+        for (std::int64_t k = k_begin; k < kc; ++k) panel[k * W + l] = 0.0f;
       }
     }
   }
 }
 
-/// Dtype dispatch for pack_b_t — one switch per panel, nothing in the
-/// element loops.
-void pack_b(const BView& b, std::int64_t k0, std::int64_t j0,
-            std::int64_t kc, std::int64_t nb, float* MPIPE_RESTRICT out) {
-  switch (b.dtype) {
+/// Dtype dispatch for pack_panels: one switch per operand slice, nothing
+/// in the element loops.
+template <std::int64_t W>
+void pack_operand(const Operand& op, std::int64_t k0, std::int64_t kc,
+                  std::int64_t l_begin, std::int64_t l_end,
+                  float* MPIPE_RESTRICT out) {
+  switch (op.dtype) {
     case DType::kF32:
-      pack_b_t(
-          static_cast<const float*>(b.data), b.ld, b.trans,
-          [](float v, std::int64_t) { return v; }, k0, j0, kc, nb, out);
+      pack_panels<W>(F32Elems{static_cast<const float*>(op.data)}, op.ld,
+                     op.lanes_contiguous, k0, kc, l_begin, l_end, out);
       return;
     case DType::kBF16:
-      pack_b_t(
-          static_cast<const std::uint16_t*>(b.data), b.ld, b.trans,
-          [](std::uint16_t v, std::int64_t) { return f32_from_bf16(v); },
-          k0, j0, kc, nb, out);
+      pack_panels<W>(Bf16Elems{static_cast<const std::uint16_t*>(op.data)},
+                     op.ld, op.lanes_contiguous, k0, kc, l_begin, l_end, out);
       return;
-    case DType::kI8: {
-      const float* MPIPE_RESTRICT scales = b.scales;
-      pack_b_t(
-          static_cast<const std::int8_t*>(b.data), b.ld, b.trans,
-          [scales](std::int8_t v, std::int64_t row) {
-            return static_cast<float>(v) * scales[row];
-          },
-          k0, j0, kc, nb, out);
+    case DType::kI8:
+      pack_panels<W>(
+          I8Elems{static_cast<const std::int8_t*>(op.data), op.scales},
+          op.ld, op.lanes_contiguous, k0, kc, l_begin, l_end, out);
       return;
-    }
   }
   MPIPE_UNREACHABLE("unknown dtype");
 }
@@ -274,14 +331,15 @@ void reduce_b_panel(const float* MPIPE_RESTRICT bpack, std::int64_t kc,
   }
 }
 
-/// Shared driver: parallelizes over the M x N tile grid; each task packs
-/// its own A/B panels into thread-local scratch and runs the micro-kernel
-/// over every K slice before applying the epilogue to its tile. When
-/// `bias_grad` is set, the i0 == 0 task of each column range additionally
-/// accumulates colsum(B) from the packed panels it already holds; K slices
-/// reduce in order inside that one task, keeping the sum deterministic
-/// under any thread count.
-void gemm_driver(const MatView& a, const BView& b, float* c,
+/// Shared driver. For each KC slice the calling thread packs every B
+/// column panel, then each block of up to kMA A rows, exactly once into
+/// its own thread-local scratch; after each A block the tile grid over
+/// those rows runs the micro-kernel on the pool. Each C element still
+/// accumulates k ascending inside a slice, slices added in order, so
+/// results do not depend on the pool size. When `bias_grad` is set, the
+/// caller adds colsum(B) from each packed slice, slices in order; the
+/// epilogue runs on each tile in the last slice.
+void gemm_driver(const Operand& a, const Operand& b, float* c,
                  std::int64_t ldc, std::int64_t m, std::int64_t n,
                  std::int64_t k, bool accumulate, const float* bias,
                  GemmEpilogue ep, float* bias_grad = nullptr) {
@@ -298,43 +356,51 @@ void gemm_driver(const MatView& a, const BView& b, float* c,
     return;
   }
 
-  const std::int64_t mt = (m + kMC - 1) / kMC;
+  // B's panels start on a 64-byte boundary, so the micro-kernel's B-row
+  // loads never split a cache line.
+  const std::int64_t kc_max = std::min(kKC, k);
+  const std::int64_t b_floats = round_up(n, kNR) * kc_max;
+  static thread_local AlignedScratch scratch;
+  float* bpack = scratch.get(static_cast<std::size_t>(
+      b_floats + std::min(round_up(m, kMR), kMA) * kc_max));
+  float* apack = bpack + b_floats;
+
   const std::int64_t nt = (n + kNC - 1) / kNC;
-  ThreadPool::shared().parallel_for(
-      static_cast<std::size_t>(mt * nt),
-      [&](std::size_t tile_begin, std::size_t tile_end) {
-        static thread_local AlignedScratch a_scratch, b_scratch;
-        float* apack = a_scratch.get(static_cast<std::size_t>(kMC * kKC));
-        float* bpack = b_scratch.get(static_cast<std::size_t>(kKC * kNC));
-        for (std::size_t t = tile_begin; t < tile_end; ++t) {
-          const std::int64_t i0 = static_cast<std::int64_t>(t) / nt * kMC;
-          const std::int64_t j0 = static_cast<std::int64_t>(t) % nt * kNC;
-          const std::int64_t mb = std::min(kMC, m - i0);
-          const std::int64_t nb = std::min(kNC, n - j0);
-          for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
-            const std::int64_t kc = std::min(kKC, k - k0);
-            const bool overwrite = !accumulate && k0 == 0;
-            pack_a(a, i0, k0, mb, kc, apack);
-            pack_b(b, k0, j0, kc, nb, bpack);
-            if (bias_grad != nullptr && i0 == 0) {
-              reduce_b_panel(bpack, kc, nb, bias_grad + j0);
-            }
-            for (std::int64_t jp = 0; jp < nb; jp += kNR) {
-              const std::int64_t nr = std::min(kNR, nb - jp);
-              for (std::int64_t ip = 0; ip < mb; ip += kMR) {
-                const std::int64_t mr = std::min(kMR, mb - ip);
-                micro_kernel(apack + ip * kc, bpack + jp * kc, kc,
-                             c + (i0 + ip) * ldc + j0 + jp, ldc, mr, nr,
-                             overwrite);
+  for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
+    const std::int64_t kc = std::min(kKC, k - k0);
+    pack_operand<kNR>(b, k0, kc, 0, n, bpack);
+    if (bias_grad != nullptr) reduce_b_panel(bpack, kc, n, bias_grad);
+    const bool overwrite = !accumulate && k0 == 0;
+    const bool last = k0 + kc == k;
+    for (std::int64_t ia = 0; ia < m; ia += kMA) {
+      const std::int64_t ma = std::min(kMA, m - ia);
+      pack_operand<kMR>(a, k0, kc, ia, ia + ma, apack);
+      const std::int64_t mt = (ma + kMC - 1) / kMC;
+      ThreadPool::shared().parallel_for(
+          static_cast<std::size_t>(mt * nt),
+          [&](std::size_t tile_begin, std::size_t tile_end) {
+            for (std::size_t t = tile_begin; t < tile_end; ++t) {
+              const std::int64_t i0 =
+                  ia + static_cast<std::int64_t>(t) / nt * kMC;
+              const std::int64_t j0 = static_cast<std::int64_t>(t) % nt * kNC;
+              const std::int64_t mb = std::min(kMC, m - i0);
+              const std::int64_t nb = std::min(kNC, n - j0);
+              for (std::int64_t jp = j0; jp < j0 + nb; jp += kNR) {
+                const std::int64_t nr = std::min(kNR, n - jp);
+                for (std::int64_t ip = i0; ip < i0 + mb; ip += kMR) {
+                  micro_kernel(apack + (ip - ia) * kc, bpack + jp * kc, kc,
+                               c + ip * ldc + jp, ldc, std::min(kMR, m - ip),
+                               nr, overwrite);
+                }
+              }
+              if (last && ep != GemmEpilogue::kNone) {
+                epilogue_tile(c + i0 * ldc + j0, ldc, mb, nb, bias + j0, ep);
               }
             }
-          }
-          if (ep != GemmEpilogue::kNone) {
-            epilogue_tile(c + i0 * ldc + j0, ldc, mb, nb, bias + j0, ep);
-          }
-        }
-      },
-      /*grain=*/1);
+          },
+          /*grain=*/1);
+    }
+  }
 }
 
 void check_2d(const Tensor& t, const char* name) {
@@ -356,7 +422,7 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   MPIPE_EXPECTS(b.dim(0) == k, "inner dimension mismatch");
   MPIPE_EXPECTS(c.dim(0) == m && c.dim(1) == n, "output shape mismatch");
-  gemm_driver({a.data(), k, false}, {b.data(), n, false}, c.data(), n, m, n,
+  gemm_driver({a.data(), k, false}, {b.data(), n, true}, c.data(), n, m, n,
               k, accumulate, nullptr, GemmEpilogue::kNone);
 }
 
@@ -367,7 +433,7 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   MPIPE_EXPECTS(b.dim(1) == k, "inner dimension mismatch");
   MPIPE_EXPECTS(c.dim(0) == m && c.dim(1) == n, "output shape mismatch");
-  gemm_driver({a.data(), k, false}, {b.data(), k, true}, c.data(), n, m, n,
+  gemm_driver({a.data(), k, false}, {b.data(), k, false}, c.data(), n, m, n,
               k, accumulate, nullptr, GemmEpilogue::kNone);
 }
 
@@ -378,7 +444,7 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const std::int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   MPIPE_EXPECTS(b.dim(0) == k, "inner dimension mismatch");
   MPIPE_EXPECTS(c.dim(0) == m && c.dim(1) == n, "output shape mismatch");
-  gemm_driver({a.data(), m, true}, {b.data(), n, false}, c.data(), n, m, n,
+  gemm_driver({a.data(), m, true}, {b.data(), n, true}, c.data(), n, m, n,
               k, accumulate, nullptr, GemmEpilogue::kNone);
 }
 
@@ -393,7 +459,7 @@ void gemm_tn_bias_grad(const Tensor& a, const Tensor& b, Tensor& c,
   MPIPE_EXPECTS(bias_grad.defined() && bias_grad.shape().rank() == 1 &&
                     bias_grad.dim(0) == n,
                 "bias_grad length must equal output columns");
-  gemm_driver({a.data(), m, true}, {b.data(), n, false}, c.data(), n, m, n,
+  gemm_driver({a.data(), m, true}, {b.data(), n, true}, c.data(), n, m, n,
               k, accumulate, nullptr, GemmEpilogue::kNone, bias_grad.data());
 }
 
@@ -412,7 +478,7 @@ void gemm_bias_act(const Tensor& a, const Tensor& b, const Tensor& bias,
                   "bias length must equal output columns");
     bias_ptr = bias.data();
   }
-  gemm_driver({a.data(), k, false}, {b.data(), n, false}, c.data(), n, m, n,
+  gemm_driver({a.data(), k, false}, {b.data(), n, true}, c.data(), n, m, n,
               k, /*accumulate=*/false, bias_ptr, epilogue);
 }
 
@@ -447,7 +513,7 @@ void gemm_bias_act_q(const Tensor& a, const QuantView& b, const Tensor& bias,
                   "bias length must equal output columns");
     bias_ptr = bias.data();
   }
-  gemm_driver({a.data(), k, false}, {b.data, n, false, b.dtype, b.row_scales},
+  gemm_driver({a.data(), k, false}, {b.data, n, true, b.dtype, b.row_scales},
               c.data(), n, m, n, k, /*accumulate=*/false, bias_ptr, epilogue);
 }
 
@@ -459,7 +525,7 @@ void gemm_nt_q(const Tensor& a, const QuantView& b, Tensor& c,
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b.rows;
   MPIPE_EXPECTS(b.cols == k, "inner dimension mismatch");
   MPIPE_EXPECTS(c.dim(0) == m && c.dim(1) == n, "output shape mismatch");
-  gemm_driver({a.data(), k, false}, {b.data, k, true, b.dtype, b.row_scales},
+  gemm_driver({a.data(), k, false}, {b.data, k, false, b.dtype, b.row_scales},
               c.data(), n, m, n, k, accumulate, nullptr, GemmEpilogue::kNone);
 }
 

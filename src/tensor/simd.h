@@ -51,6 +51,33 @@ inline VF vsqrt(VF v) {
   return r;
 }
 
+/// In-register 8x8 transpose: afterwards r[i][j] holds the old r[j][i].
+/// Three shuffle stages (pair interleave, quad interleave, half swap) that
+/// map one-to-one onto the unpack / shufps / 128-bit permute sequence, so
+/// the GEMM packer can turn eight strided rows into eight panel rows. A
+/// pure permutation: values move bit for bit.
+inline void transpose8x8(VF r[8]) {
+  VF t[8], s[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = __builtin_shufflevector(r[i], r[i + 1], 0, 8, 1, 9, 4, 12, 5, 13);
+    t[i + 1] =
+        __builtin_shufflevector(r[i], r[i + 1], 2, 10, 3, 11, 6, 14, 7, 15);
+  }
+  for (int i = 0; i < 8; i += 4) {
+    for (int j = 0; j < 2; ++j) {
+      s[i + 2 * j] = __builtin_shufflevector(t[i + j], t[i + j + 2], 0, 1, 8,
+                                             9, 4, 5, 12, 13);
+      s[i + 2 * j + 1] = __builtin_shufflevector(t[i + j], t[i + j + 2], 2, 3,
+                                                 10, 11, 6, 7, 14, 15);
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    r[i] = __builtin_shufflevector(s[i], s[i + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    r[i + 4] =
+        __builtin_shufflevector(s[i], s[i + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+}
+
 #else
 
 inline constexpr std::int64_t kLanes = 1;

@@ -147,7 +147,7 @@ TEST_P(GemmVariants, FusedEpiloguesMatchSeparatePasses) {
   expect_close(got, gelu(want));
 }
 
-// ---- invariance pins ---------------------------------------------------------
+// ---- invariance pins --------------------------------------------------------
 // Every entry point's output is a pure function of its inputs: bitwise the
 // same at any pool size, and row i of C bitwise equals the one-row GEMM of
 // row i of A (serving's batch-vs-solo check relies on the latter).
@@ -175,7 +175,8 @@ std::vector<EntryPoint> entry_points(const Tensor& b, const Tensor& bt,
                      gemm_nt(a, bt, c, acc);
                      return Tensor();
                    }});
-    eps.push_back({"gemm_tn" + sfx, true, [&b, acc](const Tensor& a, Tensor& c) {
+    eps.push_back({"gemm_tn" + sfx, true,
+                   [&b, acc](const Tensor& a, Tensor& c) {
                      gemm_tn(a, b, c, acc);
                      return Tensor();
                    }});
@@ -241,7 +242,9 @@ struct PinInputs {
     c0 = Tensor(Shape{s.m, s.n});
     for (Tensor* t : {&a, &at, &b, &bt, &bias, &c0}) init_normal(*t, rng);
   }
-  const Tensor& a_for(const EntryPoint& ep) const { return ep.trans_a ? at : a; }
+  const Tensor& a_for(const EntryPoint& ep) const {
+    return ep.trans_a ? at : a;
+  }
 };
 
 TEST_P(GemmVariants, BitwiseAcrossPoolSizes) {
