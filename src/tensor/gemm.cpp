@@ -314,19 +314,19 @@ void epilogue_tile(float* MPIPE_RESTRICT c, std::int64_t ldc,
   }
 }
 
-/// bias_grad[j0+j] += colsum of one packed B panel (kc x nb, zero-padded
+/// bias_grad[j] += colsum of one packed B slice (kc x n, zero-padded
 /// NR-column micro panels). Padding columns sum to zero, so the inner loop
 /// runs full kNR lanes and only the write-back respects the ragged edge.
-void reduce_b_panel(const float* MPIPE_RESTRICT bpack, std::int64_t kc,
-                    std::int64_t nb, float* MPIPE_RESTRICT bias_grad) {
-  for (std::int64_t jp = 0; jp < nb; jp += kNR) {
+void reduce_b_slice(const float* MPIPE_RESTRICT bpack, std::int64_t kc,
+                    std::int64_t n, float* MPIPE_RESTRICT bias_grad) {
+  for (std::int64_t jp = 0; jp < n; jp += kNR) {
     const float* MPIPE_RESTRICT panel = bpack + jp * kc;
     float acc[kNR] = {};
     for (std::int64_t kk = 0; kk < kc; ++kk) {
       const float* MPIPE_RESTRICT brow = panel + kk * kNR;
       for (std::int64_t j = 0; j < kNR; ++j) acc[j] += brow[j];
     }
-    const std::int64_t nr = std::min(kNR, nb - jp);
+    const std::int64_t nr = std::min(kNR, n - jp);
     for (std::int64_t j = 0; j < nr; ++j) bias_grad[jp + j] += acc[j];
   }
 }
@@ -369,7 +369,7 @@ void gemm_driver(const Operand& a, const Operand& b, float* c,
   for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
     const std::int64_t kc = std::min(kKC, k - k0);
     pack_operand<kNR>(b, k0, kc, 0, n, bpack);
-    if (bias_grad != nullptr) reduce_b_panel(bpack, kc, n, bias_grad);
+    if (bias_grad != nullptr) reduce_b_slice(bpack, kc, n, bias_grad);
     const bool overwrite = !accumulate && k0 == 0;
     const bool last = k0 + kc == k;
     for (std::int64_t ia = 0; ia < m; ia += kMA) {

@@ -1,11 +1,16 @@
 #pragma once
 /// \file gemm.h
 /// Packed, register-blocked, multithreaded single-precision GEMM. All three
-/// transpose variants route through one micro-kernel over panels packed into
-/// thread-local aligned buffers (nt/tn transpose at pack time), and the
-/// FFN-facing entry points fuse the bias/activation epilogue into the last
-/// pass over C. These kernels carry all expert/gating compute; see
-/// src/tensor/README.md for the design and measured throughput.
+/// transpose variants route through one micro-kernel. Per K slice the
+/// calling thread packs each element of A and B exactly once into its own
+/// aligned scratch (nt/tn transposes and bf16/int8 dequantization happen at
+/// pack time, full panels on fixed-width SIMD paths), then the tile grid
+/// runs over the shared panels on the pool. The FFN-facing entry points
+/// fuse the bias/activation epilogue into the last pass over C. Every entry
+/// point is bitwise independent of the pool size, and each row of C equals
+/// the one-row GEMM of that row of A. These kernels carry all
+/// expert/gating compute; see src/tensor/README.md for the design and
+/// measured throughput.
 
 #include "tensor/dtype.h"
 #include "tensor/tensor.h"
