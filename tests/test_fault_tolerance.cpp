@@ -318,6 +318,37 @@ TEST(Checkpoint, MidTrainingRestoreResumesBitwiseIdentically) {
   }
 }
 
+TEST(Checkpoint, MidWarmupImageRoundTripsByteForByte) {
+  // A trainer one step into a three-step correction warmup carries a
+  // partial fit and no installed corrections. Restoring its image into a
+  // fresh trainer and re-exporting must reproduce the image exactly, and
+  // the restored trainer must finish the warmup on the same step the
+  // original would have.
+  runtime::TrainerOptions topt = small_trainer_options();
+  topt.profile_warmup_steps = 3;
+  std::vector<std::uint8_t> bytes;
+  {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+    core::MoELayer layer(cluster, small_layer_options());
+    runtime::Trainer trainer(layer, topt);
+    trainer.train_step();
+    ASSERT_FALSE(trainer.corrections_installed());
+    bytes = trainer.checkpoint_bytes();
+  }
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+  core::MoELayer layer(cluster, small_layer_options());
+  runtime::Trainer trainer(layer, topt);
+  trainer.restore_from_bytes(bytes);
+  EXPECT_EQ(trainer.checkpoint_bytes(), bytes);
+  EXPECT_EQ(trainer.steps_run(), 1);
+  EXPECT_FALSE(trainer.corrections_installed());
+  trainer.train_step();
+  EXPECT_FALSE(trainer.corrections_installed());
+  trainer.train_step();
+  EXPECT_TRUE(trainer.corrections_installed());
+  EXPECT_FALSE(layer.options().profile_execution);
+}
+
 TEST(Checkpoint, FileRoundTripPreservesTheImage) {
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
   core::MoELayer layer(cluster, small_layer_options());

@@ -509,6 +509,56 @@ TEST(Server, WarmupBatchThatThrowsRestoresLayerProfiling) {
   EXPECT_FALSE(layer.options().profile_execution);
 }
 
+TEST(Server, StoppingShortOfWarmupRestoresProfilingOverride) {
+  // Two of three warmup batches: the partial fit is not installed, the
+  // plan is still the uncorrected one, and the layer's own profiling
+  // switch is back in place. The third batch completes the warmup,
+  // installs the corrections and re-plans under them.
+  core::MoELayerOptions o = serve_layer_options();
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+  core::MoELayer layer(cluster, o);
+  ASSERT_FALSE(layer.options().profile_execution);
+
+  serve::ServerOptions sopt;
+  sopt.slo.max_tokens_per_device = 8;
+  sopt.profile_warmup_batches = 3;
+  serve::Server server(layer, sopt);
+  const serve::ServePlan uncorrected = server.plan();
+  // Arrivals far apart on the virtual clock: one request per batch.
+  for (std::int64_t i = 0; i < 2; ++i) {
+    server.queue().push(
+        make_request(i, 3, o.d_model, static_cast<double>(i)));
+    server.drain(static_cast<std::size_t>(i + 1));
+  }
+  ASSERT_EQ(server.metrics().batches_executed(), 2u);
+  EXPECT_FALSE(server.corrections_installed());
+  EXPECT_TRUE(server.corrections().identity());
+  EXPECT_FALSE(layer.options().profile_execution);
+  EXPECT_FALSE(layer.options().trace_execution);
+  ASSERT_EQ(server.plan().rungs.size(), uncorrected.rungs.size());
+  for (std::size_t i = 0; i < uncorrected.rungs.size(); ++i) {
+    EXPECT_EQ(server.plan().rungs[i].predicted_seconds,
+              uncorrected.rungs[i].predicted_seconds);
+  }
+
+  server.queue().push(make_request(2, 3, o.d_model, 2.0));
+  server.drain(3);
+  EXPECT_TRUE(server.corrections_installed());
+  EXPECT_FALSE(server.corrections().identity());
+  EXPECT_FALSE(layer.options().profile_execution);
+  // The plan was recomputed under the installed factors: it matches a
+  // fresh plan over the corrected layer, and no longer the uncorrected one.
+  serve::SloSelector fresh(layer, sopt.slo);
+  const serve::ServePlan corrected = fresh.plan();
+  ASSERT_EQ(server.plan().rungs.size(), corrected.rungs.size());
+  for (std::size_t i = 0; i < corrected.rungs.size(); ++i) {
+    EXPECT_EQ(server.plan().rungs[i].predicted_seconds,
+              corrected.rungs[i].predicted_seconds);
+  }
+  EXPECT_NE(server.plan().rungs.back().predicted_seconds,
+            uncorrected.rungs.back().predicted_seconds);
+}
+
 TEST(Server, ConcurrentProducerDrainsCleanly) {
   // TSAN tier: one producer thread stamps arrivals while the server loop
   // drains — the queue mutex and the batcher on top must keep every
