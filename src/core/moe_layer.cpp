@@ -58,6 +58,46 @@ std::int64_t ring_capacity(const MoeStepContext& ctx, int d) {
   return cap;
 }
 
+/// Reads the per-category peaks of one device allocator.
+MemorySnapshot snapshot_peaks(const mem::DeviceAllocator& allocator) {
+  const auto& t = allocator.tracker();
+  MemorySnapshot s;
+  s.model_states = t.peak(mem::Category::kModelState);
+  s.activations = t.peak(mem::Category::kActivation);
+  s.temp_buffers = t.peak(mem::Category::kTempBuffer);
+  s.comm = t.peak(mem::Category::kComm);
+  s.total_peak = t.peak_total();
+  return s;
+}
+
+/// Element-wise max over devices — the footprint of the busiest device,
+/// which is what "peak memory" means on a real cluster.
+MemorySnapshot max_over_devices(const std::vector<MemorySnapshot>& snaps) {
+  MemorySnapshot out;
+  for (const MemorySnapshot& s : snaps) {
+    out.model_states = std::max(out.model_states, s.model_states);
+    out.activations = std::max(out.activations, s.activations);
+    out.temp_buffers = std::max(out.temp_buffers, s.temp_buffers);
+    out.comm = std::max(out.comm, s.comm);
+    out.total_peak = std::max(out.total_peak, s.total_peak);
+  }
+  return out;
+}
+
+/// Combines fwd+bwd utilisation: total useful compute over total makespan.
+double combined_utilization(const sim::TimingResult& fwd,
+                            const sim::TimingResult& bwd) {
+  const double total_time = fwd.makespan + bwd.makespan;
+  if (total_time <= 0.0 || fwd.weighted_compute.empty()) return 0.0;
+  double useful = 0.0;
+  for (std::size_t d = 0; d < fwd.weighted_compute.size(); ++d) {
+    useful += fwd.weighted_compute[d];
+    if (d < bwd.weighted_compute.size()) useful += bwd.weighted_compute[d];
+  }
+  useful /= static_cast<double>(fwd.weighted_compute.size());
+  return useful / total_time;
+}
+
 }  // namespace
 
 sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
@@ -86,9 +126,8 @@ sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
   }
   sim::CostModelConfig config = cluster.cost_model().config();
   sim::CalibrationStatus status = sim::try_apply_calibration_files(
-      config, rows.first, rows.second, payloads.first, payloads.second,
-      options.compute_dtype);
-  if (status.gemm_loaded || status.comm_loaded || status.gemm_dtype_loaded) {
+      config, rows.first, rows.second, payloads.first, payloads.second);
+  if (status.gemm_loaded || status.comm_loaded) {
     cluster.set_cost_config(std::move(config));
   }
   return status;
@@ -194,8 +233,7 @@ LayerRefs MoELayer::refs() {
 int MoELayer::configure_partitions(std::int64_t tokens_per_device) {
   if (!options_.pipeline) return 1;
   if (options_.num_partitions > 0) return options_.num_partitions;
-  const auto& curve =
-      cluster_->cost_model().config().gemm_curve_for(options_.compute_dtype);
+  const auto& curve = cluster_->cost_model().config().gemm_curve;
   if (!curve.empty()) {
     // A measured efficiency curve is loaded: the search must rank
     // candidates from interpolated (not extrapolated) timings, so the
@@ -680,6 +718,34 @@ void MoELayer::zero_grad() {
   for (auto& device_experts : experts_) {
     for (auto& expert : device_experts) expert.zero_grad();
   }
+}
+
+CorrectionWarmup::CorrectionWarmup(int budget) : budget_(budget) {
+  MPIPE_EXPECTS(budget >= 0, "negative correction warmup budget");
+}
+
+ProfileOverrideScope CorrectionWarmup::profile_step(MoELayer& layer,
+                                                    bool otherwise,
+                                                    bool trace_last) const {
+  const bool last = active() && reports() + 1 >= budget_;
+  return ProfileOverrideScope(
+      layer, active() || otherwise,
+      (trace_last && last) || layer.options().trace_execution);
+}
+
+bool CorrectionWarmup::observe(MoELayer& layer, const StepReport& report) {
+  if (!active() || !report.profiled) return false;
+  fit_.add(report.forward_diff);
+  fit_.add(report.backward_diff);
+  if (reports() < budget_) return false;
+  layer.set_corrections(fit_.fit());
+  installed_ = true;
+  return true;
+}
+
+void CorrectionWarmup::set_state(const State& state) {
+  fit_.set_state(state.fit);
+  installed_ = state.installed;
 }
 
 }  // namespace mpipe::core

@@ -19,8 +19,8 @@
 
 #include "core/execution_context.h"
 #include "core/granularity_search.h"
-#include "core/pipeline_executor.h"
 #include "core/pipeline_schedule.h"
+#include "core/step_report.h"
 #include "core/strategy_selector.h"
 #include "mem/host_staging.h"
 #include "sim/calibration.h"
@@ -170,12 +170,12 @@ class MoELayer {
   StepReport step_timing(std::int64_t tokens_per_device, double skew = 0.0);
 
   // ---- measured-vs-modeled loop --------------------------------------------
-  /// Toggles wall-clock profiling after construction (runtime::Trainer
-  /// flips it on for its correction-fit warmup steps).
+  /// Toggles wall-clock profiling after construction (CorrectionWarmup
+  /// flips it on for its warmup steps).
   void set_profile_execution(bool on) { options_.profile_execution = on; }
 
   /// Toggles chrome-trace serialisation of profiled steps (runtime::
-  /// Trainer flips it on for the warmup step whose trace it dumps).
+  /// Trainer has it on for the warmup step whose trace it dumps).
   void set_trace_execution(bool on) { options_.trace_execution = on; }
 
   /// Installs measured per-op-class correction factors (fitted from
@@ -276,15 +276,18 @@ class MoELayer {
 };
 
 /// Scoped override of a layer's profile_execution / trace_execution
-/// switches: snapshots both on entry and restores them on every exit —
-/// normal return or exception — so a warmup step that throws cannot leave
-/// profiling stuck on.
+/// switches: snapshots both on entry, sets them to the given values, and
+/// restores the snapshot on every exit — normal return or exception — so a
+/// warmup step that throws cannot leave profiling stuck on.
 class ProfileOverrideScope {
  public:
-  explicit ProfileOverrideScope(MoELayer& layer)
+  ProfileOverrideScope(MoELayer& layer, bool profile, bool trace)
       : layer_(&layer),
         profile_(layer.options().profile_execution),
-        trace_(layer.options().trace_execution) {}
+        trace_(layer.options().trace_execution) {
+    layer.set_profile_execution(profile);
+    layer.set_trace_execution(trace);
+  }
   ~ProfileOverrideScope() {
     layer_->set_profile_execution(profile_);
     layer_->set_trace_execution(trace_);
@@ -296,6 +299,53 @@ class ProfileOverrideScope {
   MoELayer* layer_;
   bool profile_;
   bool trace_;
+};
+
+/// The measured-vs-modeled warmup shared by runtime::Trainer and
+/// serve::Server: the first `budget` profiled step reports feed a
+/// sim::CorrectionFit, and the report that completes the budget fits the
+/// per-op-class factors and installs them with MoELayer::set_corrections,
+/// so every later granularity search and strategy choice re-ranks with
+/// reality-corrected costs. The layer holds the only copy of the factors.
+class CorrectionWarmup {
+ public:
+  /// `budget` profiled reports to fit from; 0 disables the warmup.
+  explicit CorrectionWarmup(int budget);
+
+  /// True while reports still feed the fit.
+  bool active() const { return !installed_ && reports() < budget_; }
+  /// True once the fit ran and the layer re-ranks with it.
+  bool installed() const { return installed_; }
+
+  /// One step's profiling override, restored when the returned scope
+  /// ends: profiling is on while the warmup is active and `otherwise`
+  /// after it. With `trace_last`, the step whose report will complete the
+  /// warmup also serialises its chrome traces.
+  ProfileOverrideScope profile_step(MoELayer& layer, bool otherwise,
+                                    bool trace_last = false) const;
+
+  /// Feeds a finished step's report; reports outside the warmup and
+  /// unprofiled ones are ignored. Returns true exactly when this report
+  /// completed the warmup and the fitted factors were installed.
+  bool observe(MoELayer& layer, const StepReport& report);
+
+  /// Checkpoint state: the fit's accumulators and the installed flag.
+  struct State {
+    sim::CorrectionFit::State fit;
+    bool installed = false;
+  };
+  State state() const { return {fit_.state(), installed_}; }
+  void set_state(const State& state);
+
+ private:
+  /// Each report adds its forward and its backward diff (empty for a
+  /// forward_only step), so the fit counts two diffs per report: the
+  /// budget needs no counter of its own, and a restored fit restores it.
+  int reports() const { return fit_.steps() / 2; }
+
+  int budget_;
+  sim::CorrectionFit fit_;
+  bool installed_ = false;
 };
 
 }  // namespace mpipe::core

@@ -214,9 +214,9 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
       }
       const int id =
           g.add(tag("C1_", p, d), OpCategory::kGemm, StreamKind::kCompute,
-                {d}, cost.gemm_seconds(flops, er, dt) / compute_scale_,
+                {d}, cost.gemm_seconds(flops, er) / compute_scale_,
                 std::move(deps), std::move(fn),
-                cost.gemm_efficiency(er, dt));
+                cost.gemm_efficiency(er));
       if (ctx.functional()) {
         sim::Op& op = g.op(id);
         op.reads.push_back(sim::access_rows(tdi_buffer(ctx, d, p), 0, rows));
@@ -285,9 +285,9 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
       }
       const int id =
           g.add(tag("C2_", p, d), OpCategory::kGemm, StreamKind::kCompute,
-                {d}, cost.gemm_seconds(flops, er, dt) / compute_scale_,
+                {d}, cost.gemm_seconds(flops, er) / compute_scale_,
                 std::move(deps), std::move(fn),
-                cost.gemm_efficiency(er, dt));
+                cost.gemm_efficiency(er));
       if (ctx.functional()) {
         sim::Op& op = g.op(id);
         op.reads.push_back(sim::access_rows(tm_buffer(ctx, d, p), 0, rows));
@@ -527,9 +527,9 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
           }
           const int id =
               g.add(tag("Cr", p, d), OpCategory::kGemm, StreamKind::kCompute,
-                    {d}, cost.gemm_seconds(flops, er, dt) / compute_scale_,
+                    {d}, cost.gemm_seconds(flops, er) / compute_scale_,
                     std::move(deps), std::move(fn),
-                    cost.gemm_efficiency(er, dt));
+                    cost.gemm_efficiency(er));
           if (ctx.functional()) {
             sim::Op& op = g.op(id);
             op.reads.push_back(
@@ -603,9 +603,9 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
       }
       const int id =
           g.add(tag("Cb", p, d), OpCategory::kGemm, StreamKind::kCompute,
-                {d}, cost.gemm_seconds(flops, er, dt) / compute_scale_,
+                {d}, cost.gemm_seconds(flops, er) / compute_scale_,
                 std::move(deps), std::move(fn),
-                cost.gemm_efficiency(er, dt));
+                cost.gemm_efficiency(er));
       if (ctx.functional()) {
         sim::Op& op = g.op(id);
         op.reads.push_back(

@@ -1,14 +1,14 @@
 #pragma once
-/// \file pipeline_executor.h
+/// \file step_report.h
 /// Step execution reports: simulated times, GPU utilisation and the memory
-/// footprint snapshot every bench reads. The heavy lifting (functional +
-/// timed execution) lives in sim::Cluster; this layer aggregates.
+/// footprint snapshot every bench reads. MoELayer fills one per step; the
+/// heavy lifting (functional + timed execution) lives in sim::Cluster.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/reuse_strategy.h"
-#include "mem/device_allocator.h"
 #include "tensor/dtype.h"
 #include "sim/profile.h"
 #include "sim/timing_engine.h"
@@ -27,13 +27,6 @@ struct MemorySnapshot {
     return model_states + activations + temp_buffers + comm;
   }
 };
-
-/// Reads the per-category peaks of one device allocator.
-MemorySnapshot snapshot_peaks(const mem::DeviceAllocator& allocator);
-
-/// Element-wise max over devices — the footprint of the busiest device,
-/// which is what "peak memory" means on a real cluster.
-MemorySnapshot max_over_devices(const std::vector<MemorySnapshot>& snaps);
 
 struct StepReport {
   double forward_seconds = 0.0;
@@ -89,9 +82,5 @@ struct StepReport {
   /// One-line measured-vs-modeled summary for logs and examples.
   std::string model_error_summary() const;
 };
-
-/// Combines fwd+bwd utilisation: total useful compute over total makespan.
-double combined_utilization(const sim::TimingResult& fwd,
-                            const sim::TimingResult& bwd);
 
 }  // namespace mpipe::core

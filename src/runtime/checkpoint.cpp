@@ -135,13 +135,13 @@ std::vector<std::uint8_t> encode_checkpoint(
   w.i64(workload.last_batch_tokens());
   // Section: trainer bookkeeping.
   w.i64(state.steps_run);
-  w.u32(state.corrections_installed ? 1 : 0);
+  w.u32(state.warmup.installed ? 1 : 0);
   w.f64(state.corrections.compute);
   w.f64(state.corrections.comm);
   w.f64(state.corrections.memcpy);
-  for (double v : state.fit.simulated) w.f64(v);
-  for (double v : state.fit.measured) w.f64(v);
-  w.i64(state.fit.steps);
+  for (double v : state.warmup.fit.simulated) w.f64(v);
+  for (double v : state.warmup.fit.measured) w.f64(v);
+  w.i64(state.warmup.fit.steps);
   // Section: granularity-searcher memory.
   w.u64(state.searcher.cache.size());
   for (const auto& [b, n] : state.searcher.cache) {
@@ -219,13 +219,13 @@ TrainerCheckpointState apply_checkpoint(const std::vector<std::uint8_t>& bytes,
 
   TrainerCheckpointState state;
   state.steps_run = r.i64();
-  state.corrections_installed = r.u32() != 0;
+  state.warmup.installed = r.u32() != 0;
   state.corrections.compute = r.f64();
   state.corrections.comm = r.f64();
   state.corrections.memcpy = r.f64();
-  for (double& v : state.fit.simulated) v = r.f64();
-  for (double& v : state.fit.measured) v = r.f64();
-  state.fit.steps = static_cast<int>(r.i64());
+  for (double& v : state.warmup.fit.simulated) v = r.f64();
+  for (double& v : state.warmup.fit.measured) v = r.f64();
+  state.warmup.fit.steps = static_cast<int>(r.i64());
   const std::uint64_t cache_n = r.u64();
   for (std::uint64_t i = 0; i < cache_n; ++i) {
     const std::int64_t b = r.i64();

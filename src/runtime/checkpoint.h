@@ -3,8 +3,9 @@
 /// Step-level checkpoint/restore for the training runtime: versioned,
 /// checksummed binary serialization of everything a bitwise-identical
 /// resume needs — model weights, Adam state (tensors + bias-correction
-/// step), the workload generator's RNG stream, the trainer's correction
-/// state, and the granularity searcher's cache/ranges (Algorithm 1's
+/// step), the workload generator's RNG stream, the correction warmup's
+/// state and the layer's factors, and the granularity searcher's
+/// cache/ranges (Algorithm 1's
 /// verdicts are history-dependent, and the partition count changes the
 /// step math bitwise, so the searcher's memory is training state).
 ///
@@ -40,9 +41,9 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 /// Trainer bookkeeping that rides along with the tensor state.
 struct TrainerCheckpointState {
   std::int64_t steps_run = 0;
-  bool corrections_installed = false;
+  core::CorrectionWarmup::State warmup;
+  /// The layer's installed factors (MoELayer::corrections).
   sim::OpClassCorrections corrections;
-  sim::CorrectionFit::State fit;
   core::GranularitySearcher::State searcher;
 };
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "core/pipeline_executor.h"
+#include "core/step_report.h"
 
 namespace mpipe::runtime {
 

@@ -25,7 +25,10 @@ void write_json(const std::string& path, const std::string& json) {
 }  // namespace
 
 Trainer::Trainer(core::MoELayer& layer, TrainerOptions options)
-    : layer_(&layer), options_(options), workload_(options.workload) {
+    : layer_(&layer),
+      options_(options),
+      workload_(options.workload),
+      warmup_(options.profile_warmup_steps) {
   MPIPE_EXPECTS(options_.workload.num_devices == layer.num_devices(),
                 "workload/device mismatch");
   MPIPE_EXPECTS(options_.workload.d_model == layer.options().d_model,
@@ -45,8 +48,6 @@ Trainer::Trainer(core::MoELayer& layer, TrainerOptions options)
     calibration_status_ = core::install_calibration(
         layer.cluster(), layer.options(), min_tokens, max_tokens);
   }
-  MPIPE_EXPECTS(options_.profile_warmup_steps >= 0,
-                "negative warmup step count");
   const auto& ft = options_.fault_tolerance;
   MPIPE_EXPECTS(ft.checkpoint_interval >= 0, "negative checkpoint interval");
   MPIPE_EXPECTS(ft.rollback_after >= 1, "rollback_after must be >= 1");
@@ -56,37 +57,15 @@ Trainer::Trainer(core::MoELayer& layer, TrainerOptions options)
                                       options_.adam);
 }
 
-double Trainer::train_step() {
-  // The plain path: no ladder knobs, no injector on the cluster — run the
-  // step body exactly as before this layer existed.
-  if (!options_.fault_tolerance.enabled() &&
-      layer_->cluster().fault_injector() == nullptr) {
-    bool non_finite = false;
-    return train_step_impl(/*guard=*/false, non_finite);
-  }
-  return train_step_fault_tolerant();
-}
-
 double Trainer::train_step_impl(bool guard, bool& non_finite) {
   non_finite = false;
-  const bool warmup_profiling =
-      steps_run_ < options_.profile_warmup_steps && !corrections_installed_;
-  const bool last_warmup_step =
-      warmup_profiling && steps_run_ + 1 >= options_.profile_warmup_steps;
-  // Snapshot the layer's own settings at step entry (not at Trainer
-  // construction) and restore them on every exit — return or throw — so a
-  // user toggle between steps survives, and a caller that stops short of
-  // profile_warmup_steps (or a step that throws into a replay) is never
-  // left with warmup profiling stuck on.
-  core::ProfileOverrideScope restore_switches(*layer_);
-  if (warmup_profiling) {
-    layer_->set_profile_execution(true);
-    // The trace dump reads the last warmup step's report; earlier steps
-    // (and steps with no dump requested) skip the JSON serialisation.
-    if (last_warmup_step && !options_.trace_path.empty()) {
-      layer_->set_trace_execution(true);
-    }
-  }
+  // The override is taken at step entry (not at Trainer construction) and
+  // restored on every exit — return or throw — so a user toggle between
+  // steps survives, and a caller that stops short of the warmup (or a step
+  // that throws into a replay) never leaves warmup profiling stuck on.
+  const auto restore_switches = warmup_.profile_step(
+      *layer_, layer_->options().profile_execution,
+      /*trace_last=*/!options_.trace_path.empty());
 
   layer_->zero_grad();
   auto batch = workload_.next_batch();
@@ -129,29 +108,17 @@ double Trainer::train_step_impl(bool guard, bool& non_finite) {
   metrics_.recovery().straggler_flags += report.stragglers.size();
   ++steps_run_;
 
-  if (warmup_profiling && report.profiled) {
-    // Accumulate measured-vs-modeled per-class seconds; after the last
-    // warmup step, fit the correction factors and hand them to the layer —
-    // the searcher cache is flushed there, so the very next step re-ranks
-    // granularity and strategy with reality-corrected costs.
-    correction_fit_.add(report.forward_diff);
-    correction_fit_.add(report.backward_diff);
-    if (steps_run_ >= options_.profile_warmup_steps) {
-      corrections_ = correction_fit_.fit();
-      layer_->set_corrections(corrections_);
-      corrections_installed_ = true;
-      if (!options_.trace_path.empty()) {
-        write_json(options_.trace_path + ".fwd.json",
-                   report.forward_trace_json);
-        write_json(options_.trace_path + ".bwd.json",
-                   report.backward_trace_json);
-      }
-    }
+  // After the last warmup step the layer holds the fitted factors and has
+  // flushed its searcher, so the very next step re-ranks granularity and
+  // strategy with reality-corrected costs.
+  if (warmup_.observe(*layer_, report) && !options_.trace_path.empty()) {
+    write_json(options_.trace_path + ".fwd.json", report.forward_trace_json);
+    write_json(options_.trace_path + ".bwd.json", report.backward_trace_json);
   }
   return loss;
 }
 
-double Trainer::train_step_fault_tolerant() {
+double Trainer::train_step() {
   const auto& ft = options_.fault_tolerance;
   for (;;) {
     maybe_take_checkpoint();
@@ -265,9 +232,8 @@ void Trainer::sync_injector_stats() {
 std::vector<std::uint8_t> Trainer::checkpoint_bytes() {
   TrainerCheckpointState st;
   st.steps_run = steps_run_;
-  st.corrections_installed = corrections_installed_;
-  st.corrections = corrections_;
-  st.fit = correction_fit_.state();
+  st.warmup = warmup_.state();
+  st.corrections = layer_->corrections();
   st.searcher = layer_->searcher().export_state();
   return encode_checkpoint(*layer_, *optimizer_, workload_, st);
 }
@@ -276,12 +242,10 @@ void Trainer::restore_from_bytes(const std::vector<std::uint8_t>& bytes) {
   const TrainerCheckpointState st =
       apply_checkpoint(bytes, *layer_, *optimizer_, workload_);
   steps_run_ = static_cast<int>(st.steps_run);
-  corrections_ = st.corrections;
-  corrections_installed_ = st.corrections_installed;
-  correction_fit_.set_state(st.fit);
+  warmup_.set_state(st.warmup);
   // Corrections first: installing them flushes the searcher's cache, which
   // the imported state then repopulates.
-  layer_->set_corrections(corrections_);
+  layer_->set_corrections(st.corrections);
   layer_->searcher().import_state(st.searcher);
   // Restored fp32 masters invalidate any quantized weight caches.
   layer_->refresh_quantized_weights();

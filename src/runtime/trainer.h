@@ -4,15 +4,15 @@
 /// forward → MSE loss → backward → Adam. Drives the full numeric path the
 /// tests verify (loss decreases, restore strategies are gradient-exact).
 ///
-/// The optional fault-tolerant mode layers a degradation ladder on top of
-/// the plain step: transient comm failures are replayed in place (the
-/// workload RNG is snapshotted per step, so a replay consumes the same
-/// batch), non-finite losses/gradients skip the optimizer update, repeated
-/// non-finite steps roll back to the last in-memory checkpoint, and an
-/// exhausted rollback budget aborts with a diagnostic counter summary.
-/// With every knob off and no injector installed, train_step() dispatches
-/// to the exact unguarded path — fault-free training is bitwise identical
-/// to a build without this layer.
+/// Every step runs inside a degradation ladder: transient comm failures
+/// are replayed in place (the workload RNG is snapshotted per step, so a
+/// replay consumes the same batch), non-finite losses/gradients skip the
+/// optimizer update, repeated non-finite steps roll back to the last
+/// in-memory checkpoint, and an exhausted rollback budget aborts with a
+/// diagnostic counter summary. With every knob off and no injector
+/// installed, no rung can fire, so the ladder costs one RNG snapshot per
+/// step and fault-free training is bitwise identical to an unguarded
+/// step.
 
 #include <cstdint>
 #include <memory>
@@ -27,8 +27,8 @@
 
 namespace mpipe::runtime {
 
-/// Knobs for the recovery ladder. `enabled()` false + no fault injector on
-/// the cluster ⇒ the trainer never touches any of this machinery.
+/// Knobs for the recovery ladder. All off (the default) with no fault
+/// injector on the cluster, the ladder never acts.
 struct FaultToleranceOptions {
   /// Scan loss and gradients for NaN/Inf after backward; a non-finite step
   /// skips the optimizer update (ladder rung 1).
@@ -45,8 +45,6 @@ struct FaultToleranceOptions {
   /// Step-level replays of a TransientError that escaped the comm-level
   /// retry, before escalating to rollback/abort.
   int max_step_retries = 2;
-
-  bool enabled() const { return numerics_guard || checkpoint_interval > 0; }
 };
 
 struct TrainerOptions {
@@ -80,7 +78,8 @@ class Trainer {
   /// The layer must be in full execution mode.
   Trainer(core::MoELayer& layer, TrainerOptions options);
 
-  /// Runs one training step; returns the MSE loss before the update.
+  /// Runs one training step through the recovery ladder (see file
+  /// comment); returns the MSE loss before the update.
   double train_step();
 
   /// Runs options.steps steps.
@@ -94,13 +93,14 @@ class Trainer {
     return calibration_status_;
   }
 
-  /// The per-op-class correction factors fitted from the profiled warmup
-  /// steps and installed into the layer (identity until the warmup
-  /// completes, or when profile_warmup_steps == 0).
-  const sim::OpClassCorrections& corrections() const { return corrections_; }
+  /// The layer's per-op-class correction factors: the warmup's fit once
+  /// it completes (identity until then for a fresh layer).
+  const sim::OpClassCorrections& corrections() const {
+    return layer_->corrections();
+  }
 
   /// True once the warmup fit ran and the layer re-ranks with it.
-  bool corrections_installed() const { return corrections_installed_; }
+  bool corrections_installed() const { return warmup_.installed(); }
 
   /// Serializes the full training state (weights, Adam, workload RNG,
   /// correction + searcher state) into one framed, checksummed image — see
@@ -117,13 +117,11 @@ class Trainer {
   int steps_run() const { return steps_run_; }
 
  private:
-  /// The unguarded PR-5 step body; with `guard` set, scans the loss after
+  /// One attempt at the step body; with `guard` set, scans the loss after
   /// forward and the gradients after backward, and on a non-finite value
   /// sets `non_finite` and returns without touching optimizer state or
   /// metrics. Exception-safe w.r.t. the warmup profiling overrides.
   double train_step_impl(bool guard, bool& non_finite);
-  /// The recovery ladder around train_step_impl (see file comment).
-  double train_step_fault_tolerant();
   void maybe_take_checkpoint();
   /// Rung 2: restore the last in-memory checkpoint and truncate metrics to
   /// it. False when no checkpoint exists; escalates to
@@ -139,11 +137,9 @@ class Trainer {
   std::unique_ptr<Adam> optimizer_;
   TrainingMetrics metrics_;
   sim::CalibrationStatus calibration_status_;
-  sim::CorrectionFit correction_fit_;
-  sim::OpClassCorrections corrections_;
-  bool corrections_installed_ = false;
+  core::CorrectionWarmup warmup_;
   int steps_run_ = 0;
-  // Fault-tolerant mode state (untouched on the plain path).
+  // Recovery ladder state.
   std::vector<std::uint8_t> auto_checkpoint_;
   std::size_t checkpoint_metrics_steps_ = 0;
   int last_checkpoint_step_ = -1;

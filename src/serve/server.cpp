@@ -14,9 +14,8 @@ Server::Server(core::MoELayer& layer, ServerOptions options)
     : layer_(&layer),
       options_(options),
       batcher_(queue_, /*max_batch_tokens=*/0),
-      selector_(layer, options.slo) {
-  MPIPE_EXPECTS(options.profile_warmup_batches >= 0,
-                "negative warmup batch count");
+      selector_(layer, options.slo),
+      warmup_(options.profile_warmup_batches) {
   if (options_.load_calibration) {
     // Calibrate for the steady-state upper half of the ladder; smaller
     // batches then consult the curve below its front knot, which the
@@ -78,16 +77,15 @@ void Server::execute_batch(MicroBatch mb) {
   }
 
   const int n = selector_.partitions_for(bpd);
-  const bool warmup = profiled_batches_ < options_.profile_warmup_batches &&
-                      !corrections_installed_;
-  const bool profiled = warmup || options_.profile_execution;
+  bool profiled = false;
   std::vector<Tensor> outs;
   double wall_seconds = 0.0;
   {
     // Restores the layer's own switch on every exit, including a
     // forward_only that throws.
-    core::ProfileOverrideScope restore_switches(*layer_);
-    layer_->set_profile_execution(profiled);
+    const auto restore_switches =
+        warmup_.profile_step(*layer_, options_.profile_execution);
+    profiled = layer_->options().profile_execution;
     const auto wall0 = std::chrono::steady_clock::now();
     outs = layer_->forward_only(inputs, n);
     wall_seconds = std::chrono::duration<double>(
@@ -143,17 +141,11 @@ void Server::execute_batch(MicroBatch mb) {
     }
   }
 
-  if (warmup && report.profiled) {
-    correction_fit_.add(report.forward_diff);
-    if (++profiled_batches_ >= options_.profile_warmup_batches) {
-      corrections_ = correction_fit_.fit();
-      layer_->set_corrections(corrections_);
-      corrections_installed_ = true;
-      // Corrected probe timings can move the largest SLO-feasible rung:
-      // re-plan and hand the batcher its new admission cap.
-      selector_.plan();
-      batcher_.set_max_batch_tokens(selector_.last_plan().max_batch_tokens);
-    }
+  if (warmup_.observe(*layer_, report)) {
+    // Corrected probe timings can move the largest SLO-feasible rung:
+    // re-plan and hand the batcher its new admission cap.
+    selector_.plan();
+    batcher_.set_max_batch_tokens(selector_.last_plan().max_batch_tokens);
   }
 }
 

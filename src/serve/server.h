@@ -17,11 +17,11 @@
 /// baseline. Measured wall-clock per batch is kept in
 /// BatchRecord::measured_seconds for the measured-vs-modeled diff.
 ///
-/// The warmup mirrors Trainer: the first `profile_warmup_batches` batches
-/// run profiled, their forward diffs feed sim::CorrectionFit, and the
-/// fitted factors are installed into the layer — after which the SLO plan
-/// is recomputed, because corrected probe timings can move the largest
-/// feasible rung.
+/// The warmup is core::CorrectionWarmup, the same loop the Trainer runs:
+/// the first `profile_warmup_batches` batches run profiled, their forward
+/// diffs feed the fit, and the fitted factors are installed into the
+/// layer — after which the SLO plan is recomputed, because corrected probe
+/// timings can move the largest feasible rung.
 
 #include <cstdint>
 #include <map>
@@ -70,8 +70,9 @@ class Server {
   const ServeMetrics& run(std::vector<ServeRequest> trace);
 
   /// Serves until `expected_requests` have completed in total (across the
-  /// server's lifetime). Spin-waits on an empty queue, so a concurrent
-  /// producer can still be pushing — the TSAN tier drives this.
+  /// server's lifetime). On an empty queue it yields the core and polls
+  /// again, so a concurrent producer can still be pushing — the TSAN tier
+  /// drives this.
   const ServeMetrics& drain(std::size_t expected_requests);
 
   const ServeMetrics& metrics() const { return metrics_; }
@@ -79,8 +80,12 @@ class Server {
   const sim::CalibrationStatus& calibration_status() const {
     return calibration_status_;
   }
-  const sim::OpClassCorrections& corrections() const { return corrections_; }
-  bool corrections_installed() const { return corrections_installed_; }
+  /// The layer's per-op-class correction factors (the warmup's fit once
+  /// installed).
+  const sim::OpClassCorrections& corrections() const {
+    return layer_->corrections();
+  }
+  bool corrections_installed() const { return warmup_.installed(); }
   double clock_seconds() const { return clock_; }
 
   /// Output rows of a served request (keep_outputs only).
@@ -96,10 +101,7 @@ class Server {
   SloSelector selector_;
   ServeMetrics metrics_;
   sim::CalibrationStatus calibration_status_;
-  sim::CorrectionFit correction_fit_;
-  sim::OpClassCorrections corrections_;
-  bool corrections_installed_ = false;
-  int profiled_batches_ = 0;
+  core::CorrectionWarmup warmup_;
   double clock_ = 0.0;
   std::map<std::int64_t, Tensor> outputs_;
 };

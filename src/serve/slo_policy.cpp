@@ -42,23 +42,17 @@ SloSelector::SloSelector(core::MoELayer& layer, SloPolicyOptions options)
 ServePlan SloSelector::plan() {
   ServePlan plan;
   const auto candidates = candidate_partitions(layer_->options());
-  const DType dt = layer_->options().compute_dtype;
-  plan.compute_dtype = dt;
+  plan.compute_dtype = layer_->options().compute_dtype;
   {
-    // Record which curves probe_forward_seconds will consult for this
-    // dtype, so the summary can say what ranked the rungs.
+    // Record which curves probe_forward_seconds will consult, so the
+    // summary can say what ranked the rungs.
     const auto& cfg = layer_->cluster().cost_model().config();
-    auto gemm_src = [&]() -> std::string {
-      const auto& c = cfg.gemm_curve_for(dt);
-      if (c.empty()) return "analytic";
-      if (dt != DType::kF32 && &c != &cfg.gemm_curve) {
-        return std::string("calibrated[") + to_string(dt) + "]";
-      }
-      return "calibrated[shared]";
+    auto source = [](bool empty) {
+      return empty ? "analytic" : "calibrated[shared]";
     };
     plan.curve_provenance =
-        "gemm " + gemm_src() + ", comm " +
-        (cfg.comm_curve.empty() ? "analytic" : "calibrated[shared]");
+        std::string("gemm ") + source(cfg.gemm_curve.empty()) + ", comm " +
+        source(cfg.comm_curve.empty());
   }
 
   // Probe ladder: powers of two up to max_tokens_per_device, plus the cap

@@ -62,10 +62,9 @@ struct ServePlan {
   /// latency was costed in.
   DType compute_dtype = DType::kF32;
   /// Which cost curves the ranked probes consulted, e.g.
-  /// "gemm calibrated[bf16], comm calibrated[shared]" — calibrated[<dtype>]
-  /// is a dtype-specific GEMM sweep, calibrated[shared] the shared curve
-  /// (the only comm curve: payloads are counted in wire bytes), analytic
-  /// the closed-form model.
+  /// "gemm calibrated[shared], comm analytic" — calibrated[shared] is a
+  /// measured curve that serves every compute dtype (comm payloads are
+  /// counted in wire bytes), analytic the closed-form model.
   std::string curve_provenance;
 
   std::string summary() const;

@@ -206,10 +206,9 @@ std::vector<std::string> default_calibration_dirs() {
 CalibrationStatus try_apply_calibration_files(
     CostModelConfig& config, std::int64_t gemm_required_lo,
     std::int64_t gemm_required_hi, std::uint64_t comm_required_lo,
-    std::uint64_t comm_required_hi, DType dtype,
+    std::uint64_t comm_required_hi,
     const std::vector<std::string>& search_dirs) {
   CalibrationStatus status;
-  status.dtype = dtype;
   std::ostringstream detail;
 
   const std::string gemm_path =
@@ -230,31 +229,6 @@ CalibrationStatus try_apply_calibration_files(
              << ", " << curve.max_rows()
              << "] do not cover probed rows [" << gemm_required_lo << ", "
              << gemm_required_hi << "], analytic curve in effect";
-    }
-  }
-
-  if (dtype != DType::kF32) {
-    const std::string name =
-        std::string("CALIBRATION_gemm_") + to_string(dtype) + ".csv";
-    const std::string path = find_in_dirs(search_dirs, name);
-    detail << "; gemm[" << to_string(dtype) << "]: ";
-    if (path.empty()) {
-      detail << name << " not found, shared curve in effect";
-    } else {
-      GemmEfficiencyCurve curve = load_efficiency_curve(path);
-      if (curve.min_rows() <= gemm_required_lo &&
-          curve.max_rows() >= gemm_required_hi) {
-        curve.validate_covers(gemm_required_lo, gemm_required_hi);
-        (dtype == DType::kBF16 ? config.gemm_curve_bf16
-                               : config.gemm_curve_i8) = std::move(curve);
-        status.gemm_dtype_loaded = true;
-        detail << "calibrated from " << path;
-      } else {
-        detail << path << " knots [" << curve.min_rows() << ", "
-               << curve.max_rows() << "] do not cover probed rows ["
-               << gemm_required_lo << ", " << gemm_required_hi
-               << "], shared curve in effect";
-      }
     }
   }
 

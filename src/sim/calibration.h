@@ -87,15 +87,6 @@ CostModelConfig apply_comm_calibration(CostModelConfig config,
 struct CalibrationStatus {
   bool gemm_loaded = false;
   bool comm_loaded = false;
-  /// Wire/storage dtype the layer will run with (the dtype passed to
-  /// try_apply_calibration_files). kF32 loads only the shared curves.
-  DType dtype = DType::kF32;
-  /// Whether a dtype-specific GEMM curve (CALIBRATION_gemm_<dtype>.csv)
-  /// was found and installed into the per-dtype config slot. false with
-  /// dtype != kF32 means the shared curve is in effect — `detail` says so
-  /// explicitly. Comm has one curve for every dtype: payloads are counted
-  /// in wire bytes.
-  bool gemm_dtype_loaded = false;
   std::string detail;
   /// Clamp counters of the installed comm curve (null when comm_loaded is
   /// false). The pointer aliases the live curve's counters, so reading it
@@ -119,18 +110,12 @@ std::vector<std::string> default_calibration_dirs();
 /// effect. A file that exists but fails structural validation still
 /// throws: a corrupt committed artifact should be loud. Pass
 /// comm_required_hi = 0 to skip the comm curve (single-device groups
-/// never consult it).
-///
-/// `dtype` != kF32 additionally looks for CALIBRATION_gemm_<dtype>.csv
-/// and installs it into the per-dtype config slot under the same coverage
-/// contract. A missing dtype file is not an error — the shared curve is
-/// the documented fallback — but it is recorded in status.detail so a
-/// silently-shared curve is visible. The comm payload range the caller
-/// passes is already counted in `dtype`'s wire bytes.
+/// never consult it). One GEMM curve serves every compute dtype, and the
+/// comm payload range is counted in the layer's wire bytes.
 CalibrationStatus try_apply_calibration_files(
     CostModelConfig& config, std::int64_t gemm_required_lo,
     std::int64_t gemm_required_hi, std::uint64_t comm_required_lo,
-    std::uint64_t comm_required_hi, DType dtype = DType::kF32,
+    std::uint64_t comm_required_hi,
     const std::vector<std::string>& search_dirs = default_calibration_dirs());
 
 }  // namespace mpipe::sim

@@ -156,15 +156,6 @@ void CommBandwidthCurve::validate_covers(std::uint64_t lo,
           "] — re-run bench/calibrate_comm with a wider payload sweep");
 }
 
-const GemmEfficiencyCurve& CostModelConfig::gemm_curve_for(
-    DType dtype) const {
-  if (dtype == DType::kBF16 && !gemm_curve_bf16.empty()) {
-    return gemm_curve_bf16;
-  }
-  if (dtype == DType::kI8 && !gemm_curve_i8.empty()) return gemm_curve_i8;
-  return gemm_curve;
-}
-
 CostModel::CostModel(CostModelConfig config, Topology topology)
     : config_(std::move(config)), topology_(std::move(topology)) {
   MPIPE_EXPECTS(config_.peak_flops > 0, "peak_flops must be positive");
@@ -172,28 +163,23 @@ CostModel::CostModel(CostModelConfig config, Topology topology)
   MPIPE_EXPECTS(config_.gemm_max_efficiency > 0 &&
                     config_.gemm_max_efficiency <= 1.0,
                 "efficiency bound must be in (0, 1]");
-  for (const auto* curve :
-       {&config_.gemm_curve, &config_.gemm_curve_bf16,
-        &config_.gemm_curve_i8}) {
-    if (!curve->empty()) curve->validate();
-  }
+  if (!config_.gemm_curve.empty()) config_.gemm_curve.validate();
   if (!config_.comm_curve.empty()) {
     config_.comm_curve.validate();
     comm_peak_rate_ = config_.comm_curve.peak_rate();
   }
 }
 
-double CostModel::gemm_efficiency(std::int64_t rows, DType dtype) const {
+double CostModel::gemm_efficiency(std::int64_t rows) const {
   MPIPE_EXPECTS(rows > 0, "gemm with no rows");
-  const GemmEfficiencyCurve& curve = config_.gemm_curve_for(dtype);
-  if (!curve.empty()) return curve.eval(rows);
+  if (!config_.gemm_curve.empty()) return config_.gemm_curve.eval(rows);
   const double r = static_cast<double>(rows);
   return config_.gemm_max_efficiency * r / (r + config_.gemm_half_sat_rows);
 }
 
-double CostModel::gemm_seconds(std::uint64_t flops, std::int64_t rows,
-                               DType dtype) const {
-  const double eff = gemm_efficiency(rows, dtype);
+double CostModel::gemm_seconds(std::uint64_t flops,
+                               std::int64_t rows) const {
+  const double eff = gemm_efficiency(rows);
   return config_.compute_launch_latency +
          static_cast<double>(flops) / (config_.peak_flops * eff);
 }

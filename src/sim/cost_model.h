@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sim/topology.h"
-#include "tensor/dtype.h"
 
 namespace mpipe::sim {
 
@@ -145,16 +144,6 @@ struct CostModelConfig {
   /// Load via sim::apply_comm_calibration so coverage of the probed
   /// payload range is asserted up front.
   CommBandwidthCurve comm_curve;
-
-  /// Optional per-dtype GEMM overrides for the mixed-precision expert path
-  /// (MoELayerOptions::compute_dtype): bf16/int8 panels consult their own
-  /// measured curves when loaded (CALIBRATION_gemm_bf16.csv, …) and fall
-  /// back to the shared curve above otherwise. Select via gemm_curve_for.
-  /// Comm has no per-dtype slot: the curve maps wire bytes to seconds, and
-  /// a reduced-dtype payload is just fewer bytes down the same link.
-  GemmEfficiencyCurve gemm_curve_bf16, gemm_curve_i8;
-
-  const GemmEfficiencyCurve& gemm_curve_for(DType dtype) const;
 };
 
 class CostModel {
@@ -162,13 +151,12 @@ class CostModel {
   CostModel(CostModelConfig config, Topology topology);
 
   /// GEMM efficiency in (0, 1] as a function of the M dimension (rows of
-  /// the activation panel). `dtype` selects a per-dtype measured curve
-  /// when one is loaded; otherwise the shared curve / analytic formula.
-  double gemm_efficiency(std::int64_t rows, DType dtype = DType::kF32) const;
+  /// the activation panel): the measured curve when one is loaded,
+  /// otherwise the analytic formula.
+  double gemm_efficiency(std::int64_t rows) const;
 
   /// Duration of a GEMM with the given FLOP count and row panel size.
-  double gemm_seconds(std::uint64_t flops, std::int64_t rows,
-                      DType dtype = DType::kF32) const;
+  double gemm_seconds(std::uint64_t flops, std::int64_t rows) const;
 
   /// Duration of a fused AllToAll where every participant holds
   /// `bytes_per_device` (counted in the payload's wire format) and
