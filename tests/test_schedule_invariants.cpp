@@ -10,9 +10,11 @@
 #include "common/check.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <map>
 
+#include "baselines/fastermoe.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/moe_layer.h"
@@ -288,9 +290,10 @@ TEST_P(ScheduleInvariants, FunctionalSchedulesPassHazardValidation) {
   }
 }
 
-/// Minimal functional forward context for inspecting builder-emitted
-/// graphs directly: round-robin routing, unit gates, materialised ring
-/// buffers (strategy S1).
+/// Minimal functional step context for inspecting builder-emitted graphs
+/// directly: round-robin routing, unit gates, and materialised forward and
+/// backward buffers — ring slots under a reuse strategy (S1 by default),
+/// per-partition stashes under kNone.
 struct FunctionalForwardFixture {
   static constexpr int kDevices = 4;
   static constexpr std::int64_t kTokens = 32;
@@ -306,7 +309,8 @@ struct FunctionalForwardFixture {
   core::MoeStepContext ctx;
   core::LayerRefs refs;
 
-  explicit FunctionalForwardFixture(int n) {
+  explicit FunctionalForwardFixture(
+      int n, core::ReuseStrategy strategy = core::ReuseStrategy::kS1) {
     Rng rng(7);
     std::vector<std::vector<std::int64_t>> expert_of(
         kDevices, std::vector<std::int64_t>(kTokens));
@@ -317,7 +321,7 @@ struct FunctionalForwardFixture {
       }
     }
     ctx.mode = core::ExecutionMode::kFull;
-    ctx.strategy = core::ReuseStrategy::kS1;
+    ctx.strategy = strategy;
     ctx.d_model = kModel;
     ctx.d_hidden = kHidden;
     ctx.plan = moe::Dispatcher::build(expert_of, kDevices, 1, n);
@@ -325,6 +329,7 @@ struct FunctionalForwardFixture {
     const int depth = std::min(2, n);
     for (int d = 0; d < kDevices; ++d) {
       allocators.emplace_back(d);
+      auto& alloc = allocators.back();
       auto& st = ctx.dev[static_cast<std::size_t>(d)];
       st.x = Tensor(Shape{kTokens, kModel});
       init_normal(st.x, rng);
@@ -332,17 +337,44 @@ struct FunctionalForwardFixture {
       st.gating.expert_of = expert_of[static_cast<std::size_t>(d)];
       st.gating.gate.assign(static_cast<std::size_t>(kTokens), 1.0f);
       st.gating.probs = Tensor(Shape{kTokens, kDevices});
-      std::int64_t cap = 1;
-      for (int p = 0; p < n; ++p) {
-        cap = std::max(
-            cap, ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
+      st.dy = Tensor(Shape{kTokens, kModel});
+      st.dx = Tensor(Shape{kTokens, kModel});
+      st.dgate.assign(static_cast<std::size_t>(kTokens), 0.0f);
+      if (ctx.reuse()) {
+        std::int64_t cap = 1;
+        for (int p = 0; p < n; ++p) {
+          cap = std::max(
+              cap, ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
+        }
+        const std::int64_t chunk = ctx.plan.part(0).chunk_rows;
+        const auto act = mem::Category::kActivation;
+        const auto temp = mem::Category::kTempBuffer;
+        st.tdi.emplace(alloc, "tdi", Shape{cap, kModel}, depth, act, true);
+        st.tm.emplace(alloc, "tm", Shape{cap, kHidden}, 1, act, true);
+        st.tdo.emplace(alloc, "tdo", Shape{cap, kModel}, depth, act, true);
+        st.d_ys.emplace(alloc, "d_ys", Shape{chunk, kModel}, n, temp, true);
+        st.d_tdo.emplace(alloc, "d_tdo", Shape{cap, kModel}, depth, temp,
+                         true);
+        st.d_tdi.emplace(alloc, "d_tdi", Shape{cap, kModel}, depth, temp,
+                         true);
+      } else {
+        for (int p = 0; p < n; ++p) {
+          const auto& part = ctx.plan.part(p);
+          const std::int64_t rows = std::max<std::int64_t>(
+              1, part.recv_rows[static_cast<std::size_t>(d)]);
+          auto stash = [&](std::vector<mem::TrackedTensor>& parts,
+                           std::int64_t r, std::int64_t cols) {
+            parts.push_back(alloc.alloc_tensor(Shape{r, cols},
+                                               mem::Category::kActivation));
+          };
+          stash(st.tdi_parts, rows, kModel);
+          stash(st.tm_parts, rows, kHidden);
+          stash(st.tdo_parts, rows, kModel);
+          stash(st.d_ys_parts, part.chunk_rows, kModel);
+          stash(st.d_tdo_parts, rows, kModel);
+          stash(st.d_tdi_parts, rows, kModel);
+        }
       }
-      st.tdi.emplace(allocators.back(), "tdi", Shape{cap, kModel}, depth,
-                     mem::Category::kActivation, true);
-      st.tm.emplace(allocators.back(), "tm", Shape{cap, kHidden}, 1,
-                    mem::Category::kActivation, true);
-      st.tdo.emplace(allocators.back(), "tdo", Shape{cap, kModel}, depth,
-                     mem::Category::kActivation, true);
       std::vector<moe::ExpertFFN> dev_experts;
       Rng expert_rng = rng.fork();
       dev_experts.emplace_back(kModel, kHidden,
@@ -392,6 +424,195 @@ TEST(HazardValidator, RejectsBuilderGraphWithRemovedWarEdge) {
     EXPECT_NE(std::string(e.what()).find("S2"), std::string::npos)
         << e.what();
   }
+}
+
+// ---- schedule fingerprints ---------------------------------------------------
+// Every op the builders emit, pinned as one FNV-1a-64 hash per case: label,
+// category, stream, devices, deps, cost (printed %.12g so compilers agree),
+// efficiency, whether it carries a closure, and its declared reads/writes
+// (buffer ids replaced by their first-seen ordinal within the graph, so
+// addresses drop out), plus
+// the context's accumulated AllToAll payload. A refactor of the builders
+// must leave these hashes untouched.
+
+class GraphHasher {
+ public:
+  void text(const std::string& s) {
+    for (unsigned char c : s) mix(c);
+    mix('|');
+  }
+  void integer(long long v) { text(std::to_string(v)); }
+  void real(double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.12g", v);
+    text(buf);
+  }
+  void access(const sim::BufferAccess& a) {
+    const auto it = ordinals_.emplace(a.id, ordinals_.size()).first;
+    integer(static_cast<long long>(it->second));
+    integer(a.begin);
+    integer(a.end);
+  }
+  /// Ordinals restart per graph: a buffer freed between two hashed graphs
+  /// may hand its address to an unrelated one.
+  void graph(const sim::OpGraph& g) {
+    ordinals_.clear();
+    integer(g.size());
+    for (const sim::Op& op : g.ops()) {
+      text(op.label);
+      text(sim::to_string(op.category));
+      integer(static_cast<int>(op.stream));
+      for (int d : op.devices) integer(d);
+      text("deps");
+      for (int d : op.deps) integer(d);
+      real(op.base_seconds);
+      real(op.compute_efficiency);
+      integer(op.fn != nullptr ? 1 : 0);
+      text("r");
+      for (const auto& a : op.reads) access(a);
+      text("w");
+      for (const auto& a : op.writes) access(a);
+    }
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  void mix(unsigned char c) {
+    h_ ^= c;
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+  std::map<const void*, std::size_t> ordinals_;
+};
+
+/// Hashes the graphs `builder` emits for `ctx`: the forward, then (unless
+/// the step is forward-only) the backward, each followed by the payload
+/// the context has accumulated so far.
+void hash_step(GraphHasher& h, const core::ScheduleBuilder& builder,
+               core::MoeStepContext& ctx, const core::LayerRefs& refs) {
+  ctx.comm_payload_bytes = 0;
+  h.graph(builder.build_forward(ctx, refs));
+  h.integer(static_cast<long long>(ctx.comm_payload_bytes));
+  if (ctx.forward_only) return;
+  h.graph(builder.build_backward(ctx, refs));
+  h.integer(static_cast<long long>(ctx.comm_payload_bytes));
+}
+
+core::MoeStepContext timing_context(const sim::Cluster& cluster, int n,
+                                    core::ReuseStrategy strategy,
+                                    double skew) {
+  core::MoeStepContext ctx;
+  ctx.mode = core::ExecutionMode::kTimingOnly;
+  ctx.strategy = strategy;
+  ctx.d_model = 1024;
+  ctx.d_hidden = 4096;
+  ctx.plan = moe::Dispatcher::synthetic(4096, cluster.num_devices(),
+                                        64 / cluster.num_devices(), n, skew);
+  ctx.dev.resize(static_cast<std::size_t>(cluster.num_devices()));
+  return ctx;
+}
+
+TEST(ScheduleFingerprint, PipelineTimingOnly) {
+  // Per (strategy, skew): n in {1, 2, 4} x {fp32, bf16, int8} x {training,
+  // forward-only}, each through the default builder and a scaled one
+  // (CUDA-core compute, grouped AllToAll).
+  const sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+  const comm::ProcessGroup world = comm::ProcessGroup::world(cluster);
+  mem::HostStaging staging;
+  const core::PipelineScheduleBuilder plain(world, staging);
+  const core::PipelineScheduleBuilder scaled(world, staging, 0.45, 0.6);
+  const std::map<std::pair<core::ReuseStrategy, double>, std::string> want = {
+      {{core::ReuseStrategy::kNone, 0.0}, "d86d626d62b89577"},
+      {{core::ReuseStrategy::kNone, 0.4}, "fa647891f97eb302"},
+      {{core::ReuseStrategy::kS1, 0.0}, "65e4d242646044db"},
+      {{core::ReuseStrategy::kS1, 0.4}, "eade596ffae2a106"},
+      {{core::ReuseStrategy::kS2, 0.0}, "2c9efad5fff94eaf"},
+      {{core::ReuseStrategy::kS2, 0.4}, "e0375563d2b74130"},
+      {{core::ReuseStrategy::kS3, 0.0}, "df0c673078bfa0ab"},
+      {{core::ReuseStrategy::kS3, 0.4}, "05b993d4ea9f4fdf"},
+      {{core::ReuseStrategy::kS4, 0.0}, "a9e66bd201ffff61"},
+      {{core::ReuseStrategy::kS4, 0.4}, "790c67b1b2d07e0d"},
+  };
+  for (const auto& [key, expected] : want) {
+    const auto [strategy, skew] = key;
+    GraphHasher h;
+    for (int n : {1, 2, 4}) {
+      for (DType dt : {DType::kF32, DType::kBF16, DType::kI8}) {
+        for (bool forward_only : {false, true}) {
+          for (const auto* builder : {&plain, &scaled}) {
+            auto ctx = timing_context(cluster, n, strategy, skew);
+            ctx.dtype = dt;
+            ctx.forward_only = forward_only;
+            hash_step(h, *builder, ctx, {});
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h.hex(), expected)
+        << core::to_string(strategy) << " skew " << skew;
+  }
+}
+
+TEST(ScheduleFingerprint, FasterMoETimingOnly) {
+  const sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+  const std::map<std::pair<bool, double>, std::string> want = {
+      {{false, 0.0}, "dda4b1bee25d7aa9"},
+      {{false, 0.4}, "e695603e55b2c033"},
+      {{true, 0.0}, "dda4b1bee25d7aa9"},
+      {{true, 0.4}, "08e37917b76ad7db"},
+  };
+  for (const auto& [key, expected] : want) {
+    const auto [shadowing, skew] = key;
+    baselines::ShadowingConfig config;
+    config.enabled = shadowing;
+    const baselines::FasterMoEScheduleBuilder builder(cluster, 0.45, config);
+    auto ctx = timing_context(cluster, 1, core::ReuseStrategy::kNone, skew);
+    GraphHasher h;
+    hash_step(h, builder, ctx, {});
+    EXPECT_EQ(h.hex(), expected) << "shadowing " << shadowing << " skew "
+                                 << skew;
+  }
+}
+
+TEST(ScheduleFingerprint, PipelineFunctional) {
+  // Per strategy: n in {1, 2, 4} x {fp32, int8} x {training, forward-only}.
+  const std::map<core::ReuseStrategy, std::string> want = {
+      {core::ReuseStrategy::kNone, "06d6f70f2bc7bc4a"},
+      {core::ReuseStrategy::kS1, "07a1a21438898366"},
+      {core::ReuseStrategy::kS2, "73e6cef3b1041517"},
+      {core::ReuseStrategy::kS3, "30ac1c6ff5f0bb8c"},
+      {core::ReuseStrategy::kS4, "8f6c2f6c4538f08b"},
+  };
+  for (const auto& [strategy, expected] : want) {
+    GraphHasher h;
+    for (int n : {1, 2, 4}) {
+      for (DType dt : {DType::kF32, DType::kI8}) {
+        for (bool forward_only : {false, true}) {
+          FunctionalForwardFixture fixture(n, strategy);
+          fixture.ctx.dtype = dt;
+          fixture.ctx.forward_only = forward_only;
+          const core::PipelineScheduleBuilder builder(fixture.world,
+                                                      fixture.staging);
+          hash_step(h, builder, fixture.ctx, fixture.refs);
+        }
+      }
+    }
+    EXPECT_EQ(h.hex(), expected) << core::to_string(strategy);
+  }
+}
+
+TEST(ScheduleFingerprint, FasterMoEFunctional) {
+  FunctionalForwardFixture fixture(1, core::ReuseStrategy::kNone);
+  const baselines::FasterMoEScheduleBuilder builder(fixture.cluster, 0.45,
+                                                    {});
+  GraphHasher h;
+  hash_step(h, builder, fixture.ctx, fixture.refs);
+  EXPECT_EQ(h.hex(), "79f4ce3c368c65e9");
 }
 
 TEST(NestedParallelism, PipelinePartitionGemmRunsWithoutDeadlock) {
