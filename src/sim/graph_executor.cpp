@@ -170,7 +170,15 @@ void run_graph_parallel(const OpGraph& graph, ThreadPool& pool,
     pool.post([state, worker] { state->drain(worker); });
   }
   state->drain(/*worker=*/0);
-  if (state->error) std::rethrow_exception(state->error);
+  // Move the error out before rethrowing: a pool helper may still hold the
+  // last reference to `state`, and its ~ExecState must not release the
+  // exception object the caller is reading.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    error = std::move(state->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void validate_hazards(const OpGraph& graph) {
