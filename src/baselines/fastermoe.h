@@ -13,7 +13,10 @@
 /// The schedule is a core::ScheduleBuilder; FasterMoELayer runs it on
 /// core::MoELayer with one partition, no buffer reuse and sequential temp
 /// accounting, so parameters, buffers, checks and step drivers are the
-/// shared runtime's.
+/// shared runtime's. The builder states the split-by-N order, the P2P
+/// fragments and the shadowing ops; the router, gate scaling, expert
+/// stages and gate-gradient sync come from the shared emitters in
+/// core/schedule_ops.h, the same ones the pipeline builder uses.
 
 #include "baselines/shadowing.h"
 #include "comm/process_group.h"

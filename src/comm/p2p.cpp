@@ -5,44 +5,30 @@
 
 namespace mpipe::comm {
 
-int send_recv(sim::OpGraph& graph, const ProcessGroup& group,
-              RowSegment segment, std::string label, std::vector<int> deps) {
-  MPIPE_EXPECTS(segment.src != nullptr && segment.dst != nullptr,
-                "p2p with null tensor");
+namespace {
+
+/// A P2P op of `bytes` from `src` to `dst` on the comm stream. A local copy
+/// is charged one launch (it still occupies a kernel slot in NCCL-style
+/// pipelines). A remote send occupies only the destination: NCCL posts
+/// sends asynchronously and arrivals serialise at the receiver's comm
+/// stream, which also avoids artificial convoy locking across unrelated
+/// pairs.
+sim::Op p2p_op(const ProcessGroup& group, int src, int dst,
+               std::uint64_t bytes, std::string label,
+               std::vector<int> deps) {
   const auto& cost = group.cluster().cost_model();
-  double seconds;
-  std::vector<int> devices;
-  if (segment.src_device == segment.dst_device) {
-    // Local copy: charged as an on-device memcpy-speed move on the comm
-    // stream (it still occupies a kernel slot in NCCL-style pipelines).
-    seconds = cost.config().comm_launch_latency;
-    devices = {segment.src_device};
-  } else {
-    const std::uint64_t bytes = static_cast<std::uint64_t>(segment.rows) *
-                                static_cast<std::uint64_t>(segment.src->dim(1)) *
-                                sizeof(float);
-    // NCCL posts sends asynchronously; arrivals serialise at the
-    // receiver's comm stream. Occupying only the destination models that
-    // (and avoids artificial convoy locking across unrelated pairs).
-    seconds = cost.p2p_seconds(bytes, segment.src_device, segment.dst_device);
-    devices = {segment.dst_device};
-  }
-  auto moved = std::make_shared<RowSegment>(segment);
-  auto injector = group.cluster().fault_injector_shared();
-  const std::uint64_t key = injector ? injector->reserve_key() : 0;
   sim::Op op;
   op.label = std::move(label);
   op.category = sim::OpCategory::kP2P;
   op.stream = sim::StreamKind::kComm;
-  op.devices = std::move(devices);
-  op.base_seconds = seconds;
+  op.devices = {dst};
+  op.base_seconds = src == dst ? cost.config().comm_launch_latency
+                               : cost.p2p_seconds(bytes, src, dst);
   op.deps = std::move(deps);
-  op.fn = [moved, injector, key, lbl = op.label] {
-    apply_segments_guarded({*moved}, injector.get(), key, lbl);
-  };
-  declare_segment_accesses(op, {*moved});
-  return graph.add(std::move(op));
+  return op;
 }
+
+}  // namespace
 
 int send_recv_multi(sim::OpGraph& graph, const ProcessGroup& group,
                     std::vector<RowSegment> segments, std::string label,
@@ -57,26 +43,11 @@ int send_recv_multi(sim::OpGraph& graph, const ProcessGroup& group,
     bytes += static_cast<std::uint64_t>(seg.rows) *
              static_cast<std::uint64_t>(seg.src->dim(1)) * sizeof(float);
   }
-  const auto& cost = group.cluster().cost_model();
-  double seconds;
-  std::vector<int> devices;
-  if (src == dst) {
-    seconds = cost.config().comm_launch_latency;
-    devices = {src};
-  } else {
-    seconds = cost.p2p_seconds(bytes, src, dst);
-    devices = {dst};
-  }
+  sim::Op op = p2p_op(group, src, dst, bytes, std::move(label),
+                      std::move(deps));
   auto moved = std::make_shared<std::vector<RowSegment>>(std::move(segments));
   auto injector = group.cluster().fault_injector_shared();
   const std::uint64_t key = injector ? injector->reserve_key() : 0;
-  sim::Op op;
-  op.label = std::move(label);
-  op.category = sim::OpCategory::kP2P;
-  op.stream = sim::StreamKind::kComm;
-  op.devices = std::move(devices);
-  op.base_seconds = seconds;
-  op.deps = std::move(deps);
   op.fn = [moved, injector, key, lbl = op.label] {
     apply_segments_guarded(*moved, injector.get(), key, lbl);
   };
@@ -87,35 +58,8 @@ int send_recv_multi(sim::OpGraph& graph, const ProcessGroup& group,
 int send_recv_timed(sim::OpGraph& graph, const ProcessGroup& group,
                     int src_device, int dst_device, std::uint64_t bytes,
                     std::string label, std::vector<int> deps) {
-  const auto& cost = group.cluster().cost_model();
-  double seconds;
-  std::vector<int> devices;
-  if (src_device == dst_device) {
-    seconds = cost.config().comm_launch_latency;
-    devices = {src_device};
-  } else {
-    seconds = cost.p2p_seconds(bytes, src_device, dst_device);
-    devices = {dst_device};
-  }
-  return graph.add(std::move(label), sim::OpCategory::kP2P,
-                   sim::StreamKind::kComm, std::move(devices), seconds,
-                   std::move(deps), nullptr);
-}
-
-std::vector<int> gather_to(sim::OpGraph& graph, const ProcessGroup& group,
-                           int root_rank, std::vector<RowSegment> segments,
-                           const std::string& label, std::vector<int> deps) {
-  const int root_device = group.device_of_rank(root_rank);
-  std::vector<int> ops;
-  ops.reserve(segments.size());
-  for (RowSegment& seg : segments) {
-    MPIPE_EXPECTS(seg.dst_device == root_device,
-                  "gather segment not targeting the root");
-    ops.push_back(send_recv(graph, group, seg,
-                            label + ":from" + std::to_string(seg.src_device),
-                            deps));
-  }
-  return ops;
+  return graph.add(p2p_op(group, src_device, dst_device, bytes,
+                          std::move(label), std::move(deps)));
 }
 
 }  // namespace mpipe::comm

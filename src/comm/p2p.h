@@ -13,10 +13,6 @@
 
 namespace mpipe::comm {
 
-/// One P2P copy occupying the comm streams of both endpoints.
-int send_recv(sim::OpGraph& graph, const ProcessGroup& group,
-              RowSegment segment, std::string label, std::vector<int> deps);
-
 /// One P2P transfer moving several row blocks between the same endpoint
 /// pair (a fragment of a decomposed AllToAll). All segments must agree on
 /// src_device/dst_device.
@@ -28,11 +24,5 @@ int send_recv_multi(sim::OpGraph& graph, const ProcessGroup& group,
 int send_recv_timed(sim::OpGraph& graph, const ProcessGroup& group,
                     int src_device, int dst_device, std::uint64_t bytes,
                     std::string label, std::vector<int> deps);
-
-/// Gather: every non-root rank sends its segment to the root; returns the
-/// op ids (one per source). Used by the FasterMoE-style pipeline.
-std::vector<int> gather_to(sim::OpGraph& graph, const ProcessGroup& group,
-                           int root_rank, std::vector<RowSegment> segments,
-                           const std::string& label, std::vector<int> deps);
 
 }  // namespace mpipe::comm

@@ -12,6 +12,10 @@
 /// schedule into it. The layer owns parameters, allocators, gating, the
 /// dispatch plan and the step buffers, runs the graphs and fills the
 /// StepReport; the builder only turns one step context into op graphs.
+/// A builder states only the schedule — which ops, in what order, with
+/// which dependency and WAR edges. Each op kind's cost, closure, hazard
+/// declarations and functional-vs-timing form come from its one emitter
+/// in core/schedule_ops.h.
 
 #include "comm/process_group.h"
 #include "core/execution_context.h"
@@ -77,9 +81,6 @@ class PipelineScheduleBuilder : public ScheduleBuilder {
                               const LayerRefs& refs) const override;
 
  private:
-  /// Rescales the duration of the op `id` by 1/comm_scale.
-  void apply_comm_scale(sim::OpGraph& g, int id) const;
-
   const comm::ProcessGroup& group_;
   mem::HostStaging& staging_;
   double compute_scale_;

@@ -1,0 +1,580 @@
+#include "core/schedule_ops.h"
+
+#include <algorithm>
+
+#include "comm/collectives.h"
+#include "common/check.h"
+#include "tensor/gemm.h"
+#include "tensor/ops.h"
+
+namespace mpipe::core {
+
+namespace {
+
+using sim::OpCategory;
+using sim::StreamKind;
+
+// ---- buffer accessors (functional steps only) -------------------------------
+
+Tensor& pick(MoeStepContext& ctx, std::optional<mem::BufferPool>& pool,
+             std::vector<mem::TrackedTensor>& parts, int p) {
+  if (ctx.reuse()) {
+    MPIPE_EXPECTS(pool.has_value(), "ring pool missing");
+    return pool->slot(p);
+  }
+  MPIPE_EXPECTS(p >= 0 && p < static_cast<int>(parts.size()),
+                "partition stash missing");
+  return parts[static_cast<std::size_t>(p)].tensor;
+}
+
+DeviceStepState& dev(MoeStepContext& ctx, int d) {
+  return ctx.dev[static_cast<std::size_t>(d)];
+}
+Tensor& tdi_buffer(MoeStepContext& ctx, int d, int p) {
+  return pick(ctx, dev(ctx, d).tdi, dev(ctx, d).tdi_parts, p);
+}
+Tensor& tm_buffer(MoeStepContext& ctx, int d, int p) {
+  return pick(ctx, dev(ctx, d).tm, dev(ctx, d).tm_parts, p);
+}
+Tensor& tdo_buffer(MoeStepContext& ctx, int d, int p) {
+  return pick(ctx, dev(ctx, d).tdo, dev(ctx, d).tdo_parts, p);
+}
+Tensor& d_ys_buffer(MoeStepContext& ctx, int d, int p) {
+  return pick(ctx, dev(ctx, d).d_ys, dev(ctx, d).d_ys_parts, p);
+}
+Tensor& d_tdo_buffer(MoeStepContext& ctx, int d, int p) {
+  return pick(ctx, dev(ctx, d).d_tdo, dev(ctx, d).d_tdo_parts, p);
+}
+Tensor& d_tdi_buffer(MoeStepContext& ctx, int d, int p) {
+  return pick(ctx, dev(ctx, d).d_tdi, dev(ctx, d).d_tdi_parts, p);
+}
+Tensor& stash_buffer(MoeStepContext& ctx, Stash what, int d, int p) {
+  return what == Stash::kTdi ? tdi_buffer(ctx, d, p) : tm_buffer(ctx, d, p);
+}
+
+/// Rows device d receives in partition p.
+std::int64_t recv_rows(const MoeStepContext& ctx, int p, int d) {
+  return ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)];
+}
+
+/// Appends `seg`, or widens the previous segment when `seg` continues it
+/// (same endpoints, both row ranges contiguous). Tokens that stayed in
+/// send order — common under coarse routing — then travel as one block
+/// copy instead of per-row segments.
+void push_or_merge(std::vector<comm::RowSegment>& segments,
+                   const comm::RowSegment& seg) {
+  if (!segments.empty()) {
+    comm::RowSegment& prev = segments.back();
+    if (prev.src_device == seg.src_device && prev.src == seg.src &&
+        prev.dst_device == seg.dst_device && prev.dst == seg.dst &&
+        prev.src_row + prev.rows == seg.src_row &&
+        prev.dst_row + prev.rows == seg.dst_row) {
+      prev.rows += seg.rows;
+      return;
+    }
+  }
+  segments.push_back(seg);
+}
+
+// ---- expert hazard declarations ---------------------------------------------
+// The ExpertFFN::parameters()/gradients() ordering contract (w1, b1, w2, b2)
+// is encoded here once — an under-declared access set is a silent
+// data-race window the validator cannot see.
+
+void declare_expert_param_reads(sim::Op& op,
+                                std::vector<moe::ExpertFFN>& experts,
+                                bool ffn1, bool ffn2) {
+  for (auto& expert : experts) {
+    const auto params = expert.parameters();  // order: w1, b1, w2, b2
+    if (ffn1) {
+      op.reads.push_back(sim::access_whole(*params[0]));
+      op.reads.push_back(sim::access_whole(*params[1]));
+    }
+    if (ffn2) {
+      op.reads.push_back(sim::access_whole(*params[2]));
+      op.reads.push_back(sim::access_whole(*params[3]));
+    }
+  }
+}
+
+void declare_expert_grad_accum(sim::Op& op,
+                               std::vector<moe::ExpertFFN>& experts) {
+  for (auto& expert : experts) {
+    for (Tensor* g : expert.gradients()) {
+      op.reads.push_back(sim::access_whole(*g));
+      op.writes.push_back(sim::access_whole(*g));
+    }
+  }
+}
+
+void run_expert_stage(ExpertStage stage, moe::ExpertFFN& expert,
+                      MoeStepContext& c, int p, int d,
+                      const moe::RowSpanList& spans) {
+  switch (stage) {
+    case ExpertStage::kFfn1:
+      expert.forward_mid_rows(tdi_buffer(c, d, p), spans, tm_buffer(c, d, p));
+      return;
+    case ExpertStage::kFfn2:
+      expert.forward_out_rows(tm_buffer(c, d, p), spans, tdo_buffer(c, d, p));
+      return;
+    case ExpertStage::kRecompute:
+      expert.recompute_mid_rows(tdi_buffer(c, d, p), spans,
+                                tm_buffer(c, d, p));
+      return;
+    case ExpertStage::kFused:
+      expert.forward_rows(tdi_buffer(c, d, p), spans, tm_buffer(c, d, p),
+                          tdo_buffer(c, d, p));
+      return;
+    case ExpertStage::kBackward:
+      expert.backward_rows(d_tdo_buffer(c, d, p), tdi_buffer(c, d, p),
+                           tm_buffer(c, d, p), spans, d_tdi_buffer(c, d, p));
+      return;
+  }
+}
+
+std::string staging_key(Stash what, int p) {
+  return std::string(what == Stash::kTdi ? "tdi" : "tm") + ":p" +
+         std::to_string(p);
+}
+
+// ---- gate scaling -----------------------------------------------------------
+// Each validates its row range once, then walks raw rows.
+
+/// T_O rows [begin, begin + rows) *= their token's gate.
+void scale_by_gate(DeviceStepState& st, std::int64_t begin,
+                   std::int64_t rows) {
+  Tensor& out = st.out;
+  MPIPE_EXPECTS(out.shape().rank() == 2, "gate scaling expects a matrix");
+  MPIPE_EXPECTS(begin >= 0 && rows >= 0 && begin + rows <= out.dim(0) &&
+                    begin + rows <=
+                        static_cast<std::int64_t>(st.gating.gate.size()),
+                "gate scaling rows out of range");
+  const std::int64_t cols = out.dim(1);
+  for (std::int64_t t = begin; t < begin + rows; ++t) {
+    const float gate = st.gating.gate[static_cast<std::size_t>(t)];
+    float* MPIPE_RESTRICT row = out.data() + t * cols;
+    for (std::int64_t col = 0; col < cols; ++col) row[col] *= gate;
+  }
+}
+
+/// Backward of scale_by_gate for the tokens in `order`: for t = order[i],
+/// st.dgate[t] = <dy[t], out[t]> / gate[t] (a double sum in column order)
+/// and row i of `ys` = gate[t] * dy[t].
+void scale_by_gate_backward(DeviceStepState& st,
+                            const std::vector<std::int64_t>& order,
+                            Tensor& ys) {
+  const Tensor& out = st.out;
+  const Tensor& dy = st.dy;
+  MPIPE_EXPECTS(out.shape().rank() == 2 && dy.shape() == out.shape(),
+                "gate scaling backward: dy and out shapes differ");
+  const std::int64_t cols = out.dim(1);
+  const auto n = static_cast<std::int64_t>(order.size());
+  MPIPE_EXPECTS(ys.shape().rank() == 2 && ys.dim(0) >= n &&
+                    ys.dim(1) == cols,
+                "gate scaling backward: ys too small");
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(order.begin(), order.end());
+  MPIPE_EXPECTS(*lo >= 0 && *hi < out.dim(0) &&
+                    *hi < static_cast<std::int64_t>(st.gating.gate.size()) &&
+                    *hi < static_cast<std::int64_t>(st.dgate.size()),
+                "gate scaling backward: token out of range");
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t t = order[static_cast<std::size_t>(i)];
+    const float gate = st.gating.gate[static_cast<std::size_t>(t)];
+    const float* MPIPE_RESTRICT dyr = dy.data() + t * cols;
+    const float* MPIPE_RESTRICT outr = out.data() + t * cols;
+    float* MPIPE_RESTRICT ysr = ys.data() + i * cols;
+    double dot = 0.0;
+    for (std::int64_t col = 0; col < cols; ++col) {
+      dot += static_cast<double>(dyr[col]) * outr[col];
+    }
+    st.dgate[static_cast<std::size_t>(t)] = static_cast<float>(dot / gate);
+    for (std::int64_t col = 0; col < cols; ++col) ysr[col] = gate * dyr[col];
+  }
+}
+
+}  // namespace
+
+// ---- segment builders -------------------------------------------------------
+
+std::vector<comm::RowSegment> dispatch_segments(MoeStepContext& ctx, int p) {
+  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
+  const auto& part = ctx.plan.part(p);
+  std::vector<comm::RowSegment> segments;
+  for (int d = 0; d < ctx.num_devices(); ++d) {
+    const auto& routing = part.src[static_cast<std::size_t>(d)];
+    auto& st = dev(ctx, d);
+    // Track how far into each destination block we have written.
+    std::vector<std::int64_t> written(
+        static_cast<std::size_t>(ctx.num_devices()), 0);
+    for (std::size_t i = 0; i < routing.order.size(); ++i) {
+      const std::int64_t t = routing.order[i];
+      const std::int64_t e =
+          st.gating.expert_of[static_cast<std::size_t>(t)];
+      const int dst = static_cast<int>(e / ctx.plan.experts_per_device);
+      comm::RowSegment seg;
+      seg.src_device = d;
+      seg.src = &st.x;
+      seg.src_row = t;
+      seg.dst_device = dst;
+      seg.dst = &tdi_buffer(ctx, dst, p);
+      seg.dst_row = part.recv_offset[static_cast<std::size_t>(dst)]
+                                    [static_cast<std::size_t>(d)] +
+                    written[static_cast<std::size_t>(dst)];
+      seg.rows = 1;
+      ++written[static_cast<std::size_t>(dst)];
+      push_or_merge(segments, seg);
+    }
+  }
+  return segments;
+}
+
+std::vector<comm::RowSegment> grad_dispatch_segments(MoeStepContext& ctx,
+                                                     int p) {
+  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
+  const auto& part = ctx.plan.part(p);
+  std::vector<comm::RowSegment> segments;
+  for (int d = 0; d < ctx.num_devices(); ++d) {
+    const auto& routing = part.src[static_cast<std::size_t>(d)];
+    for (int dst = 0; dst < ctx.num_devices(); ++dst) {
+      const std::int64_t count =
+          routing.send_counts[static_cast<std::size_t>(dst)];
+      if (count == 0) continue;
+      comm::RowSegment seg;
+      seg.src_device = d;
+      seg.src = &d_ys_buffer(ctx, d, p);
+      seg.src_row = routing.send_offsets[static_cast<std::size_t>(dst)];
+      seg.dst_device = dst;
+      seg.dst = &d_tdo_buffer(ctx, dst, p);
+      seg.dst_row = part.recv_offset[static_cast<std::size_t>(dst)]
+                                    [static_cast<std::size_t>(d)];
+      seg.rows = count;
+      segments.push_back(seg);
+    }
+  }
+  return segments;
+}
+
+std::vector<comm::RowSegment> combine_segments(MoeStepContext& ctx, int p,
+                                               bool backward) {
+  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
+  const auto& part = ctx.plan.part(p);
+  std::vector<comm::RowSegment> segments;
+  for (int d = 0; d < ctx.num_devices(); ++d) {
+    const auto& routing = part.src[static_cast<std::size_t>(d)];
+    auto& st = dev(ctx, d);
+    std::vector<std::int64_t> read(
+        static_cast<std::size_t>(ctx.num_devices()), 0);
+    for (std::size_t i = 0; i < routing.order.size(); ++i) {
+      const std::int64_t t = routing.order[i];
+      const std::int64_t e =
+          st.gating.expert_of[static_cast<std::size_t>(t)];
+      const int holder = static_cast<int>(e / ctx.plan.experts_per_device);
+      comm::RowSegment seg;
+      seg.src_device = holder;
+      seg.src = backward ? &d_tdi_buffer(ctx, holder, p)
+                         : &tdo_buffer(ctx, holder, p);
+      seg.src_row = part.recv_offset[static_cast<std::size_t>(holder)]
+                                    [static_cast<std::size_t>(d)] +
+                    read[static_cast<std::size_t>(holder)];
+      seg.dst_device = d;
+      seg.dst = backward ? &st.dx : &st.out;
+      seg.dst_row = t;
+      seg.rows = 1;
+      ++read[static_cast<std::size_t>(holder)];
+      push_or_merge(segments, seg);
+    }
+  }
+  return segments;
+}
+
+// ---- emitters ----------------------------------------------------------------
+
+OpEmitter::OpEmitter(sim::OpGraph& graph, MoeStepContext& ctx,
+                     const LayerRefs& refs, const comm::ProcessGroup& group,
+                     double compute_scale)
+    : g_(graph),
+      ctx_(ctx),
+      refs_(refs),
+      group_(group),
+      cost_(group.cluster().cost_model()),
+      compute_scale_(compute_scale) {}
+
+std::int64_t OpEmitter::num_experts() const {
+  return static_cast<std::int64_t>(ctx_.num_devices()) *
+         ctx_.plan.experts_per_device;
+}
+
+int OpEmitter::router(std::string label, int d) {
+  const std::int64_t B = ctx_.plan.tokens_per_device;
+  const std::int64_t rows = std::max<std::int64_t>(B, 1);
+  return g_.add(
+      std::move(label), OpCategory::kGemm, StreamKind::kCompute, {d},
+      cost_.gemm_seconds(gemm_flops(B, num_experts(), ctx_.d_model), rows) /
+          compute_scale_,
+      {}, nullptr, cost_.gemm_efficiency(rows));
+}
+
+int OpEmitter::router_backward(std::string label, int d,
+                               std::vector<int> deps) {
+  const std::int64_t B = ctx_.plan.tokens_per_device;
+  const std::int64_t rows = std::max<std::int64_t>(B, 1);
+  std::function<void()> fn;
+  if (ctx_.functional()) {
+    auto* c = &ctx_;
+    auto* gates = refs_.gates;
+    fn = [c, gates, d] {
+      auto& st = dev(*c, d);
+      Tensor dxg = (*gates)[static_cast<std::size_t>(d)].backward(
+          st.x, st.gating, st.dgate);
+      add_(st.dx, dxg);
+    };
+  }
+  const int id = g_.add(
+      std::move(label), OpCategory::kGemm, StreamKind::kCompute, {d},
+      cost_.gemm_seconds(2 * gemm_flops(B, num_experts(), ctx_.d_model),
+                         rows) /
+          compute_scale_,
+      std::move(deps), std::move(fn), cost_.gemm_efficiency(rows));
+  if (ctx_.functional()) {
+    auto& st = dev(ctx_, d);
+    auto& gate = (*refs_.gates)[static_cast<std::size_t>(d)];
+    sim::Op& op = g_.op(id);
+    op.reads.push_back(sim::access_whole(st.x));
+    op.reads.push_back(sim::access_whole(st.gating.probs));
+    op.reads.push_back(sim::access_whole(gate.weight()));
+    op.reads.push_back(sim::access_floats(
+        st.dgate.data(), 0, static_cast<std::int64_t>(st.dgate.size())));
+    op.reads.push_back(sim::access_whole(st.dx));
+    op.writes.push_back(sim::access_whole(st.dx));
+    op.reads.push_back(sim::access_whole(gate.weight_grad()));
+    op.writes.push_back(sim::access_whole(gate.weight_grad()));
+  }
+  return id;
+}
+
+int OpEmitter::gate_grad_sync(std::vector<int> deps) {
+  if (ctx_.functional()) {
+    std::vector<Tensor*> grads;
+    for (int d = 0; d < ctx_.num_devices(); ++d) {
+      grads.push_back(&(*refs_.gates)[static_cast<std::size_t>(d)]
+                           .weight_grad());
+    }
+    return comm::allreduce_sum(g_, group_, std::move(grads), "ARg",
+                               std::move(deps));
+  }
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(ctx_.d_model) * num_experts() * sizeof(float);
+  return g_.add("ARg", OpCategory::kAllReduce, StreamKind::kComm,
+                group_.devices(),
+                group_.size() > 1
+                    ? cost_.allreduce_seconds(bytes, group_.devices())
+                    : 0.0,
+                std::move(deps), nullptr);
+}
+
+int OpEmitter::gate_scale(std::string label, int p, int d,
+                          std::vector<int> deps) {
+  std::function<void()> fn;
+  if (ctx_.functional()) {
+    auto* c = &ctx_;
+    fn = [c, p, d] {
+      const auto& part = c->plan.part(p);
+      scale_by_gate(dev(*c, d), part.chunk_begin, part.chunk_rows);
+    };
+  }
+  const int id = g_.add(std::move(label), OpCategory::kElementwise,
+                        StreamKind::kCompute, {d},
+                        cost_.config().compute_launch_latency,
+                        std::move(deps), std::move(fn));
+  if (ctx_.functional()) {
+    auto& st = dev(ctx_, d);
+    const auto& part = ctx_.plan.part(p);
+    sim::Op& op = g_.op(id);
+    op.reads.push_back(sim::access_floats(
+        st.gating.gate.data(), part.chunk_begin, part.chunk_rows));
+    op.reads.push_back(
+        sim::access_rows(st.out, part.chunk_begin, part.chunk_rows));
+    op.writes.push_back(
+        sim::access_rows(st.out, part.chunk_begin, part.chunk_rows));
+  }
+  return id;
+}
+
+int OpEmitter::gate_scale_backward(std::string label, int p, int d,
+                                   std::vector<int> deps) {
+  std::function<void()> fn;
+  if (ctx_.functional()) {
+    auto* c = &ctx_;
+    fn = [c, p, d] {
+      scale_by_gate_backward(
+          dev(*c, d), c->plan.part(p).src[static_cast<std::size_t>(d)].order,
+          d_ys_buffer(*c, d, p));
+    };
+  }
+  const int id = g_.add(std::move(label), OpCategory::kElementwise,
+                        StreamKind::kCompute, {d},
+                        cost_.config().compute_launch_latency,
+                        std::move(deps), std::move(fn));
+  if (ctx_.functional()) {
+    auto& st = dev(ctx_, d);
+    const auto& part = ctx_.plan.part(p);
+    const auto& routing = part.src[static_cast<std::size_t>(d)];
+    sim::Op& op = g_.op(id);
+    op.reads.push_back(
+        sim::access_rows(st.dy, part.chunk_begin, part.chunk_rows));
+    op.reads.push_back(
+        sim::access_rows(st.out, part.chunk_begin, part.chunk_rows));
+    op.reads.push_back(sim::access_floats(
+        st.gating.gate.data(), part.chunk_begin, part.chunk_rows));
+    op.writes.push_back(sim::access_floats(
+        st.dgate.data(), part.chunk_begin, part.chunk_rows));
+    op.writes.push_back(sim::access_rows(
+        d_ys_buffer(ctx_, d, p), 0,
+        static_cast<std::int64_t>(routing.order.size())));
+  }
+  return id;
+}
+
+int OpEmitter::expert(ExpertStage stage, std::string label, int p, int d,
+                      std::int64_t rows, std::vector<int> deps) {
+  const std::int64_t M = ctx_.d_model;
+  const std::int64_t H = ctx_.d_hidden;
+  std::uint64_t flops = 0;
+  switch (stage) {
+    case ExpertStage::kFfn1:
+    case ExpertStage::kRecompute:
+      flops = gemm_flops(rows, H, M);
+      break;
+    case ExpertStage::kFfn2:
+      flops = gemm_flops(rows, M, H);
+      break;
+    case ExpertStage::kFused:
+      flops = 2 * gemm_flops(rows, H, M);
+      break;
+    case ExpertStage::kBackward:
+      flops = 4 * gemm_flops(rows, H, M);
+      break;
+  }
+  // Grouped per-expert panels are what the device actually schedules, so
+  // GEMM efficiency follows rows / experts.
+  const std::int64_t eff_rows =
+      std::max<std::int64_t>(1, rows / ctx_.plan.experts_per_device);
+  std::function<void()> fn;
+  if (ctx_.functional()) {
+    auto* c = &ctx_;
+    auto* experts = refs_.experts;
+    fn = [c, experts, stage, p, d] {
+      auto& mine = (*experts)[static_cast<std::size_t>(d)];
+      const auto& spans_of =
+          c->plan.part(p).expert_spans[static_cast<std::size_t>(d)];
+      for (std::size_t k = 0; k < spans_of.size(); ++k) {
+        run_expert_stage(stage, mine[k], *c, p, d, spans_of[k]);
+      }
+    };
+  }
+  const int id = g_.add(std::move(label), OpCategory::kGemm,
+                        StreamKind::kCompute, {d},
+                        cost_.gemm_seconds(flops, eff_rows) / compute_scale_,
+                        std::move(deps), std::move(fn),
+                        cost_.gemm_efficiency(eff_rows));
+  if (ctx_.functional()) {
+    const std::int64_t recv = recv_rows(ctx_, p, d);
+    auto rows_of = [&](Tensor& t) { return sim::access_rows(t, 0, recv); };
+    auto& experts = (*refs_.experts)[static_cast<std::size_t>(d)];
+    sim::Op& op = g_.op(id);
+    switch (stage) {
+      case ExpertStage::kFfn1:
+      case ExpertStage::kRecompute:
+        op.reads.push_back(rows_of(tdi_buffer(ctx_, d, p)));
+        op.writes.push_back(rows_of(tm_buffer(ctx_, d, p)));
+        declare_expert_param_reads(op, experts, true, false);
+        break;
+      case ExpertStage::kFfn2:
+        op.reads.push_back(rows_of(tm_buffer(ctx_, d, p)));
+        op.writes.push_back(rows_of(tdo_buffer(ctx_, d, p)));
+        declare_expert_param_reads(op, experts, false, true);
+        break;
+      case ExpertStage::kFused:
+        op.reads.push_back(rows_of(tdi_buffer(ctx_, d, p)));
+        op.writes.push_back(rows_of(tm_buffer(ctx_, d, p)));
+        op.writes.push_back(rows_of(tdo_buffer(ctx_, d, p)));
+        declare_expert_param_reads(op, experts, true, true);
+        break;
+      case ExpertStage::kBackward:
+        op.reads.push_back(rows_of(d_tdo_buffer(ctx_, d, p)));
+        op.reads.push_back(rows_of(tdi_buffer(ctx_, d, p)));
+        op.reads.push_back(rows_of(tm_buffer(ctx_, d, p)));
+        op.writes.push_back(rows_of(d_tdi_buffer(ctx_, d, p)));
+        declare_expert_param_reads(op, experts, true, true);
+        declare_expert_grad_accum(op, experts);
+        break;
+    }
+  }
+  return id;
+}
+
+int OpEmitter::offload(mem::HostStaging& staging, Stash what,
+                       std::string label, int p, int d,
+                       std::vector<int> deps) {
+  return host_copy(staging, what, /*to_host=*/true, std::move(label), p, d,
+                   std::move(deps));
+}
+
+int OpEmitter::prefetch(mem::HostStaging& staging, Stash what,
+                        std::string label, int p, int d,
+                        std::vector<int> deps) {
+  return host_copy(staging, what, /*to_host=*/false, std::move(label), p, d,
+                   std::move(deps));
+}
+
+int OpEmitter::host_copy(mem::HostStaging& staging, Stash what, bool to_host,
+                         std::string label, int p, int d,
+                         std::vector<int> deps) {
+  const std::int64_t rows = recv_rows(ctx_, p, d);
+  const std::int64_t width =
+      what == Stash::kTdi ? ctx_.d_model : ctx_.d_hidden;
+  const DType dt = ctx_.dtype;
+  std::function<void()> fn;
+  if (ctx_.functional()) {
+    auto* c = &ctx_;
+    auto* st = &staging;
+    if (to_host) {
+      fn = [c, st, what, p, d, rows, dt] {
+        // Strict store (no allow_overwrite): every key is per-partition
+        // and consumed exactly once by the prefetch, and MoELayer clears
+        // the staging store at step entry — so even a step replayed after
+        // a mid-forward fault starts from an empty store. A collision
+        // therefore means two ring slots mapped to one key, which must
+        // fail loudly rather than mask a double-stash.
+        st->store(d, staging_key(what, p),
+                  stash_buffer(*c, what, d, p).slice_rows(0, rows),
+                  /*allow_overwrite=*/false, dt);
+      };
+    } else {
+      fn = [c, st, what, p, d] {
+        const std::string key = staging_key(what, p);
+        stash_buffer(*c, what, d, p).copy_into_rows(0, st->load(d, key));
+        st->drop(d, key);
+      };
+    }
+  }
+  const int id = g_.add(
+      std::move(label),
+      to_host ? OpCategory::kMemcpyD2H : OpCategory::kMemcpyH2D,
+      StreamKind::kMem, {d},
+      cost_.memcpy_seconds(quantized_bytes(rows, width, dt), d),
+      std::move(deps), std::move(fn));
+  if (ctx_.functional()) {
+    const sim::BufferAccess device_rows =
+        sim::access_rows(stash_buffer(ctx_, what, d, p), 0, rows);
+    const sim::BufferAccess host_slot =
+        sim::access_token(staging.slot_token(d, staging_key(what, p)));
+    sim::Op& op = g_.op(id);
+    op.reads.push_back(to_host ? device_rows : host_slot);
+    op.writes.push_back(to_host ? host_slot : device_rows);
+  }
+  return id;
+}
+
+}  // namespace mpipe::core

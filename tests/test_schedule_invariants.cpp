@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/moe_layer.h"
-#include "core/restore.h"
 #include "sim/graph_executor.h"
 #include "tensor/gemm.h"
 #include "tensor/random_init.h"
