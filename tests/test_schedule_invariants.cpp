@@ -15,6 +15,7 @@
 #include <map>
 
 #include "baselines/fastermoe.h"
+#include "baselines/fastmoe.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/moe_layer.h"
@@ -612,6 +613,164 @@ TEST(ScheduleFingerprint, FasterMoEFunctional) {
   GraphHasher h;
   hash_step(h, builder, fixture.ctx, fixture.refs);
   EXPECT_EQ(h.hex(), "79f4ce3c368c65e9");
+}
+
+// ---- step memory fingerprints ------------------------------------------------
+// Every byte a step accounts, pinned as one FNV-1a-64 hash per case: the
+// report's MemorySnapshot, each device's current and peak bytes per
+// category, and the host-staging residency — after the forward and, where
+// one runs, after the backward. A refactor of the step buffers must leave
+// these hashes untouched.
+
+void hash_memory(GraphHasher& h, core::MoELayer& layer) {
+  const core::MemorySnapshot& s = layer.last_report().memory;
+  for (std::uint64_t v : {s.model_states, s.activations, s.temp_buffers,
+                          s.comm, s.total_peak}) {
+    h.integer(static_cast<long long>(v));
+  }
+  for (int d = 0; d < layer.num_devices(); ++d) {
+    const mem::MemoryTracker& t = layer.allocator(d).tracker();
+    for (int c = 0; c < mem::kNumCategories; ++c) {
+      const auto category = static_cast<mem::Category>(c);
+      h.integer(static_cast<long long>(t.current(category)));
+      h.integer(static_cast<long long>(t.peak(category)));
+    }
+    h.integer(static_cast<long long>(t.peak_total()));
+  }
+  h.integer(static_cast<long long>(layer.staging().bytes_stored()));
+}
+
+/// Per-device (32, 16) inputs and unit output gradients for a small
+/// full-mode layer.
+std::vector<Tensor> small_batch(int devices, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tensor> xs;
+  for (int d = 0; d < devices; ++d) {
+    xs.emplace_back(Shape{32, 16});
+    init_normal(xs.back(), rng);
+  }
+  return xs;
+}
+
+/// Forward, then backward (unless `inference`), hashing after each.
+void hash_functional_step(GraphHasher& h, core::MoELayer& layer,
+                          bool inference) {
+  const auto xs = small_batch(layer.num_devices(), 11);
+  if (inference) {
+    layer.forward_only(xs);
+    hash_memory(h, layer);
+    return;
+  }
+  const auto ys = layer.forward(xs);
+  hash_memory(h, layer);
+  std::vector<Tensor> dys;
+  for (const Tensor& y : ys) {
+    dys.emplace_back(y.shape());
+    for (std::int64_t i = 0; i < dys.back().numel(); ++i) {
+      dys.back().data()[i] = 1.0f;
+    }
+  }
+  layer.backward(dys);
+  hash_memory(h, layer);
+}
+
+TEST(StepMemoryFingerprint, PipelineStepTiming) {
+  // Per strategy: n in {1, 2, 4} x {fp32, int8} x skew {0, 0.4}.
+  const std::map<core::ReuseStrategy, std::string> want = {
+      {core::ReuseStrategy::kNone, "53762d3b41bbd988"},
+      {core::ReuseStrategy::kS1, "0150ac22e0fc4eb5"},
+      {core::ReuseStrategy::kS2, "0150ac22e0fc4eb5"},
+      {core::ReuseStrategy::kS3, "0150ac22e0fc4eb5"},
+      {core::ReuseStrategy::kS4, "0150ac22e0fc4eb5"},
+  };
+  for (const auto& [strategy, expected] : want) {
+    GraphHasher h;
+    for (int n : {1, 2, 4}) {
+      for (DType dt : {DType::kF32, DType::kI8}) {
+        for (double skew : {0.0, 0.4}) {
+          sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+          core::MoELayerOptions o;
+          o.num_partitions = n;
+          o.memory_reuse = strategy != core::ReuseStrategy::kNone;
+          if (o.memory_reuse) o.strategy = strategy;
+          o.compute_dtype = dt;
+          o.mode = core::ExecutionMode::kTimingOnly;
+          core::MoELayer layer(cluster, o);
+          layer.step_timing(4096, skew);
+          hash_memory(h, layer);
+        }
+      }
+    }
+    EXPECT_EQ(h.hex(), expected) << core::to_string(strategy);
+  }
+}
+
+TEST(StepMemoryFingerprint, Baselines) {
+  // FastMoE and FasterMoE (shadowing on): timing-only steps at skew
+  // {0, 0.4}, then a small functional forward/backward.
+  GraphHasher fast, faster;
+  for (double skew : {0.0, 0.4}) {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+    baselines::FastMoEOptions fo;
+    fo.mode = core::ExecutionMode::kTimingOnly;
+    baselines::FastMoELayer fast_layer(cluster, fo);
+    fast_layer.step_timing(4096, skew);
+    hash_memory(fast, fast_layer);
+
+    baselines::FasterMoEOptions so;
+    so.shadowing.enabled = true;
+    so.mode = core::ExecutionMode::kTimingOnly;
+    baselines::FasterMoELayer faster_layer(cluster, so);
+    faster_layer.step_timing(4096, skew);
+    hash_memory(faster, faster_layer);
+  }
+  {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+    baselines::FastMoEOptions fo;
+    fo.d_model = 16;
+    fo.d_hidden = 32;
+    fo.num_experts = 4;
+    baselines::FastMoELayer layer(cluster, fo);
+    hash_functional_step(fast, layer, /*inference=*/false);
+  }
+  {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+    baselines::FasterMoEOptions so;
+    so.d_model = 16;
+    so.d_hidden = 32;
+    so.num_experts = 4;
+    baselines::FasterMoELayer layer(cluster, so);
+    hash_functional_step(faster, layer, /*inference=*/false);
+  }
+  EXPECT_EQ(fast.hex(), "c150000405dd7f5e");
+  EXPECT_EQ(faster.hex(), "19c3f4c3af0cfc65");
+}
+
+TEST(StepMemoryFingerprint, FunctionalLayer) {
+  // A small full-mode layer per strategy at n = 2: one forward/backward,
+  // then one forward_only.
+  const std::map<core::ReuseStrategy, std::string> want = {
+      {core::ReuseStrategy::kNone, "58be29633f6e5523"},
+      {core::ReuseStrategy::kS1, "b575447f2000f17d"},
+      {core::ReuseStrategy::kS2, "12adbc69f358770d"},
+      {core::ReuseStrategy::kS3, "ccc0fc9576175bb7"},
+      {core::ReuseStrategy::kS4, "05830abddd54b641"},
+  };
+  for (const auto& [strategy, expected] : want) {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+    core::MoELayerOptions o;
+    o.d_model = 16;
+    o.d_hidden = 32;
+    o.num_experts = 4;
+    o.num_partitions = 2;
+    o.memory_reuse = strategy != core::ReuseStrategy::kNone;
+    if (o.memory_reuse) o.strategy = strategy;
+    core::MoELayer layer(cluster, o);
+    GraphHasher h;
+    hash_functional_step(h, layer, /*inference=*/false);
+    hash_functional_step(h, layer, /*inference=*/true);
+    EXPECT_EQ(h.hex(), expected) << core::to_string(strategy);
+  }
 }
 
 TEST(NestedParallelism, PipelinePartitionGemmRunsWithoutDeadlock) {
