@@ -24,7 +24,6 @@ int main() {
   options.d_model = 64;      // scaled down so the functional step is quick
   options.d_hidden = 256;
   options.num_experts = 8;   // one expert per simulated GPU
-  options.top_k = 1;
   options.pipeline = true;    // adaptive granularity (Algorithm 1)
   options.memory_reuse = true;  // adaptive strategy (Eq 10)
   options.parallel_execution = true;  // concurrent op-graph executor

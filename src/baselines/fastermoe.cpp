@@ -82,13 +82,13 @@ core::MoELayerOptions to_layer_options(const FasterMoEOptions& options) {
   o.d_hidden = options.d_hidden;
   o.num_experts = options.num_experts;
   o.activation = options.activation;
-  // One partition holding the whole batch, per-step stash buffers and
-  // eagerly freed gradient scratch: the split-by-N pipeline runs over the
-  // destination devices inside the schedule, not over micro-batches.
+  // Pipelining off: one partition holding the whole batch, per-step stash
+  // buffers and eagerly freed gradient scratch. The split-by-N pipeline
+  // runs over the destination devices inside the schedule, not over
+  // micro-batches.
   o.pipeline = false;
   o.num_partitions = 1;
   o.memory_reuse = false;
-  o.sequential_temp_accounting = true;
   o.compute_scale = options.compute_scale;
   o.parallel_execution = options.parallel_execution;
   o.mode = options.mode;

@@ -11,12 +11,13 @@
 /// for reduced traffic on hot experts.
 ///
 /// The schedule is a core::ScheduleBuilder; FasterMoELayer runs it on
-/// core::MoELayer with one partition, no buffer reuse and sequential temp
-/// accounting, so parameters, buffers, checks and step drivers are the
-/// shared runtime's. The builder states the split-by-N order, the P2P
-/// fragments and the shadowing ops; the router, gate scaling, expert
-/// stages and gate-gradient sync come from the shared emitters in
-/// core/schedule_ops.h, the same ones the pipeline builder uses.
+/// core::MoELayer with pipelining off (one partition, Eq-3 eager-free
+/// temp accounting) and no buffer reuse, so parameters, buffers, checks and
+/// step drivers are the shared runtime's. The builder states the
+/// split-by-N order, the P2P fragments and the shadowing ops; the router,
+/// gate scaling, expert stages and gate-gradient sync come from the shared
+/// emitters in core/schedule_ops.h, the same ones the pipeline builder
+/// uses.
 
 #include "baselines/shadowing.h"
 #include "comm/process_group.h"

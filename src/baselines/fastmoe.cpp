@@ -15,7 +15,6 @@ core::MoELayerOptions to_layer_options(const FastMoEOptions& options) {
   o.compute_scale = options.compute_scale;
   o.comm_scale = options.comm_scale;
   o.parallel_execution = options.parallel_execution;
-  o.sequential_temp_accounting = true;
   o.mode = options.mode;
   o.seed = options.seed;
   return o;

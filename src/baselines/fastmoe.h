@@ -4,8 +4,9 @@
 /// is dispatched with one AllToAll, the expert runs, one AllToAll combines
 /// — communication and computation strictly in sequence, no memory reuse,
 /// CUDA-core GEMM throughput (the paper credits part of PipeMoE's win to
-/// Tensor Cores). Serial execution frees gradient scratch eagerly, so the
-/// temp-buffer peak follows Eq 3 (BM + BH).
+/// Tensor Cores). Serial execution (MoELayerOptions::pipeline = false)
+/// frees gradient scratch eagerly, so the temp-buffer peak follows Eq 3
+/// (BM + BH).
 
 #include "core/moe_layer.h"
 

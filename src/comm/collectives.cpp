@@ -59,107 +59,6 @@ int allreduce_sum(sim::OpGraph& graph, const ProcessGroup& group,
   return graph.add(std::move(op));
 }
 
-int broadcast(sim::OpGraph& graph, const ProcessGroup& group, int root_rank,
-              std::vector<Tensor*> per_rank, std::string label,
-              std::vector<int> deps) {
-  MPIPE_EXPECTS(static_cast<int>(per_rank.size()) == group.size(),
-                "broadcast needs one tensor per rank");
-  MPIPE_EXPECTS(root_rank >= 0 && root_rank < group.size(),
-                "broadcast root out of range");
-  for (Tensor* t : per_rank) {
-    MPIPE_EXPECTS(t != nullptr && t->defined(), "broadcast on null tensor");
-    MPIPE_EXPECTS(t->shape() == per_rank[0]->shape(),
-                  "broadcast shape mismatch");
-  }
-  const std::uint64_t bytes = per_rank[0]->nbytes();
-  const double seconds =
-      group.size() > 1
-          ? group.cluster().cost_model().broadcast_seconds(bytes,
-                                                           group.devices())
-          : 0.0;
-  auto tensors = std::make_shared<std::vector<Tensor*>>(std::move(per_rank));
-  const std::size_t root = static_cast<std::size_t>(root_rank);
-  auto injector = group.cluster().fault_injector_shared();
-  const std::uint64_t key = injector ? injector->reserve_key() : 0;
-  sim::Op op;
-  op.label = std::move(label);
-  op.category = sim::OpCategory::kBroadcast;
-  op.stream = sim::StreamKind::kComm;
-  op.devices = group.devices();
-  op.base_seconds = seconds;
-  op.deps = std::move(deps);
-  op.fn = [tensors, root, injector, key] {
-    run_comm_guarded(injector.get(), key, [&] {
-      const Tensor& src = *(*tensors)[root];
-      for (std::size_t r = 0; r < tensors->size(); ++r) {
-        if (r == root) continue;
-        std::memcpy((*tensors)[r]->data(), src.data(),
-                    static_cast<std::size_t>(src.nbytes()));
-      }
-    });
-  };
-  for (std::size_t r = 0; r < tensors->size(); ++r) {
-    if (r == root) {
-      op.reads.push_back(sim::access_whole(*(*tensors)[r]));
-    } else {
-      op.writes.push_back(sim::access_whole(*(*tensors)[r]));
-    }
-  }
-  return graph.add(std::move(op));
-}
-
-int allgather_rows(sim::OpGraph& graph, const ProcessGroup& group,
-                   std::vector<const Tensor*> inputs,
-                   std::vector<Tensor*> outputs, std::string label,
-                   std::vector<int> deps) {
-  MPIPE_EXPECTS(static_cast<int>(inputs.size()) == group.size() &&
-                    static_cast<int>(outputs.size()) == group.size(),
-                "allgather needs one input and output per rank");
-  std::int64_t total_rows = 0;
-  const std::int64_t cols = inputs[0]->dim(1);
-  for (const Tensor* t : inputs) {
-    MPIPE_EXPECTS(t != nullptr && t->defined(), "allgather null input");
-    MPIPE_EXPECTS(t->dim(1) == cols, "allgather column mismatch");
-    total_rows += t->dim(0);
-  }
-  for (Tensor* t : outputs) {
-    MPIPE_EXPECTS(t != nullptr && t->defined(), "allgather null output");
-    MPIPE_EXPECTS(t->dim(0) == total_rows && t->dim(1) == cols,
-                  "allgather output shape mismatch");
-  }
-  std::uint64_t max_bytes = 0;
-  for (const Tensor* t : inputs) max_bytes = std::max(max_bytes, t->nbytes());
-  const double seconds =
-      group.size() > 1 ? group.cluster().cost_model().alltoall_seconds(
-                             max_bytes * group.size(), group.devices())
-                       : 0.0;
-  auto in = std::make_shared<std::vector<const Tensor*>>(std::move(inputs));
-  auto out = std::make_shared<std::vector<Tensor*>>(std::move(outputs));
-  auto injector = group.cluster().fault_injector_shared();
-  const std::uint64_t key = injector ? injector->reserve_key() : 0;
-  sim::Op op;
-  op.label = std::move(label);
-  op.category = sim::OpCategory::kAllToAll;
-  op.stream = sim::StreamKind::kComm;
-  op.devices = group.devices();
-  op.base_seconds = seconds;
-  op.deps = std::move(deps);
-  op.fn = [in, out, injector, key] {
-    run_comm_guarded(injector.get(), key, [&] {
-      for (Tensor* dst : *out) {
-        std::int64_t row = 0;
-        for (const Tensor* src : *in) {
-          dst->copy_into_rows(row, *src);
-          row += src->dim(0);
-        }
-      }
-    });
-  };
-  for (const Tensor* t : *in) op.reads.push_back(sim::access_whole(*t));
-  for (const Tensor* t : *out) op.writes.push_back(sim::access_whole(*t));
-  return graph.add(std::move(op));
-}
-
 std::vector<int> hierarchical_alltoall_timed(sim::OpGraph& graph,
                                              const ProcessGroup& group,
                                              std::uint64_t payload_bytes,

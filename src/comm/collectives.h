@@ -1,8 +1,8 @@
 #pragma once
 /// \file collectives.h
-/// AllReduce / AllGather / Broadcast — used for data-parallel gradient
-/// synchronisation of the gating network and for FasterMoE-style expert
-/// shadowing (parameter broadcast of hot experts).
+/// Group collectives beyond the AllToAll: the AllReduce that synchronises
+/// the data-parallel gating network's gradients, and the timing-only
+/// hierarchical AllToAll of the hierarchical-AllToAll ablation bench.
 
 #include <string>
 #include <vector>
@@ -18,17 +18,6 @@ namespace mpipe::comm {
 int allreduce_sum(sim::OpGraph& graph, const ProcessGroup& group,
                   std::vector<Tensor*> per_rank, std::string label,
                   std::vector<int> deps);
-
-/// Copies the root rank's tensor into every other rank's tensor.
-int broadcast(sim::OpGraph& graph, const ProcessGroup& group, int root_rank,
-              std::vector<Tensor*> per_rank, std::string label,
-              std::vector<int> deps);
-
-/// Concatenates per-rank rows into every rank's output tensor.
-int allgather_rows(sim::OpGraph& graph, const ProcessGroup& group,
-                   std::vector<const Tensor*> inputs,
-                   std::vector<Tensor*> outputs, std::string label,
-                   std::vector<int> deps);
 
 /// Hierarchical AllToAll (DeepSpeed-MoE style), timing-only: an intra-node
 /// regroup, one aggregated inter-node exchange between node counterparts,

@@ -11,19 +11,10 @@ inline constexpr std::uint64_t MiB = 1024ull * KiB;
 inline constexpr std::uint64_t GiB = 1024ull * MiB;
 
 /// Simulated time is kept in double seconds; helpers for readability.
-inline constexpr double microseconds(double us) { return us * 1e-6; }
 inline constexpr double milliseconds(double ms) { return ms * 1e-3; }
 
 inline constexpr double to_ms(double seconds) { return seconds * 1e3; }
 inline constexpr double to_us(double seconds) { return seconds * 1e6; }
-
-/// Bandwidths are bytes/second.
-inline constexpr double gib_per_s(double g) {
-  return g * static_cast<double>(GiB);
-}
-
-/// Compute rates are FLOP/second.
-inline constexpr double tflops(double t) { return t * 1e12; }
 
 inline constexpr double mib(double bytes) {
   return bytes / static_cast<double>(MiB);

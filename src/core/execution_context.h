@@ -36,16 +36,13 @@ struct DeviceStepState {
   /// step_model_state_bytes), e.g. FasterMoE's shadowed expert replicas.
   mem::Allocation step_model_state_alloc;
 
-  // Reuse mode: ring pools shared across partitions (paper Fig 6).
+  // Per-partition buffers: rings shared across partitions with memory
+  // reuse (paper Fig 6), one stashed slot per partition without.
   std::optional<mem::BufferPool> tdi, tm, tdo;
-  // Non-reuse mode: one stashed tensor per partition.
-  std::vector<mem::TrackedTensor> tdi_parts, tm_parts, tdo_parts;
 
   // ---- backward ----
   Tensor dy;  ///< borrowed upstream gradient
   std::optional<mem::BufferPool> d_ys, d_tdo, d_tm, d_tdi;
-  std::vector<mem::TrackedTensor> d_ys_parts, d_tdo_parts, d_tm_parts,
-      d_tdi_parts;
   Tensor dx;                  ///< input gradient returned to the caller
   mem::Allocation dx_alloc;
   std::vector<float> dgate;   ///< per-token gate gradient accumulator

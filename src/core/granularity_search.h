@@ -60,10 +60,6 @@ class GranularitySearcher {
   State export_state() const;
   void import_state(const State& state);
 
-  /// Exhaustive argmin over candidates (searchBestGran) — exposed for the
-  /// Fig-12 ablation comparing adaptive vs oracle.
-  int search_best(std::int64_t b);
-
   /// [smallest, largest] micro-batch row count Algorithm 1 can probe for
   /// batches in [min_tokens, max_tokens] over `candidates` (each trial
   /// splits B into n partitions of floor(B/n) / floor(B/n)+1 rows — the
@@ -106,6 +102,11 @@ class GranularitySearcher {
       int group_size, DType dtype = DType::kF32);
 
  private:
+  /// Exhaustive argmin over the candidates (searchBestGran): one trial per
+  /// n that leaves every partition at least one token. configure() runs it
+  /// on a cache and range miss.
+  int search_best(std::int64_t b);
+
   std::vector<int> candidates_;
   TrialFn trial_;
   RangeSet ranges_;

@@ -47,15 +47,20 @@ ReuseStrategy inference_strategy(const MoELayerOptions& options) {
   return options.memory_reuse ? ReuseStrategy::kS4 : ReuseStrategy::kNone;
 }
 
-/// Rows of device d's ring slots: its own worst partition, not the
+/// Slot rows of device d's per-partition buffers. With memory reuse a
+/// ring of `depth` slots at the device's own worst partition, not the
 /// cluster-wide maximum — under routing skew only the hot device pays.
-std::int64_t ring_capacity(const MoeStepContext& ctx, int d) {
-  std::int64_t cap = 1;
+/// Without reuse one slot per partition at that partition's rows.
+std::vector<std::int64_t> slot_rows(const MoeStepContext& ctx, int d,
+                                    int depth) {
+  std::vector<std::int64_t> rows;
   for (int p = 0; p < ctx.n(); ++p) {
-    cap = std::max(cap,
-                   ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
+    rows.push_back(std::max<std::int64_t>(
+        1, ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]));
   }
-  return cap;
+  if (!ctx.reuse()) return rows;
+  const std::int64_t worst = *std::max_element(rows.begin(), rows.end());
+  return std::vector<std::int64_t>(static_cast<std::size_t>(depth), worst);
 }
 
 /// Reads the per-category peaks of one device allocator.
@@ -144,9 +149,6 @@ MoELayer::MoELayer(sim::Cluster& cluster, MoELayerOptions options,
                               options_.comm_scale)) {
   MPIPE_EXPECTS(options_.d_model > 0 && options_.d_hidden > 0,
                 "bad layer dimensions");
-  MPIPE_EXPECTS(options_.top_k == 1,
-                "this implementation (like the paper's evaluation) uses "
-                "top-1 gating");
   const int P = cluster.num_devices();
   MPIPE_EXPECTS(options_.num_experts % P == 0,
                 "num_experts must be a multiple of the device count");
@@ -345,48 +347,30 @@ void MoELayer::setup_forward_buffers(MoeStepContext& ctx) {
   const std::int64_t B = ctx.plan.tokens_per_device;
   const std::int64_t E = options_.num_experts;
   const int depth = std::min(2, ctx.n());
+  const auto act = mem::Category::kActivation;
   const std::uint64_t schedule_bytes = builder_->step_model_state_bytes(ctx);
 
   for (int d = 0; d < ctx.num_devices(); ++d) {
-    const std::int64_t cap = ring_capacity(ctx, d);
     auto& st = ctx.dev[static_cast<std::size_t>(d)];
     auto& alloc = allocator(d);
     // T_I is caller-owned but device-resident: account it.
     st.x_alloc = alloc.allocate(
-        mem::Category::kActivation,
-        static_cast<std::uint64_t>(B) * M * sizeof(float));
-    auto out = alloc.alloc_tensor(Shape{B, M}, mem::Category::kActivation,
-                                  mat);
+        act, static_cast<std::uint64_t>(B) * M * sizeof(float));
+    auto out = alloc.alloc_tensor(Shape{B, M}, act, mat);
     st.out = out.tensor;
     st.out_alloc = std::move(out.allocation);
     // Router probabilities — the "small tensors" of Fig 10's gap.
     st.gating_alloc = alloc.allocate(
-        mem::Category::kActivation,
-        static_cast<std::uint64_t>(B) * E * sizeof(float));
+        act, static_cast<std::uint64_t>(B) * E * sizeof(float));
 
     // The T_DI / T_DO payload buffers hold dispatch/combine wire rows: a
     // real device stores them in ctx.dtype, so they are accounted at the
     // quantized size. T_M is the fp32-accumulating FFN intermediate and
-    // stays full width.
-    if (ctx.reuse()) {
-      st.tdi.emplace(alloc, "tdi", Shape{cap, M}, depth,
-                     mem::Category::kActivation, mat, ctx.dtype);
-      st.tm.emplace(alloc, "tm", Shape{cap, H}, 1,
-                    mem::Category::kActivation, mat);
-      st.tdo.emplace(alloc, "tdo", Shape{cap, M}, depth,
-                     mem::Category::kActivation, mat, ctx.dtype);
-    } else {
-      for (int p = 0; p < ctx.n(); ++p) {
-        const std::int64_t rows = std::max<std::int64_t>(
-            1, ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
-        st.tdi_parts.push_back(alloc.alloc_tensor(
-            Shape{rows, M}, mem::Category::kActivation, mat, ctx.dtype));
-        st.tm_parts.push_back(alloc.alloc_tensor(
-            Shape{rows, H}, mem::Category::kActivation, mat));
-        st.tdo_parts.push_back(alloc.alloc_tensor(
-            Shape{rows, M}, mem::Category::kActivation, mat, ctx.dtype));
-      }
-    }
+    // stays full width; its ring has one slot.
+    const auto rows = slot_rows(ctx, d, depth);
+    st.tdi.emplace(&alloc, rows, M, act, mat, ctx.dtype);
+    st.tm.emplace(&alloc, slot_rows(ctx, d, 1), H, act, mat);
+    st.tdo.emplace(&alloc, rows, M, act, mat, ctx.dtype);
     if (schedule_bytes > 0) {
       st.step_model_state_alloc =
           alloc.allocate(mem::Category::kModelState, schedule_bytes);
@@ -399,81 +383,49 @@ void MoELayer::setup_backward_buffers(MoeStepContext& ctx) {
   const std::int64_t M = ctx.d_model;
   const std::int64_t H = ctx.d_hidden;
   const std::int64_t B = ctx.plan.tokens_per_device;
-  const std::int64_t chunk =
-      std::max<std::int64_t>(1, ctx.plan.part(0).chunk_rows);
   const int depth = std::min(2, ctx.n());
+  const auto temp = mem::Category::kTempBuffer;
+  // The gate-scaled gradient staging is written for every partition
+  // up-front (before the reversed pipeline drains it), so it keeps one slot
+  // per partition; with reuse every slot takes partition 0's rows, and with
+  // the dx buffer this reproduces the paper's post-saving temp footprint
+  // 2BM + 4BM/n + BH/n exactly.
+  std::vector<std::int64_t> chunk_rows;
+  for (int p = 0; p < ctx.n(); ++p) {
+    chunk_rows.push_back(std::max<std::int64_t>(
+        1, ctx.plan.part(ctx.reuse() ? 0 : p).chunk_rows));
+  }
 
   for (int d = 0; d < ctx.num_devices(); ++d) {
-    const std::int64_t cap = ring_capacity(ctx, d);
     auto& st = ctx.dev[static_cast<std::size_t>(d)];
     auto& alloc = allocator(d);
-    auto dx = alloc.alloc_tensor(Shape{B, M}, mem::Category::kTempBuffer,
-                                 mat);
+    auto dx = alloc.alloc_tensor(Shape{B, M}, temp, mat);
     st.dx = dx.tensor;
     st.dx_alloc = std::move(dx.allocation);
     st.dgate.assign(static_cast<std::size_t>(B), 0.0f);
 
-    if (options_.sequential_temp_accounting && !ctx.reuse() &&
-        ctx.n() == 1) {
-      // FastMoE-style serial execution frees each gradient tensor as soon
-      // as the next one is produced; only two adjacent tensors coexist
-      // (Eq 3: BM + BH). Register the peak, keep the real tensors
-      // untracked.
-      {
-        auto walk = alloc.allocate(
-            mem::Category::kTempBuffer,
-            static_cast<std::uint64_t>(B) * (M + H) * sizeof(float));
-      }
-      const std::int64_t rows =
-          std::max<std::int64_t>(1, ctx.plan.part(0).recv_rows
-                                        [static_cast<std::size_t>(d)]);
-      auto untracked = [&](Shape shape, bool materialize) {
-        mem::TrackedTensor t;
-        if (materialize) t.tensor = Tensor(shape);
-        return t;
-      };
-      st.d_ys_parts.push_back(untracked(Shape{chunk, M}, mat));
-      st.d_tdo_parts.push_back(untracked(Shape{rows, M}, mat));
-      st.d_tm_parts.push_back(untracked(Shape{rows, H}, false));
-      st.d_tdi_parts.push_back(untracked(Shape{rows, M}, mat));
-      continue;
+    // Without pipelining (one partition, no reuse) execution is serial and
+    // frees each gradient tensor as soon as the next one is produced; only
+    // two adjacent tensors coexist (Eq 3: BM + BH). Register that peak
+    // (the temporary allocation is released at once) and keep the gradient
+    // scratch untracked.
+    mem::DeviceAllocator* tracked = &alloc;
+    if (!options_.pipeline) {
+      alloc.allocate(temp, static_cast<std::uint64_t>(B) * (M + H) *
+                               sizeof(float));
+      tracked = nullptr;
     }
-
-    if (ctx.reuse()) {
-      // The gate-scaled gradient staging is written for every partition
-      // up-front (before the reversed pipeline drains it), so it keeps one
-      // slot per partition; with the dx buffer this reproduces the paper's
-      // post-saving temp footprint 2BM + 4BM/n + BH/n exactly.
-      st.d_ys.emplace(alloc, "d_ys", Shape{chunk, M}, ctx.n(),
-                      mem::Category::kTempBuffer, mat);
-      // d_T_DO / d_T_DI carry gradient wire payloads (received from S' /
-      // shipped by R'), so — like T_DI / T_DO — they are accounted in
-      // ctx.dtype. d_ys and d_T_M stay fp32 (local accumulation).
-      st.d_tdo.emplace(alloc, "d_tdo", Shape{cap, M}, depth,
-                       mem::Category::kTempBuffer, mat, ctx.dtype);
-      // The d_T_M gradients live inside the fused expert-backward kernel;
-      // the ring is accounted (Eq 5) but never addressed.
-      st.d_tm.emplace(alloc, "d_tm", Shape{cap, H}, 1,
-                      mem::Category::kTempBuffer, /*materialize=*/false);
-      st.d_tdi.emplace(alloc, "d_tdi", Shape{cap, M}, depth,
-                       mem::Category::kTempBuffer, mat, ctx.dtype);
-    } else {
-      for (int p = 0; p < ctx.n(); ++p) {
-        const std::int64_t rows = std::max<std::int64_t>(
-            1, ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
-        const std::int64_t chunk_rows =
-            std::max<std::int64_t>(1, ctx.plan.part(p).chunk_rows);
-        st.d_ys_parts.push_back(alloc.alloc_tensor(
-            Shape{chunk_rows, M}, mem::Category::kTempBuffer, mat));
-        st.d_tdo_parts.push_back(alloc.alloc_tensor(
-            Shape{rows, M}, mem::Category::kTempBuffer, mat, ctx.dtype));
-        st.d_tm_parts.push_back(alloc.alloc_tensor(
-            Shape{rows, H}, mem::Category::kTempBuffer,
-            /*materialize=*/false));
-        st.d_tdi_parts.push_back(alloc.alloc_tensor(
-            Shape{rows, M}, mem::Category::kTempBuffer, mat, ctx.dtype));
-      }
-    }
+    st.d_ys.emplace(tracked, chunk_rows, M, temp, mat);
+    // d_T_DO / d_T_DI carry gradient wire payloads (received from S' /
+    // shipped by R'), so — like T_DI / T_DO — they are accounted in
+    // ctx.dtype. d_ys and d_T_M stay fp32 (local accumulation).
+    const auto rows = slot_rows(ctx, d, depth);
+    st.d_tdo.emplace(tracked, rows, M, temp, mat, ctx.dtype);
+    // The d_T_M gradients live inside the fused expert-backward kernel;
+    // the buffer is accounted (Eq 5) but never addressed.
+    st.d_tm.emplace(tracked, slot_rows(ctx, d, 1), H, temp,
+                    /*materialize=*/false);
+    st.d_tdi.emplace(tracked, rows, M, temp, mat, ctx.dtype);
   }
 }
 

@@ -31,11 +31,15 @@ namespace mpipe::core {
 struct MoELayerOptions {
   std::int64_t d_model = 1024;
   std::int64_t d_hidden = 4096;
-  int num_experts = 64;  ///< must be a multiple of the device count
-  int top_k = 1;         ///< the paper fixes k = 1
+  int num_experts = 64;  ///< must be a multiple of the device count;
+                         ///< gating is top-1, as in the paper
   moe::ActivationKind activation = moe::ActivationKind::kReLU;
 
-  /// Enable micro-batch pipelining; false forces a single partition.
+  /// Enable micro-batch pipelining. false forces a single partition and
+  /// serial execution, which frees each gradient tensor as soon as the
+  /// next is produced: the backward's temp-buffer peak follows Eq 3
+  /// (BM + BH) instead of the pipeline's per-partition residency. The
+  /// FastMoE and FasterMoE baselines run this way.
   bool pipeline = true;
   /// Fixed partition count; 0 enables the Algorithm-1 adaptive search.
   int num_partitions = 0;
@@ -68,12 +72,6 @@ struct MoELayerOptions {
   /// Effective collective-bandwidth multiplier (< 1 models AllToAll
   /// implemented as grouped per-pair send/recv, as in FastMoE).
   double comm_scale = 1.0;
-
-  /// Eq-3 temp-buffer accounting for the sequential (n = 1, no-pipeline)
-  /// execution: gradient scratch is freed as soon as it is consumed, so the
-  /// peak is BM + BH instead of the pipeline's per-partition residency.
-  /// Used by the FastMoE and FasterMoE baselines.
-  bool sequential_temp_accounting = false;
 
   /// Run the functional op graphs concurrently on the shared ThreadPool
   /// (sim::ExecutionPolicy::kParallel): independent partitions'/devices'

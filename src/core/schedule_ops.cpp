@@ -16,37 +16,31 @@ using sim::StreamKind;
 
 // ---- buffer accessors (functional steps only) -------------------------------
 
-Tensor& pick(MoeStepContext& ctx, std::optional<mem::BufferPool>& pool,
-             std::vector<mem::TrackedTensor>& parts, int p) {
-  if (ctx.reuse()) {
-    MPIPE_EXPECTS(pool.has_value(), "ring pool missing");
-    return pool->slot(p);
-  }
-  MPIPE_EXPECTS(p >= 0 && p < static_cast<int>(parts.size()),
-                "partition stash missing");
-  return parts[static_cast<std::size_t>(p)].tensor;
+Tensor& pick(std::optional<mem::BufferPool>& pool, int p) {
+  MPIPE_EXPECTS(pool.has_value(), "partition buffer missing");
+  return pool->slot(p);
 }
 
 DeviceStepState& dev(MoeStepContext& ctx, int d) {
   return ctx.dev[static_cast<std::size_t>(d)];
 }
 Tensor& tdi_buffer(MoeStepContext& ctx, int d, int p) {
-  return pick(ctx, dev(ctx, d).tdi, dev(ctx, d).tdi_parts, p);
+  return pick(dev(ctx, d).tdi, p);
 }
 Tensor& tm_buffer(MoeStepContext& ctx, int d, int p) {
-  return pick(ctx, dev(ctx, d).tm, dev(ctx, d).tm_parts, p);
+  return pick(dev(ctx, d).tm, p);
 }
 Tensor& tdo_buffer(MoeStepContext& ctx, int d, int p) {
-  return pick(ctx, dev(ctx, d).tdo, dev(ctx, d).tdo_parts, p);
+  return pick(dev(ctx, d).tdo, p);
 }
 Tensor& d_ys_buffer(MoeStepContext& ctx, int d, int p) {
-  return pick(ctx, dev(ctx, d).d_ys, dev(ctx, d).d_ys_parts, p);
+  return pick(dev(ctx, d).d_ys, p);
 }
 Tensor& d_tdo_buffer(MoeStepContext& ctx, int d, int p) {
-  return pick(ctx, dev(ctx, d).d_tdo, dev(ctx, d).d_tdo_parts, p);
+  return pick(dev(ctx, d).d_tdo, p);
 }
 Tensor& d_tdi_buffer(MoeStepContext& ctx, int d, int p) {
-  return pick(ctx, dev(ctx, d).d_tdi, dev(ctx, d).d_tdi_parts, p);
+  return pick(dev(ctx, d).d_tdi, p);
 }
 Tensor& stash_buffer(MoeStepContext& ctx, Stash what, int d, int p) {
   return what == Stash::kTdi ? tdi_buffer(ctx, d, p) : tm_buffer(ctx, d, p);

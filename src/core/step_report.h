@@ -22,10 +22,6 @@ struct MemorySnapshot {
   std::uint64_t temp_buffers = 0;
   std::uint64_t comm = 0;
   std::uint64_t total_peak = 0;  ///< peak of the concurrent total
-
-  std::uint64_t breakdown_sum() const {
-    return model_states + activations + temp_buffers + comm;
-  }
 };
 
 struct StepReport {

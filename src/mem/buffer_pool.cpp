@@ -4,16 +4,22 @@
 
 namespace mpipe::mem {
 
-BufferPool::BufferPool(DeviceAllocator& allocator, std::string name,
-                       Shape slot_shape, int depth, Category category,
-                       bool materialize, DType account_dtype)
-    : name_(std::move(name)), slot_shape_(slot_shape), depth_(depth) {
-  MPIPE_EXPECTS(depth >= 1, "pool depth must be >= 1");
-  slots_.reserve(static_cast<std::size_t>(depth));
+BufferPool::BufferPool(DeviceAllocator* allocator,
+                       const std::vector<std::int64_t>& slot_rows,
+                       std::int64_t cols, Category category, bool materialize,
+                       DType account_dtype) {
+  MPIPE_EXPECTS(!slot_rows.empty(), "pool depth must be >= 1");
+  slots_.reserve(slot_rows.size());
   try {
-    for (int i = 0; i < depth; ++i) {
-      slots_.push_back(allocator.alloc_tensor(slot_shape, category,
-                                              materialize, account_dtype));
+    for (std::int64_t rows : slot_rows) {
+      const Shape shape{rows, cols};
+      if (allocator != nullptr) {
+        slots_.push_back(allocator->alloc_tensor(shape, category, materialize,
+                                                 account_dtype));
+      } else {
+        slots_.emplace_back();
+        if (materialize) slots_.back().tensor = Tensor(shape);
+      }
     }
   } catch (...) {
     // Mid-acquisition failure (real or injected OOM): release the
@@ -33,14 +39,7 @@ Tensor& BufferPool::slot(int index) {
   return t;
 }
 
-const Tensor& BufferPool::slot(int index) const {
-  MPIPE_EXPECTS(index >= 0, "negative partition index");
-  const Tensor& t = slots_[static_cast<std::size_t>(slot_id(index))].tensor;
-  MPIPE_EXPECTS(t.defined(), "slot access on accounting-only pool");
-  return t;
-}
-
-int BufferPool::slot_id(int index) const { return index % depth_; }
+int BufferPool::slot_id(int index) const { return index % depth(); }
 
 bool BufferPool::aliases(int a, int b) const {
   return slot_id(a) == slot_id(b);

@@ -1,14 +1,16 @@
 #pragma once
 /// \file buffer_pool.h
-/// Ring buffer pool implementing the paper's memory-reusing scheme (§III-D,
-/// Fig 6): with n pipeline partitions, the partitions of T_DI / T_M / T_DO
-/// share `depth` physical slots instead of n — reducing the footprint from
-/// m to depth·(m/n). Slot reuse introduces WAR hazards between partitions;
-/// the pipeline scheduler turns prior readers into dependencies of the next
-/// writer (tests/test_pipeline_schedule.cpp asserts this).
+/// The per-partition step buffers of the paper's memory-reusing scheme
+/// (§III-D, Fig 6): partition p of T_DI / T_M / T_DO (and their gradients)
+/// lives in physical slot p % depth. With memory reuse a pool is a ring of
+/// `depth` slots sized for the device's worst partition, reducing the
+/// footprint from m to depth·(m/n); without reuse it stashes one slot per
+/// partition at that partition's rows. Slot reuse introduces WAR hazards
+/// between partitions; the pipeline scheduler turns prior readers into
+/// dependencies of the next writer (tests/test_schedule_invariants.cpp
+/// asserts this).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mem/device_allocator.h"
@@ -18,19 +20,20 @@ namespace mpipe::mem {
 
 class BufferPool {
  public:
-  /// Allocates `depth` slots of `slot_shape` on `allocator` under
-  /// `category`. `name` labels ops that touch the pool. With
-  /// materialize = false the slots are accounting-only (timing-only mode).
-  /// `account_dtype` accounts each slot at its wire-format size
+  /// One (slot_rows[i], cols) slot per entry of `slot_rows`, accounted on
+  /// `allocator` under `category`; a null allocator keeps the slots
+  /// untracked (scratch whose footprint the caller accounts otherwise).
+  /// With materialize = false the slots are accounting-only (timing-only
+  /// mode). `account_dtype` accounts each slot at its wire-format size
   /// (DeviceAllocator::alloc_tensor) — used for the dispatch/combine
-  /// payload rings, whose rows a real device stores in the reduced dtype.
-  BufferPool(DeviceAllocator& allocator, std::string name, Shape slot_shape,
-             int depth, Category category, bool materialize = true,
+  /// payload buffers, whose rows a real device stores in the reduced dtype.
+  BufferPool(DeviceAllocator* allocator,
+             const std::vector<std::int64_t>& slot_rows, std::int64_t cols,
+             Category category, bool materialize = true,
              DType account_dtype = DType::kF32);
 
   /// Slot backing partition `index` (index % depth).
   Tensor& slot(int index);
-  const Tensor& slot(int index) const;
 
   /// Physical slot id for a partition index.
   int slot_id(int index) const;
@@ -38,15 +41,10 @@ class BufferPool {
   /// True when partitions a and b share the same physical slot.
   bool aliases(int a, int b) const;
 
-  int depth() const { return depth_; }
-  const Shape& slot_shape() const { return slot_shape_; }
-  const std::string& name() const { return name_; }
+  int depth() const { return static_cast<int>(slots_.size()); }
   std::uint64_t bytes() const;
 
  private:
-  std::string name_;
-  Shape slot_shape_;
-  int depth_;
   std::vector<TrackedTensor> slots_;
 };
 

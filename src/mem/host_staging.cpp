@@ -61,18 +61,6 @@ void HostStaging::drop(int device, const std::string& key) {
   store_.erase(it);
 }
 
-void HostStaging::clear_device(int device) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = store_.begin(); it != store_.end();) {
-    if (it->first.first == device) {
-      bytes_ -= it->second.bytes;
-      it = store_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void HostStaging::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   store_.clear();

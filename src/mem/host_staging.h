@@ -48,8 +48,7 @@ class HostStaging {
   /// Drops one entry (after its backward consumer ran).
   void drop(int device, const std::string& key);
 
-  /// Drops everything staged for a device.
-  void clear_device(int device);
+  /// Drops everything staged.
   void clear();
 
   std::uint64_t bytes_stored() const;

@@ -1,7 +1,7 @@
 #pragma once
 /// \file config.h
-/// Shared MoE model hyperparameters (paper Table I / Table III notation:
-/// M = d_model, H = d_hidden, E = num_experts, B = tokens per device).
+/// The expert FFN's activation function (M = d_model, H = d_hidden,
+/// B = tokens per device, as in the paper's Table I).
 
 #include <cstdint>
 
@@ -11,17 +11,10 @@ enum class ActivationKind : std::uint8_t {
   /// ReLU applied in place — matches the paper's memory formulation where
   /// T_M stores the post-activation middle tensor only (Eq 2).
   kReLU,
-  /// tanh-approximated GELU. Backward needs the pre-activation tensor, so
-  /// the activation stash grows by B*H; see DESIGN.md.
+  /// tanh-approximated GELU. Its backward needs the pre-activation, so T_M
+  /// stashes that instead and FFN2 applies GELU on the fly; the stash stays
+  /// B*H (ExpertFFN's stash convention, moe/expert.cpp).
   kGELU,
-};
-
-struct MoEModelConfig {
-  std::int64_t d_model = 1024;   ///< M
-  std::int64_t d_hidden = 4096;  ///< H
-  int num_experts = 64;          ///< E
-  int top_k = 1;                 ///< k (the paper evaluates k = 1)
-  ActivationKind activation = ActivationKind::kReLU;
 };
 
 }  // namespace mpipe::moe

@@ -296,8 +296,4 @@ std::vector<Tensor*> ExpertFFN::gradients() {
   return {&gw1_, &gb1_, &gw2_, &gb2_};
 }
 
-std::int64_t ExpertFFN::num_params() const {
-  return w1_.numel() + b1_.numel() + w2_.numel() + b2_.numel();
-}
-
 }  // namespace mpipe::moe

@@ -61,9 +61,6 @@ class ExpertFFN {
   std::vector<Tensor*> parameters();
   std::vector<Tensor*> gradients();
 
-  /// Total parameter element count (2*H*M + H + M).
-  std::int64_t num_params() const;
-
   std::int64_t d_model() const { return w1_.dim(0); }
   std::int64_t d_hidden() const { return w1_.dim(1); }
   ActivationKind activation() const { return activation_; }

@@ -15,6 +15,10 @@ namespace mpipe::runtime {
 
 namespace {
 
+/// Step-level replays of a TransientError that escaped the comm-level
+/// retry, before escalating to rollback/abort.
+constexpr int kMaxStepRetries = 2;
+
 void write_json(const std::string& path, const std::string& json) {
   std::ofstream out(path);
   if (!out || !(out << json)) {
@@ -52,7 +56,6 @@ Trainer::Trainer(core::MoELayer& layer, TrainerOptions options)
   MPIPE_EXPECTS(ft.checkpoint_interval >= 0, "negative checkpoint interval");
   MPIPE_EXPECTS(ft.rollback_after >= 1, "rollback_after must be >= 1");
   MPIPE_EXPECTS(ft.max_rollbacks >= 0, "negative rollback budget");
-  MPIPE_EXPECTS(ft.max_step_retries >= 0, "negative step retry budget");
   optimizer_ = std::make_unique<Adam>(layer.parameters(), layer.gradients(),
                                       options_.adam);
 }
@@ -143,7 +146,7 @@ double Trainer::train_step() {
         workload_.set_rng(rng_snapshot);
         workload_.set_last_batch_tokens(tokens_snapshot);
         ++metrics_.recovery().transient_step_retries;
-        if (++attempts > ft.max_step_retries) {
+        if (++attempts > kMaxStepRetries) {
           if (!roll_back()) {
             abort_with_diagnostics(
                 std::string("transient step retries exhausted: ") + e.what());

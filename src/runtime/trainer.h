@@ -42,9 +42,6 @@ struct FaultToleranceOptions {
   int rollback_after = 2;
   /// Rollbacks allowed per run before aborting (ladder rung 3).
   int max_rollbacks = 4;
-  /// Step-level replays of a TransientError that escaped the comm-level
-  /// retry, before escalating to rollback/abort.
-  int max_step_retries = 2;
 };
 
 struct TrainerOptions {

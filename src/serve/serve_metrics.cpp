@@ -26,14 +26,6 @@ double ServeMetrics::latency_percentile(double p) const {
   return percentile(std::move(v), p);
 }
 
-double ServeMetrics::queue_delay_percentile(double p) const {
-  if (requests_.empty()) return 0.0;
-  std::vector<double> v;
-  v.reserve(requests_.size());
-  for (const RequestRecord& r : requests_) v.push_back(r.queue_delay());
-  return percentile(std::move(v), p);
-}
-
 double ServeMetrics::mean_batch_tokens() const {
   if (batches_.empty()) return 0.0;
   double total = 0.0;
@@ -54,14 +46,6 @@ double ServeMetrics::tokens_per_second() const {
   const double span = last_completion - first_arrival;
   if (span <= 0.0) return 0.0;
   return static_cast<double>(total_tokens_) / span;
-}
-
-std::size_t ServeMetrics::slo_violations(double slo_seconds) const {
-  std::size_t n = 0;
-  for (const RequestRecord& r : requests_) {
-    if (r.latency() > slo_seconds) ++n;
-  }
-  return n;
 }
 
 std::string ServeMetrics::summary() const {

@@ -46,17 +46,13 @@ class ServeMetrics {
   std::size_t batches_executed() const { return batches_.size(); }
   std::uint64_t total_tokens() const { return total_tokens_; }
 
-  /// p in [0, 1] over per-request end-to-end latency / queueing delay.
+  /// p in [0, 1] over per-request end-to-end latency.
   double latency_percentile(double p) const;
-  double queue_delay_percentile(double p) const;
   double mean_batch_tokens() const;
 
   /// Aggregate throughput: total real tokens over the span from the first
   /// arrival to the last completion (virtual clock).
   double tokens_per_second() const;
-
-  /// Requests whose end-to-end latency exceeded `slo_seconds`.
-  std::size_t slo_violations(double slo_seconds) const;
 
   std::string summary() const;
 

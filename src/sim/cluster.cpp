@@ -1,6 +1,5 @@
 #include "sim/cluster.h"
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace mpipe::sim {
@@ -8,23 +7,13 @@ namespace mpipe::sim {
 Cluster::Cluster(ClusterConfig config)
     : topology_(config.topology),
       cost_model_(config.cost, Topology(config.topology)),
-      interference_(config.interference) {
-  devices_.reserve(static_cast<std::size_t>(topology_.num_devices()));
-  for (int d = 0; d < topology_.num_devices(); ++d) {
-    devices_.emplace_back(d, topology_.node_of(d));
-  }
-}
+      interference_(config.interference) {}
 
 Cluster Cluster::dgx_a100_pod(int nodes, int gpus_per_node) {
   ClusterConfig cfg;
   cfg.topology.num_devices = nodes * gpus_per_node;
   cfg.topology.devices_per_node = gpus_per_node;
   return Cluster(cfg);
-}
-
-const Device& Cluster::device(int id) const {
-  MPIPE_EXPECTS(id >= 0 && id < num_devices(), "device id out of range");
-  return devices_[static_cast<std::size_t>(id)];
 }
 
 std::vector<int> Cluster::all_device_ids() const {
@@ -42,8 +31,6 @@ void Cluster::set_cost_config(CostModelConfig config) {
 void Cluster::set_fault_injection(FaultInjectionConfig config) {
   fault_injector_ = std::make_shared<const FaultInjector>(config);
 }
-
-void Cluster::clear_fault_injection() { fault_injector_.reset(); }
 
 TimingResult Cluster::run(const OpGraph& graph, ExecutionPolicy policy,
                           ExecutionProfile* profile) {

@@ -1,6 +1,6 @@
 #pragma once
 /// \file cluster.h
-/// The simulated cluster: topology + interference + cost model + devices.
+/// The simulated cluster: topology + interference + cost model.
 /// `run()` executes an OpGraph functionally (real math, deterministic topo
 /// order) and temporally (timing engine), returning the timing result.
 
@@ -9,7 +9,6 @@
 
 #include "common/fault_injection.h"
 #include "sim/cost_model.h"
-#include "sim/device.h"
 #include "sim/graph_executor.h"
 #include "sim/interference.h"
 #include "sim/op_graph.h"
@@ -32,7 +31,6 @@ class Cluster {
   static Cluster dgx_a100_pod(int nodes = 8, int gpus_per_node = 8);
 
   int num_devices() const { return topology_.num_devices(); }
-  const Device& device(int id) const;
   std::vector<int> all_device_ids() const;
 
   const Topology& topology() const { return topology_; }
@@ -48,9 +46,8 @@ class Cluster {
   /// stragglers, and payload corruption; allocators wired via
   /// fault_injector_shared() consult it for OOM injection. Ops capture the
   /// injector by shared_ptr, so graphs built against one configuration
-  /// stay valid across clear/replace.
+  /// stay valid when a later call installs another.
   void set_fault_injection(FaultInjectionConfig config);
-  void clear_fault_injection();
 
   /// Null when no injection is configured (the default — and then every
   /// fault hook reduces to one null check).
@@ -86,7 +83,6 @@ class Cluster {
   Topology topology_;
   CostModel cost_model_;
   InterferenceModel interference_;
-  std::vector<Device> devices_;
   std::shared_ptr<const FaultInjector> fault_injector_;
 };
 

@@ -20,7 +20,6 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  double top_key() const { return heap_.top().key; }
   const Payload& top() const { return heap_.top().payload; }
 
   Payload pop() {

@@ -9,15 +9,6 @@
 
 namespace mpipe::sim {
 
-double TimingResult::mean_compute_utilization() const {
-  if (busy.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t d = 0; d < busy.size(); ++d) {
-    acc += compute_utilization(static_cast<int>(d));
-  }
-  return acc / static_cast<double>(busy.size());
-}
-
 TimingEngine::TimingEngine(const InterferenceModel& interference,
                            int num_devices)
     : interference_(interference), num_devices_(num_devices) {

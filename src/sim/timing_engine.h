@@ -40,8 +40,6 @@ struct TimingResult {
     if (makespan <= 0.0) return 0.0;
     return weighted_compute[static_cast<std::size_t>(device)] / makespan;
   }
-  /// Mean utilisation across devices.
-  double mean_compute_utilization() const;
 };
 
 class TimingEngine {

@@ -12,7 +12,6 @@ Topology::Topology(TopologyConfig config) : config_(std::move(config)) {
   MPIPE_EXPECTS(config_.intra_node_bw > 0 && config_.inter_node_bw > 0 &&
                     config_.pcie_bw > 0,
                 "bandwidths must be positive");
-  MPIPE_EXPECTS(config_.launch_latency >= 0, "negative latency");
   MPIPE_EXPECTS(config_.p2p_efficiency > 0 && config_.p2p_efficiency <= 1.0,
                 "p2p efficiency must be in (0, 1]");
   if (!config_.device_bw_scale.empty()) {

@@ -25,8 +25,6 @@ struct TopologyConfig {
   double p2p_efficiency = 0.55;
   /// PCIe gen4 x16 host link per GPU (bytes/s).
   double pcie_bw = 22.0e9;
-  /// Fixed kernel-launch / NCCL-call latency charged once per op (s).
-  double launch_latency = 12.0e-6;
   /// Optional per-device bandwidth multiplier (heterogeneous networks);
   /// empty means homogeneous 1.0.
   std::vector<double> device_bw_scale;
@@ -56,7 +54,6 @@ class Topology {
   double alltoall_bandwidth(const std::vector<int>& group) const;
 
   double pcie_bandwidth(int device) const;
-  double launch_latency() const { return config_.launch_latency; }
 
   double device_scale(int device) const;
 

@@ -1,7 +1,6 @@
 #include "sim/trace.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -76,14 +75,6 @@ std::string to_chrome_trace(const OpGraph& graph, const TimingResult& timing,
   }
   os << "]}";
   return os.str();
-}
-
-bool write_chrome_trace(const std::string& path, const OpGraph& graph,
-                        const TimingResult& timing) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_chrome_trace(graph, timing);
-  return static_cast<bool>(out);
 }
 
 std::string ascii_timeline(const OpGraph& graph, const TimingResult& timing,

@@ -22,10 +22,6 @@ std::string to_chrome_trace(const OpGraph& graph, const TimingResult& timing);
 std::string to_chrome_trace(const OpGraph& graph, const TimingResult& timing,
                             const MeasuredTimeline& measured);
 
-/// Writes the trace to a file; returns false on I/O failure.
-bool write_chrome_trace(const std::string& path, const OpGraph& graph,
-                        const TimingResult& timing);
-
 /// Renders a coarse ASCII timeline (one row per device stream) — handy in
 /// examples and debugging without leaving the terminal.
 std::string ascii_timeline(const OpGraph& graph, const TimingResult& timing,

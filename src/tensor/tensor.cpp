@@ -61,7 +61,10 @@ float Tensor::at(std::int64_t r, std::int64_t c) const {
 Tensor Tensor::clone() const {
   if (!defined()) return Tensor();
   Tensor out(shape_);
-  std::memcpy(out.data(), data(), static_cast<std::size_t>(nbytes()));
+  // An empty tensor may have no storage; memcpy's pointers must be valid.
+  if (nbytes() > 0) {
+    std::memcpy(out.data(), data(), static_cast<std::size_t>(nbytes()));
+  }
   return out;
 }
 

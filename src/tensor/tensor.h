@@ -22,7 +22,6 @@ class Tensor {
   /// Wraps existing data (copied in).
   Tensor(Shape shape, std::vector<float> data);
 
-  static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value);
 
   bool defined() const { return storage_ != nullptr; }

@@ -220,6 +220,25 @@ TEST(Baselines, FasterMoEShadowingUsesMoreMemoryThanFastMoE) {
   EXPECT_GT(faster_mem, fast_mem);
 }
 
+TEST(Baselines, FastMoETempPeakIsTheEagerFreeWalk) {
+  // Serial execution frees each gradient tensor as soon as the next one is
+  // produced: the backward's temp peak is dx (BM) plus the two adjacent
+  // tensors of Eq 3 (BM + BH). The gradient scratch itself is untracked.
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+  baselines::FastMoEOptions fo;
+  fo.d_model = 1024;
+  fo.d_hidden = 4096;
+  fo.num_experts = 64;
+  fo.mode = core::ExecutionMode::kTimingOnly;
+  baselines::FastMoELayer fastmoe(cluster, fo);
+  const std::uint64_t B = 4096, M = 1024, H = 4096;
+  for (double skew : {0.0, 0.4}) {
+    const auto memory = fastmoe.step_timing(B, skew).memory;
+    EXPECT_EQ(memory.temp_buffers, (B * M + B * (M + H)) * sizeof(float))
+        << "skew " << skew;
+  }
+}
+
 TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
   // FasterMoE's modeled step time and footprint: its schedule, step
   // buffers and shadowing accounting must reproduce these recorded values.

@@ -98,10 +98,6 @@ TEST(MoELayerErrors, MisuseIsRejectedEagerly) {
   EXPECT_THROW(core::MoELayer(cluster, o), CheckError);
 
   o.num_experts = 4;
-  o.top_k = 2;
-  EXPECT_THROW(core::MoELayer(cluster, o), CheckError);
-
-  o.top_k = 1;
   core::MoELayer layer(cluster, o);
   // backward before forward
   EXPECT_THROW(layer.backward({}), CheckError);
@@ -161,21 +157,6 @@ TEST(Shadowing, ReducesFasterMoECommUnderHotExpert) {
   const auto t_plain = plain.step_timing(16384, 0.3);
   EXPECT_LT(t_shadowed.step_seconds(), t_plain.step_seconds());
   EXPECT_GT(t_shadowed.memory.model_states, t_plain.memory.model_states);
-}
-
-TEST(TraceExport, WritesReadableJsonFile) {
-  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 2);
-  sim::OpGraph g;
-  g.add("work", sim::OpCategory::kGemm, sim::StreamKind::kCompute, {0}, 0.1,
-        {});
-  const auto timing = cluster.time_only(g);
-  const std::string path = "/tmp/mpipe_trace_test.json";
-  ASSERT_TRUE(sim::write_chrome_trace(path, g, timing));
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_NE(contents.find("\"work\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(TablePrinter, AlignsAndValidates) {

@@ -173,12 +173,12 @@ TEST(BufferPoolRecovery, MidAcquisitionFailureReleasesPartialSlots) {
   const std::uint64_t slot_bytes = 8 * 4 * sizeof(float);
   mem::DeviceAllocator alloc(0, 2 * slot_bytes);
   EXPECT_THROW(
-      mem::BufferPool(alloc, "t", Shape{8, 4}, 4, mem::Category::kActivation),
+      mem::BufferPool(&alloc, {8, 8, 8, 8}, 4, mem::Category::kActivation),
       mem::OutOfMemoryError);
   EXPECT_EQ(alloc.tracker().current_total(), 0u)
       << "partially-acquired slots leaked";
   // The freed capacity still serves a fitting pool afterwards.
-  mem::BufferPool ok(alloc, "t", Shape{8, 4}, 2, mem::Category::kActivation);
+  mem::BufferPool ok(&alloc, {8, 8}, 4, mem::Category::kActivation);
   EXPECT_EQ(ok.depth(), 2);
   EXPECT_EQ(alloc.tracker().current_total(), 2 * slot_bytes);
 }

@@ -340,41 +340,29 @@ struct FunctionalForwardFixture {
       st.dy = Tensor(Shape{kTokens, kModel});
       st.dx = Tensor(Shape{kTokens, kModel});
       st.dgate.assign(static_cast<std::size_t>(kTokens), 0.0f);
-      if (ctx.reuse()) {
-        std::int64_t cap = 1;
-        for (int p = 0; p < n; ++p) {
-          cap = std::max(
-              cap, ctx.plan.part(p).recv_rows[static_cast<std::size_t>(d)]);
-        }
-        const std::int64_t chunk = ctx.plan.part(0).chunk_rows;
-        const auto act = mem::Category::kActivation;
-        const auto temp = mem::Category::kTempBuffer;
-        st.tdi.emplace(alloc, "tdi", Shape{cap, kModel}, depth, act, true);
-        st.tm.emplace(alloc, "tm", Shape{cap, kHidden}, 1, act, true);
-        st.tdo.emplace(alloc, "tdo", Shape{cap, kModel}, depth, act, true);
-        st.d_ys.emplace(alloc, "d_ys", Shape{chunk, kModel}, n, temp, true);
-        st.d_tdo.emplace(alloc, "d_tdo", Shape{cap, kModel}, depth, temp,
-                         true);
-        st.d_tdi.emplace(alloc, "d_tdi", Shape{cap, kModel}, depth, temp,
-                         true);
-      } else {
-        for (int p = 0; p < n; ++p) {
-          const auto& part = ctx.plan.part(p);
-          const std::int64_t rows = std::max<std::int64_t>(
-              1, part.recv_rows[static_cast<std::size_t>(d)]);
-          auto stash = [&](std::vector<mem::TrackedTensor>& parts,
-                           std::int64_t r, std::int64_t cols) {
-            parts.push_back(alloc.alloc_tensor(Shape{r, cols},
-                                               mem::Category::kActivation));
-          };
-          stash(st.tdi_parts, rows, kModel);
-          stash(st.tm_parts, rows, kHidden);
-          stash(st.tdo_parts, rows, kModel);
-          stash(st.d_ys_parts, part.chunk_rows, kModel);
-          stash(st.d_tdo_parts, rows, kModel);
-          stash(st.d_tdi_parts, rows, kModel);
-        }
+      // Ring slots at the device's worst partition with reuse, one slot
+      // per partition at its own rows without.
+      std::vector<std::int64_t> rows, chunks;
+      for (int p = 0; p < n; ++p) {
+        const auto& part = ctx.plan.part(p);
+        rows.push_back(std::max<std::int64_t>(
+            1, part.recv_rows[static_cast<std::size_t>(d)]));
+        chunks.push_back(ctx.plan.part(ctx.reuse() ? 0 : p).chunk_rows);
       }
+      auto ring = [&](int slots) {
+        if (!ctx.reuse()) return rows;
+        return std::vector<std::int64_t>(
+            static_cast<std::size_t>(slots),
+            *std::max_element(rows.begin(), rows.end()));
+      };
+      const auto act = mem::Category::kActivation;
+      const auto temp = mem::Category::kTempBuffer;
+      st.tdi.emplace(&alloc, ring(depth), kModel, act);
+      st.tm.emplace(&alloc, ring(1), kHidden, act);
+      st.tdo.emplace(&alloc, ring(depth), kModel, act);
+      st.d_ys.emplace(&alloc, chunks, kModel, temp);
+      st.d_tdo.emplace(&alloc, ring(depth), kModel, temp);
+      st.d_tdi.emplace(&alloc, ring(depth), kModel, temp);
       std::vector<moe::ExpertFFN> dev_experts;
       Rng expert_rng = rng.fork();
       dev_experts.emplace_back(kModel, kHidden,
@@ -640,8 +628,7 @@ void hash_memory(GraphHasher& h, core::MoELayer& layer) {
   h.integer(static_cast<long long>(layer.staging().bytes_stored()));
 }
 
-/// Per-device (32, 16) inputs and unit output gradients for a small
-/// full-mode layer.
+/// Per-device (32, 16) normal inputs for a small full-mode layer.
 std::vector<Tensor> small_batch(int devices, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Tensor> xs;

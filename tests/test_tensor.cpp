@@ -58,6 +58,14 @@ TEST(Tensor, CopiesShareStorageCloneDoesNot) {
   EXPECT_FLOAT_EQ(deep.at(0, 0), 0.0f);
 }
 
+TEST(Tensor, CloneOfEmptyTensorKeepsItsShape) {
+  const Tensor empty(Shape{0, 5});
+  const Tensor copy = empty.clone();
+  EXPECT_TRUE(copy.defined());
+  EXPECT_EQ(copy.shape(), empty.shape());
+  EXPECT_EQ(copy.numel(), 0);
+}
+
 TEST(Tensor, SliceAndCopyRows) {
   Tensor t(Shape{4, 3});
   for (std::int64_t r = 0; r < 4; ++r) {
