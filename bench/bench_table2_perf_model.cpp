@@ -3,6 +3,7 @@
 /// model's ranking matches the simulator's ranking.
 
 #include "bench_common.h"
+#include "core/strategy_selector.h"
 
 int main() {
   using namespace mpipe;
@@ -22,7 +23,7 @@ int main() {
       const int n = 4;
       const std::int64_t micro = b / n;
       core::StrategySelector selector(
-          core::StrategySelector::measure(cluster, micro, spec.d_model));
+          core::StrategySelector::measure(cluster, micro));
 
       std::vector<std::pair<double, double>> costs;  // (pred, sim)
       for (auto s : {core::ReuseStrategy::kS1, core::ReuseStrategy::kS2,

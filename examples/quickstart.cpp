@@ -25,7 +25,7 @@ int main() {
   options.d_hidden = 256;
   options.num_experts = 8;   // one expert per simulated GPU
   options.pipeline = true;    // adaptive granularity (Algorithm 1)
-  options.memory_reuse = true;  // adaptive strategy (Eq 10)
+  options.memory_reuse = true;  // adaptive strategy (S1–S4, §III-E)
   options.parallel_execution = true;  // concurrent op-graph executor
   core::MoELayer layer(cluster, options);
 

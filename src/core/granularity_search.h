@@ -38,10 +38,8 @@ class GranularitySearcher {
 
   /// Drops the exact-B cache and the monotone ranges so every future
   /// configure() re-measures. Required whenever the trial function's cost
-  /// landscape changes underneath the searcher — installing measured
-  /// per-op-class correction factors (sim::OpClassCorrections) is exactly
-  /// that: cached verdicts ranked by the uncorrected model would otherwise
-  /// shadow the reality-corrected ranking forever.
+  /// landscape changes underneath the searcher (new correction factors, a
+  /// new routing skew): stale verdicts would otherwise shadow it forever.
   void invalidate();
 
   const SearchStats& stats() const { return stats_; }

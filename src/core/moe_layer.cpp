@@ -105,18 +105,19 @@ double combined_utilization(const sim::TimingResult& fwd,
 
 }  // namespace
 
+std::vector<int> partition_candidates(const MoELayerOptions& options) {
+  if (!options.pipeline) return {1};
+  if (options.num_partitions > 0) return {options.num_partitions};
+  return options.candidate_partitions;
+}
+
 sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
                                            const MoELayerOptions& options,
                                            std::int64_t min_tokens,
                                            std::int64_t max_tokens) {
   MPIPE_EXPECTS(min_tokens >= 1 && max_tokens >= min_tokens,
                 "bad token range");
-  std::vector<int> candidates = options.candidate_partitions;
-  if (!options.pipeline) {
-    candidates = {1};
-  } else if (options.num_partitions > 0) {
-    candidates = {options.num_partitions};
-  }
+  const std::vector<int> candidates = partition_candidates(options);
   const int epd = options.num_experts / cluster.num_devices();
   const auto rows = GranularitySearcher::expert_panel_range(
       min_tokens, max_tokens, candidates, epd);
@@ -192,11 +193,7 @@ MoELayer::MoELayer(sim::Cluster& cluster, MoELayerOptions options,
 
   searcher_ = std::make_unique<GranularitySearcher>(
       options_.candidate_partitions, [this](std::int64_t b, int n) {
-        const ReuseStrategy probe_strategy =
-            options_.memory_reuse && n > 1
-                ? configure_strategy(b, n)
-                : ReuseStrategy::kNone;
-        return probe_step_seconds(b, n, probe_strategy);
+        return rank_strategies(b, n).seconds;
       });
 }
 
@@ -233,33 +230,28 @@ LayerRefs MoELayer::refs() {
 }
 
 int MoELayer::configure_partitions(std::int64_t tokens_per_device) {
-  if (!options_.pipeline) return 1;
-  if (options_.num_partitions > 0) return options_.num_partitions;
+  const std::vector<int> candidates = partition_candidates(options_);
+  if (candidates.size() == 1) return candidates.front();
   const auto& curve = cluster_->cost_model().config().gemm_curve;
   if (!curve.empty()) {
-    // A measured efficiency curve is loaded: the search must rank
-    // candidates from interpolated (not extrapolated) timings, so the
-    // probe's row range has to sit inside the calibrated sweep. The
-    // schedule evaluates efficiency per expert panel (received rows split
-    // across local experts), hence expert_panel_range, not the raw
-    // micro-batch range. Fails with an actionable message instead of
-    // silently clamping to the nearest knot.
+    // A measured efficiency curve is loaded: the probes must interpolate,
+    // not extrapolate, so their expert panels (received rows split across
+    // local experts) must sit inside the calibrated sweep. Fails with an
+    // actionable message instead of silently clamping to the nearest knot.
     const auto range = GranularitySearcher::expert_panel_range(
-        tokens_per_device, tokens_per_device, options_.candidate_partitions,
+        tokens_per_device, tokens_per_device, candidates,
         experts_per_device());
     curve.validate_covers(range.first, range.second);
   }
   const auto& comm_curve = cluster_->cost_model().config().comm_curve;
   if (!comm_curve.empty() && num_devices() >= 2) {
-    // Same contract for the comm side: the probe's AllToAll payloads must
-    // sit inside the calibrated sweep, not extrapolate past it. Steps that
-    // pin n and skip this gate (forward_only with n_override — the batcher
+    // Same contract for the probes' AllToAll payloads. Steps that pin n
+    // and skip this gate (forward_only with n_override: the batcher
     // dispatches whatever tokens arrived) instead record every off-sweep
-    // consultation in the curve's CommClampStats, so tiny serving
-    // micro-batches can't silently run off the measured sweep.
+    // consultation in the curve's CommClampStats.
     const auto payloads = GranularitySearcher::alltoall_payload_range(
-        tokens_per_device, tokens_per_device, options_.candidate_partitions,
-        options_.d_model, num_devices(), options_.compute_dtype);
+        tokens_per_device, tokens_per_device, candidates, options_.d_model,
+        num_devices(), options_.compute_dtype);
     comm_curve.validate_covers(payloads.first, payloads.second);
   }
   return searcher_->configure(tokens_per_device);
@@ -275,20 +267,38 @@ void MoELayer::set_corrections(const sim::OpClassCorrections& corrections) {
     return;  // unchanged landscape: cached search verdicts stay valid
   }
   corrections_ = corrections;
+  flush_rankings();
+}
+
+void MoELayer::flush_rankings() {
   searcher_->invalidate();
+  rankings_.clear();
+}
+
+std::vector<ReuseStrategy> MoELayer::strategy_candidates(int n) const {
+  if (!options_.memory_reuse || n <= 1) return {ReuseStrategy::kNone};
+  if (options_.strategy.has_value()) return {*options_.strategy};
+  return {ReuseStrategy::kS1, ReuseStrategy::kS2, ReuseStrategy::kS3,
+          ReuseStrategy::kS4};
 }
 
 ReuseStrategy MoELayer::configure_strategy(std::int64_t tokens_per_device,
                                            int n) {
-  if (!options_.memory_reuse || n <= 1) return ReuseStrategy::kNone;
-  if (options_.strategy.has_value()) return *options_.strategy;
-  const std::int64_t micro = std::max<std::int64_t>(1, tokens_per_device / n);
-  StrategySelector selector(
-      StrategySelector::measure(*cluster_, micro, options_.d_model),
-      corrections_);
-  strategy_choice_ = selector.select(micro, options_.d_model,
-                                     options_.d_hidden);
-  return strategy_choice_.strategy;
+  const std::vector<ReuseStrategy> candidates = strategy_candidates(n);
+  if (candidates.size() == 1) return candidates.front();  // no probe
+  return rank_strategies(tokens_per_device, n).strategy;
+}
+
+MoELayer::Ranking MoELayer::rank_strategies(std::int64_t tokens_per_device,
+                                            int n) {
+  auto [it, fresh] = rankings_.try_emplace({tokens_per_device, n});
+  Ranking& best = it->second;
+  if (!fresh) return best;
+  for (ReuseStrategy s : strategy_candidates(n)) {
+    const double t = probe_step_seconds(tokens_per_device, n, s);
+    if (t < best.seconds) best = {s, t};
+  }
+  return best;
 }
 
 MoeStepContext MoELayer::timing_context(std::int64_t tokens_per_device, int n,
@@ -603,9 +613,11 @@ StepReport MoELayer::step_timing(std::int64_t tokens_per_device,
   MPIPE_EXPECTS(tokens_per_device > 0, "empty batch");
   for (auto& a : allocators_) a.tracker().reset_peaks();
 
-  // The online search measures real steps, which see the same routing
-  // skew as the step being configured.
-  probe_skew_ = skew;
+  // Probes see the step's routing skew; verdicts ranked at another are stale.
+  if (skew != probe_skew_) {
+    probe_skew_ = skew;
+    flush_rankings();
+  }
   const int n = configure_partitions(tokens_per_device);
   const ReuseStrategy strategy = configure_strategy(tokens_per_device, n);
 

@@ -13,6 +13,8 @@
 /// constructor, and the layer's step drivers are shared by all of them.
 
 #include <deque>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -21,7 +23,6 @@
 #include "core/granularity_search.h"
 #include "core/pipeline_schedule.h"
 #include "core/step_report.h"
-#include "core/strategy_selector.h"
 #include "mem/host_staging.h"
 #include "sim/calibration.h"
 #include "sim/cluster.h"
@@ -48,7 +49,8 @@ struct MoELayerOptions {
 
   /// Enable the ring-buffer memory reuse of §III-D.
   bool memory_reuse = true;
-  /// Fixed restore strategy; unset enables the Eq-10 adaptive selector.
+  /// Fixed restore strategy; unset ranks S1–S4 with the corrected probes
+  /// that rank n (Eq-10, core::StrategySelector, is the analytic model).
   std::optional<ReuseStrategy> strategy{};
 
   /// Per-device memory capacity in bytes (0 = unlimited).
@@ -106,15 +108,16 @@ struct MoELayerOptions {
   std::uint64_t seed = 42;
 };
 
+/// The partition counts a layer can run: {1} without pipelining,
+/// {num_partitions} when fixed, else candidate_partitions.
+std::vector<int> partition_candidates(const MoELayerOptions& options);
+
 /// Installs the committed CALIBRATION_gemm.csv / CALIBRATION_alltoall.csv
 /// measured curves into `cluster` when they cover the probe ranges a layer
 /// with `options` will present for batches in [min_tokens, max_tokens]
-/// (fixed-partition layers probe only their configured n; adaptive layers
-/// any candidate). Missing files or insufficient knot coverage fall back
-/// to the analytic cost model — the returned status says which, so entry
-/// points can surface it. One shared implementation for runtime::Trainer
-/// and the examples, so the coverage ranges can never drift from the
-/// layer configuration they describe.
+/// over its partition_candidates. Missing files or insufficient knot
+/// coverage fall back to the analytic cost model — the returned status says
+/// which, so entry points (runtime::Trainer, the examples) can surface it.
 sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
                                            const MoELayerOptions& options,
                                            std::int64_t min_tokens,
@@ -177,22 +180,16 @@ class MoELayer {
   void set_trace_execution(bool on) { options_.trace_execution = on; }
 
   /// Installs measured per-op-class correction factors (fitted from
-  /// profiled steps, sim::CorrectionFit): granularity-search probes scale
-  /// their op costs by the factors before timing, and the Eq-10 strategy
-  /// selector derates its stream speeds the same way, so both selections
-  /// re-rank with reality-corrected costs. Changing the factors flushes
-  /// the searcher's cache/ranges (stale verdicts were ranked by the
-  /// uncorrected model). StepReport's simulated timings stay uncorrected —
-  /// they are the model-error baseline the factors are fitted against.
+  /// profiled steps, sim::CorrectionFit) that scale the op costs of the
+  /// probes ranking n and the strategy. Changing them flushes every cached
+  /// (n, strategy) verdict. StepReport's simulated timings stay
+  /// uncorrected — the model-error baseline the factors are fitted against.
   void set_corrections(const sim::OpClassCorrections& corrections);
   const sim::OpClassCorrections& corrections() const { return corrections_; }
 
   // ---- introspection --------------------------------------------------------
   const StepReport& last_report() const { return report_; }
   GranularitySearcher& searcher() { return *searcher_; }
-  const StrategyChoice& last_strategy_choice() const {
-    return strategy_choice_;
-  }
   mem::DeviceAllocator& allocator(int device);
   mem::HostStaging& staging() { return staging_; }
   sim::Cluster& cluster() { return *cluster_; }
@@ -225,8 +222,17 @@ class MoELayer {
                                        : sim::ExecutionPolicy::kSerial;
   }
   int configure_partitions(std::int64_t tokens_per_device);
+  /// S1–S4 if reuse is on, n > 1 and none is pinned; else the pinned or kNone.
+  std::vector<ReuseStrategy> strategy_candidates(int n) const;
   ReuseStrategy configure_strategy(std::int64_t tokens_per_device, int n);
-  /// Timing-only probe used by the granularity search trial function.
+  /// The searcher's trial: the memoised cheapest probe over the candidates.
+  struct Ranking {
+    ReuseStrategy strategy = ReuseStrategy::kNone;
+    double seconds = std::numeric_limits<double>::infinity();
+  };
+  Ranking rank_strategies(std::int64_t tokens_per_device, int n);
+  void flush_rankings();  ///< the searcher's verdicts and rankings_
+  /// Corrected timing-only probe of one (B, n, strategy) training step.
   double probe_step_seconds(std::int64_t tokens_per_device, int n,
                             ReuseStrategy strategy);
   /// Timing-only step context over a synthetic balanced (optionally
@@ -267,7 +273,7 @@ class MoELayer {
 
   std::unique_ptr<GranularitySearcher> searcher_;
   double probe_skew_ = 0.0;
-  StrategyChoice strategy_choice_;
+  std::map<std::pair<std::int64_t, int>, Ranking> rankings_;
   sim::OpClassCorrections corrections_;
   std::optional<MoeStepContext> ctx_;
   StepReport report_;
@@ -303,8 +309,8 @@ class ProfileOverrideScope {
 /// serve::Server: the first `budget` profiled step reports feed a
 /// sim::CorrectionFit, and the report that completes the budget fits the
 /// per-op-class factors and installs them with MoELayer::set_corrections,
-/// so every later granularity search and strategy choice re-ranks with
-/// reality-corrected costs. The layer holds the only copy of the factors.
+/// so every later (n, strategy) ranking uses reality-corrected costs. The
+/// layer holds the only copy of the factors.
 class CorrectionWarmup {
  public:
   /// `budget` profiled reports to fit from; 0 disables the warmup.

@@ -5,8 +5,7 @@
 namespace mpipe::core {
 
 PerfModelParams StrategySelector::measure(const sim::Cluster& cluster,
-                                          std::int64_t micro_batch,
-                                          std::int64_t d_model) {
+                                          std::int64_t micro_batch) {
   MPIPE_EXPECTS(micro_batch > 0, "empty micro batch");
   PerfModelParams p;
   const auto& cost = cluster.cost_model();
@@ -17,7 +16,6 @@ PerfModelParams StrategySelector::measure(const sim::Cluster& cluster,
   p.mu_all = cluster.interference().mu_all();
   p.sigma = cluster.interference().sigma_comm();
   p.eta_all = cluster.interference().eta_all();
-  (void)d_model;
   return p;
 }
 

@@ -1,10 +1,12 @@
 #pragma once
 /// \file strategy_selector.h
-/// The adaptive selection component (§III-E): at runtime, evaluate the
+/// The paper's analytic model of adaptive selection (§III-E): evaluate the
 /// Eq-10 cost of every memory-reusing strategy under the measured hardware
 /// speeds and pick the cheapest. Speeds are derived from the cluster's
 /// cost model and interference matrix — the same quantities the paper
-/// measures with micro-benchmarks.
+/// measures with micro-benchmarks. MoELayer ranks strategies with its
+/// corrected timing-only probes instead (they see the wire dtype, d_model
+/// and pipeline fill/drain); this model serves Table II and ServePlan.
 
 #include <vector>
 
@@ -25,8 +27,7 @@ class StrategySelector {
   /// Derives PerfModelParams from the cluster (micro-batch size b fixes
   /// the GEMM efficiency point).
   static PerfModelParams measure(const sim::Cluster& cluster,
-                                 std::int64_t micro_batch,
-                                 std::int64_t d_model);
+                                 std::int64_t micro_batch);
 
   /// `corrections` are the measured/modeled per-op-class factors fitted
   /// from profiled steps (sim::CorrectionFit): a class whose ops measure

@@ -58,9 +58,9 @@ struct TrainerOptions {
   /// Online measured-vs-modeled loop: profile the wall clock of the first
   /// N steps (per-op timestamps, see sim/profile.h), fit per-op-class
   /// correction factors (measured / modeled seconds for compute, comm and
-  /// memcpy ops) and install them into the layer, so the granularity
-  /// search and the Eq-10 strategy selector re-rank every later step with
-  /// reality-corrected costs. 0 disables; the layer's own
+  /// memcpy ops) and install them into the layer, whose corrected probes
+  /// re-rank n and the strategy for every later step (Eq-10 is the
+  /// paper's analytic model, not consulted). 0 disables; the layer's own
   /// profile_execution option is restored after the warmup.
   int profile_warmup_steps = 0;
   /// When non-empty and warmup profiling ran, the last warmup step's

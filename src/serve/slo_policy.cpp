@@ -4,21 +4,9 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "core/strategy_selector.h"
 
 namespace mpipe::serve {
-
-namespace {
-
-/// The partition candidates a layer would actually run — mirrors the
-/// resolution install_calibration applies (fixed n pins the set, pipeline
-/// off forces 1).
-std::vector<int> candidate_partitions(const core::MoELayerOptions& options) {
-  if (!options.pipeline) return {1};
-  if (options.num_partitions > 0) return {options.num_partitions};
-  return options.candidate_partitions;
-}
-
-}  // namespace
 
 std::string ServePlan::summary() const {
   std::ostringstream os;
@@ -41,7 +29,7 @@ SloSelector::SloSelector(core::MoELayer& layer, SloPolicyOptions options)
 
 ServePlan SloSelector::plan() {
   ServePlan plan;
-  const auto candidates = candidate_partitions(layer_->options());
+  const auto candidates = core::partition_candidates(layer_->options());
   plan.compute_dtype = layer_->options().compute_dtype;
   {
     // Record which curves probe_forward_seconds will consult, so the
@@ -109,7 +97,7 @@ ServePlan SloSelector::plan() {
       1, plan.tokens_per_device / plan.n_partitions);
   const core::MoELayerOptions& lo = layer_->options();
   core::StrategySelector selector(
-      core::StrategySelector::measure(layer_->cluster(), micro, lo.d_model),
+      core::StrategySelector::measure(layer_->cluster(), micro),
       layer_->corrections());
   const core::ReuseStrategy all[] = {
       core::ReuseStrategy::kS1, core::ReuseStrategy::kS2,

@@ -8,13 +8,11 @@
 /// tokens/s, the SLO caps how much latency that purchase may cost.
 ///
 /// The selector probes a ladder of per-device batch sizes through
-/// MoELayer::probe_forward_seconds — the same corrected cost model the
-/// Algorithm-1 granularity search trusts, but timing the *inference* graph
-/// (no offloads, no backward) — and additionally ranks the Eq-10 forward
-/// costs of S1–S4 at the chosen operating point (reporting only: a
-/// forward-only step strips every offload op, so the strategies' forward
-/// schedules coincide; the ranking documents what the paper's model says
-/// about the point the server chose).
+/// MoELayer::probe_forward_seconds — the corrected probes the layer ranks
+/// (n, strategy) with, but timing the *inference* graph (no offloads, no
+/// backward). It also ranks S1–S4 at the chosen point by the paper's
+/// analytic Eq-10 forward costs, for reporting only: forward_only strips
+/// every offload op, so the strategies' forward schedules coincide.
 
 #include <cstdint>
 #include <string>

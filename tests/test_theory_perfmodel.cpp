@@ -155,7 +155,7 @@ TEST(PerfModel, CandidateCostsExposedForAllFour) {
 
 TEST(PerfModel, MeasureFromClusterIsConsistent) {
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-  const auto p = StrategySelector::measure(cluster, 1024, 1024);
+  const auto p = StrategySelector::measure(cluster, 1024);
   EXPECT_GT(p.w_comp, 0.0);
   EXPECT_GT(p.w_comm, 0.0);
   EXPECT_GT(p.w_mem, 0.0);
@@ -163,7 +163,7 @@ TEST(PerfModel, MeasureFromClusterIsConsistent) {
   EXPECT_NEAR(p.mu_all, 0.71, 1e-9);
   EXPECT_NEAR(p.eta_all, 0.71, 1e-9);
   // Larger micro-batches run GEMMs more efficiently.
-  const auto p_small = StrategySelector::measure(cluster, 64, 1024);
+  const auto p_small = StrategySelector::measure(cluster, 64);
   EXPECT_LT(p_small.w_comp, p.w_comp);
 }
 
