@@ -462,6 +462,7 @@ std::vector<Tensor> MoELayer::forward_step(const std::vector<Tensor>& inputs,
                   "inputs must all be (B, d_model)");
   }
   for (auto& a : allocators_) a.tracker().reset_peaks();
+  // A training forward whose backward never ran left its offloads staged.
   staging_.clear();
 
   const int n = n_override > 0 ? n_override : configure_partitions(B);
@@ -511,7 +512,6 @@ std::vector<Tensor> MoELayer::forward_step(const std::vector<Tensor>& inputs,
       // outputs survive via the Tensor's shared storage; a backward() call
       // now fails its has-context precondition, exactly as intended.
       ctx_.reset();
-      staging_.clear();
     }
     return outputs;
   } catch (...) {
@@ -599,7 +599,6 @@ std::vector<Tensor> MoELayer::backward(
       grads.push_back(ctx_->dev[static_cast<std::size_t>(d)].dx);
     }
     ctx_.reset();  // releases activations and temp buffers
-    staging_.clear();
     return grads;
   } catch (...) {
     ctx_.reset();

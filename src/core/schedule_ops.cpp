@@ -126,11 +126,6 @@ void run_expert_stage(ExpertStage stage, moe::ExpertFFN& expert,
   }
 }
 
-std::string staging_key(Stash what, int p) {
-  return std::string(what == Stash::kTdi ? "tdi" : "tm") + ":p" +
-         std::to_string(p);
-}
-
 // ---- gate scaling -----------------------------------------------------------
 // Each validates its row range once, then walks raw rows.
 
@@ -529,27 +524,20 @@ int OpEmitter::host_copy(mem::HostStaging& staging, Stash what, bool to_host,
   const std::int64_t width =
       what == Stash::kTdi ? ctx_.d_model : ctx_.d_hidden;
   const DType dt = ctx_.dtype;
+  // Slots are created here, at graph-build time; the closures only copy.
+  mem::HostStaging::Slot* slot =
+      ctx_.functional() ? &staging.slot(d, what, p) : nullptr;
   std::function<void()> fn;
-  if (ctx_.functional()) {
+  if (slot != nullptr) {
     auto* c = &ctx_;
     auto* st = &staging;
     if (to_host) {
-      fn = [c, st, what, p, d, rows, dt] {
-        // Strict store (no allow_overwrite): every key is per-partition
-        // and consumed exactly once by the prefetch, and MoELayer clears
-        // the staging store at step entry — so even a step replayed after
-        // a mid-forward fault starts from an empty store. A collision
-        // therefore means two ring slots mapped to one key, which must
-        // fail loudly rather than mask a double-stash.
-        st->store(d, staging_key(what, p),
-                  stash_buffer(*c, what, d, p).slice_rows(0, rows),
-                  /*allow_overwrite=*/false, dt);
+      fn = [c, st, slot, what, p, d, rows, dt] {
+        st->store(*slot, stash_buffer(*c, what, d, p), rows, dt);
       };
     } else {
-      fn = [c, st, what, p, d] {
-        const std::string key = staging_key(what, p);
-        stash_buffer(*c, what, d, p).copy_into_rows(0, st->load(d, key));
-        st->drop(d, key);
+      fn = [c, st, slot, what, p, d] {
+        st->restore(*slot, stash_buffer(*c, what, d, p));
       };
     }
   }
@@ -559,11 +547,10 @@ int OpEmitter::host_copy(mem::HostStaging& staging, Stash what, bool to_host,
       StreamKind::kMem, {d},
       cost_.memcpy_seconds(quantized_bytes(rows, width, dt), d),
       std::move(deps), std::move(fn));
-  if (ctx_.functional()) {
+  if (slot != nullptr) {
     const sim::BufferAccess device_rows =
         sim::access_rows(stash_buffer(ctx_, what, d, p), 0, rows);
-    const sim::BufferAccess host_slot =
-        sim::access_token(staging.slot_token(d, staging_key(what, p)));
+    const sim::BufferAccess host_slot = sim::access_token(slot);
     sim::Op& op = g_.op(id);
     op.reads.push_back(to_host ? device_rows : host_slot);
     op.writes.push_back(to_host ? host_slot : device_rows);

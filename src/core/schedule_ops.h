@@ -14,7 +14,9 @@
 /// (sim/graph_executor.h): every functional op states the byte ranges it
 /// touches. Ring-slot buffers alias across partitions by construction
 /// (same data pointer), which is how the validator sees the §III-D WAR
-/// hazards a schedule's explicit edges must cover.
+/// hazards a schedule's explicit edges must cover. A host-staging slot is
+/// one whole-buffer token per (device, Stash, partition): its offload
+/// writes it, its prefetch reads it.
 ///
 /// The segment builders below drive the comm ops (AllToAll in the
 /// pipeline, P2P fragments in FasterMoE), which annotate themselves from
@@ -58,7 +60,7 @@ enum class ExpertStage {
 };
 
 /// The activation buffers the restores offload and prefetch.
-enum class Stash { kTdi, kTm };
+using mem::Stash;
 
 /// Appends ops to one graph of one step. Every emitter takes the op's
 /// label and explicit deps and returns its id; device d's ops run on d.
@@ -93,11 +95,12 @@ class OpEmitter {
   int expert(ExpertStage stage, std::string label, int p, int d,
              std::int64_t rows, std::vector<int> deps);
 
-  /// D2H copy of device d's received rows of `what` in partition p, in
-  /// ctx.dtype's wire format.
+  /// D2H copy of device d's received rows of `what` in partition p into
+  /// staging slot (d, what, p), rounded to ctx.dtype's wire format.
   int offload(mem::HostStaging& staging, Stash what, std::string label,
               int p, int d, std::vector<int> deps);
-  /// H2D restore of what `offload` staged, dropping the staged copy.
+  /// H2D copy of slot (d, what, p) back into the ring slot `offload` read,
+  /// emptying the staging slot for the next step.
   int prefetch(mem::HostStaging& staging, Stash what, std::string label,
                int p, int d, std::vector<int> deps);
 

@@ -1,85 +1,62 @@
 #include "mem/host_staging.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "tensor/quant.h"
 
 namespace mpipe::mem {
 
-void HostStaging::store(int device, const std::string& key, const Tensor& t,
-                        bool allow_overwrite, DType dtype) {
-  MPIPE_EXPECTS(t.defined(), "staging a null tensor");
-  Tensor copy = t.clone();  // deep copy outside the lock
-  std::uint64_t bytes = copy.nbytes();
-  if (dtype != DType::kF32 && copy.shape().rank() == 2) {
-    // Stage in the wire format: round the values the way the reduced
-    // storage would, account the bytes host RAM would actually hold.
-    round_through_dtype(copy.data(), copy.dim(0), copy.dim(1), dtype);
-    bytes = quantized_bytes(copy.dim(0), copy.dim(1), dtype);
-  }
-  const auto k = std::make_pair(device, key);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = store_.find(k);
-  if (it != store_.end()) {
-    MPIPE_EXPECTS(allow_overwrite,
-                  "staging collision: device " + std::to_string(device) +
-                      " key '" + key +
-                      "' is already staged — a live entry was about to be "
-                      "silently overwritten (pass allow_overwrite to "
-                      "replace deliberately)");
-    bytes_ -= it->second.bytes;
-    it->second = Entry{std::move(copy), bytes};
-    bytes_ += bytes;
-    return;
-  }
-  store_.emplace(k, Entry{std::move(copy), bytes});
-  bytes_ += bytes;
+std::string HostStaging::Slot::name() const {
+  return "device " + std::to_string(device_) +
+         (what_ == Stash::kTdi ? " tdi" : " tm") + " partition " +
+         std::to_string(partition_);
 }
 
-Tensor HostStaging::load(int device, const std::string& key) const {
-  Tensor staged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = store_.find(std::make_pair(device, key));
-    MPIPE_EXPECTS(it != store_.end(),
-                  "no staged tensor for device " + std::to_string(device) +
-                      " key '" + key + "'");
-    staged = it->second.t;  // shallow share under the lock...
-  }
-  return staged.clone();  // ...deep copy outside it
+HostStaging::Slot& HostStaging::slot(int device, Stash what, int partition) {
+  Slot& s = slots_[{device, what, partition}];
+  s.device_ = device;
+  s.what_ = what;
+  s.partition_ = partition;
+  return s;
 }
 
-bool HostStaging::contains(int device, const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return store_.count(std::make_pair(device, key)) > 0;
+void HostStaging::store(Slot& slot, const Tensor& src, std::int64_t rows,
+                        DType dtype) {
+  MPIPE_EXPECTS(src.shape().rank() == 2 && rows >= 0 && rows <= src.dim(0),
+                "staged rows out of range");
+  MPIPE_EXPECTS(!slot.full_, "staging collision: " + slot.name() +
+                                 " is already staged — a live entry was "
+                                 "about to be silently overwritten");
+  const std::int64_t cols = src.dim(1);
+  const auto n = static_cast<std::size_t>(rows * cols);
+  if (slot.values_.size() < n) slot.values_.resize(n);
+  std::copy_n(src.data(), n, slot.values_.data());
+  round_through_dtype(slot.values_.data(), rows, cols, dtype);
+  slot.rows_ = rows;
+  slot.cols_ = cols;
+  slot.bytes_ = quantized_bytes(rows, cols, dtype);
+  slot.full_ = true;
+  bytes_ += slot.bytes_;
+  ++entries_;
 }
 
-void HostStaging::drop(int device, const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = store_.find(std::make_pair(device, key));
-  if (it == store_.end()) return;
-  bytes_ -= it->second.bytes;
-  store_.erase(it);
+void HostStaging::restore(Slot& slot, Tensor& dst) {
+  MPIPE_EXPECTS(slot.full_, "no staged tensor for " + slot.name());
+  MPIPE_EXPECTS(dst.shape().rank() == 2 && dst.dim(1) == slot.cols_ &&
+                    dst.dim(0) >= slot.rows_,
+                "restore target does not fit the staged rows");
+  std::copy_n(slot.values_.data(),
+              static_cast<std::size_t>(slot.rows_ * slot.cols_), dst.data());
+  slot.full_ = false;
+  bytes_ -= slot.bytes_;
+  --entries_;
 }
 
 void HostStaging::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  store_.clear();
+  for (auto& entry : slots_) entry.second.full_ = false;
   bytes_ = 0;
-}
-
-std::uint64_t HostStaging::bytes_stored() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_;
-}
-
-std::size_t HostStaging::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return store_.size();
-}
-
-const void* HostStaging::slot_token(int device, const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return &tokens_[std::make_pair(device, key)];
+  entries_ = 0;
 }
 
 }  // namespace mpipe::mem

@@ -7,12 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/stats.h"
 #include "core/step_report.h"
 
 namespace mpipe::runtime {
 
-/// Every recovery action the fault-tolerant runtime took, plus mirrors of
+/// Every recovery action the fault-tolerant runtime took, plus a copy of
 /// the injector's fault totals — so a run can be audited: "N faults were
 /// injected, M retries and K rollbacks erased them". Never truncated by a
 /// rollback (the history of recovery actions is itself the diagnostic).
@@ -24,13 +25,8 @@ struct RecoveryCounters {
   std::uint64_t rollbacks = 0;               ///< ladder rung 2
   std::uint64_t checkpoints_taken = 0;       ///< in-memory auto-checkpoints
   std::uint64_t straggler_flags = 0;         ///< watchdog flags on committed steps
-  // Injector-side totals (FaultInjector::stats mirrors).
-  std::uint64_t comm_failures_injected = 0;
-  std::uint64_t comm_retries = 0;
-  std::uint64_t stragglers_injected = 0;
-  std::uint64_t alloc_failures_injected = 0;
-  std::uint64_t corruptions_injected = 0;
-  std::uint64_t corruptions_detected = 0;  ///< payload-scan hits (scan_payloads)
+  /// The cluster injector's totals (FaultInjector::stats) at the last sync.
+  FaultStats injected;
 
   bool any_recovery() const {
     return transient_step_retries + non_finite_steps +

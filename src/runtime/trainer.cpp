@@ -211,25 +211,19 @@ void Trainer::abort_with_diagnostics(const std::string& reason) {
      << steps_run_ << ", step retries " << r.transient_step_retries
      << ", non-finite " << r.non_finite_steps << ", skipped updates "
      << r.optimizer_steps_skipped << ", rollbacks " << r.rollbacks
-     << "; injected: comm " << r.comm_failures_injected << " (retries "
-     << r.comm_retries << "), stragglers " << r.stragglers_injected
-     << ", alloc " << r.alloc_failures_injected << ", corruptions "
-     << r.corruptions_injected << " (detected " << r.corruptions_detected
-     << ")]";
+     << "; injected: comm " << r.injected.comm_failures << " (retries "
+     << r.injected.comm_retries << ", gave up " << r.injected.comm_gave_up
+     << "), stragglers " << r.injected.stragglers << ", alloc "
+     << r.injected.alloc_failures << ", corruptions "
+     << r.injected.corruptions << " (detected "
+     << r.injected.corruptions_detected << ")]";
   throw CheckError(os.str());
 }
 
 void Trainer::sync_injector_stats() {
   const FaultInjector* injector = layer_->cluster().fault_injector();
   if (injector == nullptr) return;
-  const FaultStats s = injector->stats();
-  RecoveryCounters& r = metrics_.recovery();
-  r.comm_failures_injected = s.comm_failures;
-  r.comm_retries = s.comm_retries;
-  r.stragglers_injected = s.stragglers;
-  r.alloc_failures_injected = s.alloc_failures;
-  r.corruptions_injected = s.corruptions;
-  r.corruptions_detected = s.corruptions_detected;
+  metrics_.recovery().injected = injector->stats();
 }
 
 std::vector<std::uint8_t> Trainer::checkpoint_bytes() {

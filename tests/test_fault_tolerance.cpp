@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -224,14 +225,17 @@ runtime::TrainerOptions small_trainer_options() {
 }
 
 /// One training run; returns the per-call losses (committed steps only —
-/// the ladder replays faulted steps inside train_step).
-std::vector<double> run_losses(int steps,
-                               const runtime::FaultToleranceOptions* ft,
-                               const FaultInjectionConfig* inject,
-                               runtime::TrainingMetrics* out_metrics) {
+/// the ladder replays faulted steps inside train_step). `strategy` pins
+/// the restore strategy; unset leaves it to the layer's ranking.
+std::vector<double> run_losses(
+    int steps, const runtime::FaultToleranceOptions* ft,
+    const FaultInjectionConfig* inject, runtime::TrainingMetrics* out_metrics,
+    std::optional<core::ReuseStrategy> strategy = std::nullopt) {
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
   if (inject != nullptr) cluster.set_fault_injection(*inject);
-  core::MoELayer layer(cluster, small_layer_options());
+  core::MoELayerOptions options = small_layer_options();
+  options.strategy = strategy;
+  core::MoELayer layer(cluster, options);
   runtime::TrainerOptions topt = small_trainer_options();
   topt.steps = steps;
   if (ft != nullptr) topt.fault_tolerance = *ft;
@@ -261,7 +265,7 @@ TEST(FaultTolerantTrainer, LadderIsExactNoOpOnFaultFreeRuns) {
   }
   EXPECT_FALSE(m.recovery().any_recovery());
   EXPECT_GT(m.recovery().checkpoints_taken, 0u);
-  EXPECT_EQ(m.recovery().comm_failures_injected, 0u);
+  EXPECT_EQ(m.recovery().injected.comm_failures, 0u);
 }
 
 // ---- checkpoint/restore ----------------------------------------------------
@@ -422,7 +426,7 @@ TEST(FaultTolerantTrainer, InjectedOomIsFatalToTheStepButTheLayerRecovers) {
   const double loss = trainer.train_step();
   EXPECT_TRUE(std::isfinite(loss));
   EXPECT_EQ(trainer.metrics().steps(), 1u);
-  EXPECT_EQ(trainer.metrics().recovery().alloc_failures_injected, 1u);
+  EXPECT_EQ(trainer.metrics().recovery().injected.alloc_failures, 1u);
 }
 
 TEST(StragglerWatchdog, InjectedDelayIsFlaggedAndMathUnchanged) {
@@ -451,7 +455,7 @@ TEST(StragglerWatchdog, InjectedDelayIsFlaggedAndMathUnchanged) {
   for (std::size_t i = 0; i < clean.size(); ++i) {
     EXPECT_EQ(clean[i], losses[i]) << "step " << i;
   }
-  EXPECT_EQ(trainer.metrics().recovery().stragglers_injected, 1u);
+  EXPECT_EQ(trainer.metrics().recovery().injected.stragglers, 1u);
   EXPECT_GE(trainer.metrics().recovery().straggler_flags, 1u)
       << "watchdog missed a 2ms delay on a microsecond-scale op";
 }
@@ -504,10 +508,10 @@ TEST(FaultTolerantTrainer, ChaosRunConvergesBitwiseIdenticalToCleanRun) {
   }
   EXPECT_EQ(m.steps(), static_cast<std::size_t>(kSteps));
   // The faults really happened — and the ladder really ran.
-  EXPECT_EQ(m.recovery().corruptions_injected, 1u);
-  EXPECT_EQ(m.recovery().stragglers_injected, 1u);
-  EXPECT_GE(m.recovery().comm_failures_injected, 1u);
-  EXPECT_GE(m.recovery().comm_retries, 1u);
+  EXPECT_EQ(m.recovery().injected.corruptions, 1u);
+  EXPECT_EQ(m.recovery().injected.stragglers, 1u);
+  EXPECT_GE(m.recovery().injected.comm_failures, 1u);
+  EXPECT_GE(m.recovery().injected.comm_retries, 1u);
   EXPECT_GE(m.recovery().non_finite_steps, 1u);
   EXPECT_GE(m.recovery().rollbacks, 1u);
   EXPECT_GE(m.recovery().checkpoints_taken, 1u);
@@ -522,25 +526,42 @@ TEST(PayloadScan, DetectsBelowReluCorruptionAndReplaysBitwiseClean) {
   // comm op itself; the step-replay ladder replays the step (the one-shot
   // corruption budget is spent), and the committed losses must be bitwise
   // identical to a fault-free run.
+  //
+  // Pinned to S1 and S3, the NaN goes to partition 1's dispatch ("S1"),
+  // which the reference order runs after every partition-0 offload, so the
+  // failed step dies with host-staging slots full and the replay offloads
+  // into them again.
+  struct Case {
+    std::optional<core::ReuseStrategy> strategy;
+    const char* filter;
+  };
+  const Case cases[] = {{std::nullopt, "S"},
+                        {core::ReuseStrategy::kS1, "S1"},
+                        {core::ReuseStrategy::kS3, "S1"}};
   const int kSteps = 2;
-  const auto clean = run_losses(kSteps, nullptr, nullptr, nullptr);
+  for (const Case& c : cases) {
+    const std::string name =
+        c.strategy ? core::to_string(*c.strategy) : std::string("unset");
+    const auto clean = run_losses(kSteps, nullptr, nullptr, nullptr,
+                                  c.strategy);
 
-  FaultInjectionConfig inject;
-  inject.corrupt_payload_prob = 1.0;
-  inject.max_corruptions = 1;
-  inject.corrupt_label_filter = "S";  // dispatch: below the expert ReLU
-  inject.scan_payloads = true;
-  inject.retry.backoff_seconds = 1e-6;
-  runtime::TrainingMetrics m;
-  const auto scanned = run_losses(kSteps, nullptr, &inject, &m);
+    FaultInjectionConfig inject;
+    inject.corrupt_payload_prob = 1.0;
+    inject.max_corruptions = 1;
+    inject.corrupt_label_filter = c.filter;
+    inject.scan_payloads = true;
+    inject.retry.backoff_seconds = 1e-6;
+    runtime::TrainingMetrics m;
+    const auto scanned = run_losses(kSteps, nullptr, &inject, &m, c.strategy);
 
-  ASSERT_EQ(clean.size(), scanned.size());
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    EXPECT_EQ(clean[i], scanned[i]) << "step " << i;
+    ASSERT_EQ(clean.size(), scanned.size()) << name;
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      EXPECT_EQ(clean[i], scanned[i]) << name << " step " << i;
+    }
+    EXPECT_EQ(m.recovery().injected.corruptions, 1u) << name;
+    EXPECT_GE(m.recovery().injected.corruptions_detected, 1u) << name;
+    EXPECT_GE(m.recovery().transient_step_retries, 1u) << name;
   }
-  EXPECT_EQ(m.recovery().corruptions_injected, 1u);
-  EXPECT_GE(m.recovery().corruptions_detected, 1u);
-  EXPECT_GE(m.recovery().transient_step_retries, 1u);
 }
 
 TEST(PayloadScan, OffByDefaultTheSameCorruptionIsSilent) {
@@ -558,8 +579,8 @@ TEST(PayloadScan, OffByDefaultTheSameCorruptionIsSilent) {
   runtime::TrainingMetrics m;
   const auto silent = run_losses(kSteps, nullptr, &inject, &m);
 
-  EXPECT_EQ(m.recovery().corruptions_injected, 1u);
-  EXPECT_EQ(m.recovery().corruptions_detected, 0u);
+  EXPECT_EQ(m.recovery().injected.corruptions, 1u);
+  EXPECT_EQ(m.recovery().injected.corruptions_detected, 0u);
   EXPECT_EQ(m.recovery().transient_step_retries, 0u);
   for (const double loss : silent) EXPECT_TRUE(std::isfinite(loss));
   // The math silently diverged from the clean run — nobody noticed.
@@ -589,6 +610,7 @@ TEST(FaultTolerantTrainer, ExhaustedRollbackBudgetAbortsWithDiagnostics) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rollback budget exhausted"), std::string::npos);
     EXPECT_NE(what.find("corruptions"), std::string::npos) << what;
+    EXPECT_NE(what.find("gave up"), std::string::npos) << what;
   }
   EXPECT_EQ(trainer.metrics().recovery().rollbacks, 1u);
   EXPECT_GE(trainer.metrics().recovery().non_finite_steps, 2u);

@@ -149,31 +149,53 @@ TEST(HostStaging, RoundTripIsByteExact) {
   Rng rng(4);
   Tensor t(Shape{5, 3});
   init_normal(t, rng, 1.0f);
-  staging.store(1, "tdi:p0", t);
-  EXPECT_TRUE(staging.contains(1, "tdi:p0"));
-  EXPECT_FALSE(staging.contains(0, "tdi:p0"));
-  Tensor back = staging.load(1, "tdi:p0");
-  EXPECT_FLOAT_EQ(max_abs_diff(t, back), 0.0f);
-  staging.drop(1, "tdi:p0");
-  EXPECT_THROW(staging.load(1, "tdi:p0"), CheckError);
+  mem::HostStaging::Slot& slot = staging.slot(1, mem::Stash::kTdi, 0);
+  staging.store(slot, t, 4);  // rows [0, 4) only
+  EXPECT_EQ(staging.entries(), 1u);
+  EXPECT_EQ(staging.bytes_stored(), 4u * 3 * 4);
+  Tensor back = Tensor::full(Shape{5, 3}, 7.0f);
+  staging.restore(slot, back);
+  for (std::int64_t r = 0; r < 5; ++r) {
+    for (std::int64_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(back.at(r, c), r < 4 ? t.at(r, c) : 7.0f) << r << "," << c;
+    }
+  }
+  // The restore consumed the slot.
+  EXPECT_THROW(staging.restore(slot, back), CheckError);
   EXPECT_EQ(staging.bytes_stored(), 0u);
+  EXPECT_EQ(staging.entries(), 0u);
 }
 
-TEST(HostStaging, CollisionThrowsUnlessOverwriteAllowed) {
+TEST(HostStaging, CollisionThrowsAndLeavesAccountingUntouched) {
   mem::HostStaging staging;
-  staging.store(0, "k", Tensor(Shape{10}));
-  // A silent overwrite used to mask double-stash bugs; a collision is now
-  // loud unless the caller says replacement is deliberate.
-  EXPECT_THROW(staging.store(0, "k", Tensor(Shape{20})), CheckError);
-  EXPECT_EQ(staging.bytes_stored(), 40u);  // original entry untouched
-  staging.store(0, "k", Tensor(Shape{20}), /*allow_overwrite=*/true);
-  EXPECT_EQ(staging.bytes_stored(), 80u);  // byte accounting follows
-  // Distinct keys and devices never collide.
-  staging.store(0, "k2", Tensor(Shape{5}));
-  staging.store(1, "k", Tensor(Shape{5}));
-  EXPECT_EQ(staging.entries(), 3u);
+  mem::HostStaging::Slot& slot = staging.slot(0, mem::Stash::kTdi, 0);
+  staging.store(slot, Tensor(Shape{2, 5}), 2);
+  // A silent overwrite used to mask double-stash bugs; a collision is loud
+  // and the staged entry survives it.
+  EXPECT_THROW(staging.store(slot, Tensor(Shape{4, 5}), 4), CheckError);
+  EXPECT_EQ(staging.bytes_stored(), 40u);
+  EXPECT_EQ(staging.entries(), 1u);
+  // Distinct (device, stash, partition) slots never collide, and a slot's
+  // address survives the table growing around it.
+  std::vector<mem::HostStaging::Slot*> others = {
+      &staging.slot(0, mem::Stash::kTm, 0),
+      &staging.slot(0, mem::Stash::kTdi, 1),
+      &staging.slot(1, mem::Stash::kTdi, 0),
+      &staging.slot(3, mem::Stash::kTm, 5),
+  };
+  EXPECT_EQ(&staging.slot(0, mem::Stash::kTdi, 0), &slot);
+  for (mem::HostStaging::Slot* other : others) {
+    EXPECT_NE(other, &slot);
+    staging.store(*other, Tensor(Shape{1, 5}), 1);
+  }
+  EXPECT_EQ(staging.entries(), 5u);
+  EXPECT_EQ(staging.bytes_stored(), 40u + 4 * 20u);
   staging.clear();
   EXPECT_EQ(staging.entries(), 0u);
+  EXPECT_EQ(staging.bytes_stored(), 0u);
+  // A cleared slot takes a new store of a different size.
+  staging.store(slot, Tensor(Shape{4, 5}), 3);
+  EXPECT_EQ(staging.bytes_stored(), 60u);
 }
 
 // ---- collectives -----------------------------------------------------------

@@ -534,19 +534,23 @@ TEST(HostStagingDtype, StoresRoundedCopyWithQuantizedAccounting) {
   Tensor t(Shape{6, 10});
   Rng rng(2);
   init_normal(t, rng, 1.0f);
-  staging.store(0, "a", t, false, DType::kBF16);
+  mem::HostStaging::Slot& a = staging.slot(0, mem::Stash::kTdi, 0);
+  staging.store(a, t, 6, DType::kBF16);
   EXPECT_EQ(staging.bytes_stored(), 6u * 10 * 2);
-  Tensor back = staging.load(0, "a");
+  Tensor back(Shape{6, 10});
+  staging.restore(a, back);
   for (std::int64_t i = 0; i < 6 * 10; ++i) {
     EXPECT_EQ(bits_of(back.data()[i]), bits_of(bf16_round(t.data()[i])));
   }
-  staging.store(1, "b", t, false, DType::kI8);
+  staging.store(a, t, 6, DType::kBF16);
+  staging.store(staging.slot(1, mem::Stash::kTdi, 0), t, 6, DType::kI8);
   EXPECT_EQ(staging.bytes_stored(), 6u * 10 * 2 + (6u * 10 + 6u * 4));
   staging.clear();
-  // Default stays the byte-exact fp32 deep copy.
-  staging.store(0, "c", t);
+  // Default stays the byte-exact fp32 copy.
+  staging.store(a, t, 6);
   EXPECT_EQ(staging.bytes_stored(), 6u * 10 * 4);
-  Tensor exact = staging.load(0, "c");
+  Tensor exact(Shape{6, 10});
+  staging.restore(a, exact);
   for (std::int64_t i = 0; i < 6 * 10; ++i) {
     EXPECT_EQ(bits_of(exact.data()[i]), bits_of(t.data()[i]));
   }

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/moe_layer.h"
+#include "moe/dispatcher.h"
 #include "tensor/ops.h"
 #include "tensor/random_init.h"
 
@@ -283,6 +286,30 @@ TEST(MoELayerMemory, ReuseNeverExceedsNoReuse) {
   }
 }
 
+/// Received rows per (partition, device) of the plan `inputs` route to.
+std::vector<std::int64_t> recv_rows_of(core::MoELayer& layer,
+                                       const std::vector<Tensor>& inputs,
+                                       int n) {
+  std::vector<std::vector<std::int64_t>> expert_of;
+  for (int d = 0; d < layer.num_devices(); ++d) {
+    expert_of.push_back(
+        layer.gate(d).forward(inputs[static_cast<std::size_t>(d)]).expert_of);
+  }
+  const moe::DispatchPlan plan = moe::Dispatcher::build(
+      expert_of, layer.num_devices(), layer.experts_per_device(), n);
+  std::vector<std::int64_t> rows;
+  for (int p = 0; p < n; ++p) {
+    for (std::int64_t r : plan.part(p).recv_rows) rows.push_back(r);
+  }
+  return rows;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
 TEST(MoELayerMemory, OffloadStrategiesStageToHost) {
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 2);
   core::MoELayerOptions o;
@@ -293,16 +320,43 @@ TEST(MoELayerMemory, OffloadStrategiesStageToHost) {
   o.memory_reuse = true;
   o.strategy = core::ReuseStrategy::kS1;
   core::MoELayer layer(cluster, o);
-  auto inputs = make_inputs(2, 16, 8, 11);
-  layer.forward(inputs);
-  // After forward, S1 has offloaded T_DI and T_M partitions to the host.
-  EXPECT_GT(layer.staging().entries(), 0u);
-  EXPECT_GT(layer.staging().bytes_stored(), 0u);
-  std::vector<Tensor> grads;
-  for (int d = 0; d < 2; ++d) grads.push_back(Tensor(Shape{16, 8}));
-  layer.backward(grads);
-  // Backward prefetched and dropped everything.
-  EXPECT_EQ(layer.staging().entries(), 0u);
+  // Two batches: the second routes more rows to some staging slots and
+  // fewer to others, so the slots both grow and shrink between steps.
+  const auto first = make_inputs(2, 16, 8, 11);
+  const auto second = make_inputs(2, 16, 8, 12);
+  const auto rows_first = recv_rows_of(layer, first, 2);
+  const auto rows_second = recv_rows_of(layer, second, 2);
+  bool grows = false, shrinks = false;
+  for (std::size_t i = 0; i < rows_first.size(); ++i) {
+    grows = grows || rows_second[i] > rows_first[i];
+    shrinks = shrinks || rows_second[i] < rows_first[i];
+  }
+  ASSERT_TRUE(grows && shrinks);
+
+  Rng rng(5);
+  std::vector<Tensor> dys;
+  for (int d = 0; d < 2; ++d) dys.push_back(random_tokens(16, 8, rng));
+  std::vector<Tensor> ys, dxs;
+  for (const auto* batch : {&first, &second}) {
+    ys = layer.forward(*batch);
+    // After forward, S1 has offloaded T_DI and T_M partitions to the host.
+    EXPECT_GT(layer.staging().entries(), 0u);
+    EXPECT_GT(layer.staging().bytes_stored(), 0u);
+    dxs = layer.backward(dys);
+    // Backward prefetched, and so emptied, every staged slot.
+    EXPECT_EQ(layer.staging().entries(), 0u);
+    EXPECT_EQ(layer.staging().bytes_stored(), 0u);
+  }
+
+  // Slots reused across steps restore exactly what a fresh store would.
+  core::MoELayer fresh(cluster, o);
+  const auto fresh_ys = fresh.forward(second);
+  const auto fresh_dxs = fresh.backward(dys);
+  for (int d = 0; d < 2; ++d) {
+    const auto i = static_cast<std::size_t>(d);
+    EXPECT_TRUE(bitwise_equal(ys[i], fresh_ys[i])) << "device " << d;
+    EXPECT_TRUE(bitwise_equal(dxs[i], fresh_dxs[i])) << "device " << d;
+  }
 }
 
 TEST(MoELayerTiming, TimingOnlyModeMatchesPaperScaleWithoutStorage) {
