@@ -1,6 +1,8 @@
 /// google-benchmark microbench: simulated AllToAll scheduling throughput —
 /// how fast the discrete-event engine replays collective-heavy graphs
-/// (this bounds the cost of the adaptive search's trial probes).
+/// (this bounds the cost of the adaptive search's trial probes). The
+/// replay runs on the calling thread, so rows keep the default clock, the
+/// main thread's CPU time; items_per_second is collectives per CPU second.
 
 #include <benchmark/benchmark.h>
 

@@ -3,12 +3,24 @@
 /// step. Scalar/memcpy baselines stay in the suite so the SIMD + pool
 /// variants have an honest in-tree reference; items_per_second is bytes/s
 /// for the copies and parameter elements/s for Adam.
+///
+/// main() pins the shared pool to one worker, the end-to-end benchmark's
+/// setting, so parallel_for runs inline and every row keeps the default
+/// clock, the main thread's CPU time; the perf gate compares items per CPU
+/// second. On the machine-sized pool the fanned-out 8192-row copies are
+/// memory-bound on four threads, and their rate per CPU second moved
+/// 15-25% against the suite between sweeps with the shared host's memory
+/// traffic. The fan-out's crossover sweep is in src/tensor/README.md;
+/// SimdEquivalenceFuzz checks its bytes.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -172,4 +184,20 @@ BENCHMARK(BM_AdamStepScalar)->Arg(1 << 16)->Arg(1 << 22);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  mpipe::ThreadPool::reset_shared(1);
+#if defined(__GLIBC__)
+  // The 8192-row copies allocate a 16 MiB packed tensor per call. Left to
+  // glibc's dynamic mmap threshold, whether that block page-faults depends
+  // on what ran before it, which random interleaving reorders: one row's
+  // repetitions split 2x between the two paths. Fixed thresholds keep big
+  // blocks on the heap, so every repetition measures the copy.
+  mallopt(M_MMAP_THRESHOLD, 64 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -6,6 +6,12 @@
 /// pre-packing scalar kernels this repo shipped before the rewrite, kept
 /// here so every run reports the packed-vs-scalar GFLOP/s ratio on the
 /// same machine (items_per_second == FLOP/s).
+///
+/// Every row is one kernel on one pool worker (main() pins the shared pool,
+/// the end-to-end benchmark's setting): parallel_for runs inline, so the
+/// rows keep the default clock, the main thread's CPU time, and it covers
+/// all the work. items_per_second is FLOP per CPU second, which is what
+/// the perf gate compares.
 
 #include <benchmark/benchmark.h>
 
@@ -157,20 +163,12 @@ BENCHMARK(BM_GemmFFN)
     ->Args({256, 256, 1024})
     ->Args({512, 1024, 4096});
 
-// ---- expert panels at one pool worker -------------------------------------
-
-/// Pins the shared pool to one worker for the benchmark's lifetime, the
-/// end-to-end benchmark's setting, then restores the machine-sized pool.
-struct OneWorkerPool {
-  OneWorkerPool() { ThreadPool::reset_shared(1); }
-  ~OneWorkerPool() { ThreadPool::reset_shared(0); }
-};
+// ---- expert panels ---------------------------------------------------------
 
 /// The expert FFN's GEMMs at the training-step panel shape (64 routed rows,
 /// d_model 128, d_hidden 512). Args are the logical m, k, n of C = A*B;
 /// each GEMM is the call ExpertFFN makes at that shape.
 void BM_PanelFfn1(benchmark::State& state) {  // forward FFN1, bias+ReLU
-  const OneWorkerPool pool;
   const std::int64_t m = state.range(0), k = state.range(1),
                      n = state.range(2);
   Rng rng(1);
@@ -188,7 +186,6 @@ void BM_PanelFfn1(benchmark::State& state) {  // forward FFN1, bias+ReLU
 BENCHMARK(BM_PanelFfn1)->Args({64, 128, 512});
 
 void BM_PanelFfn2(benchmark::State& state) {  // forward FFN2, bias
-  const OneWorkerPool pool;
   const std::int64_t m = state.range(0), k = state.range(1),
                      n = state.range(2);
   Rng rng(1);
@@ -206,7 +203,6 @@ void BM_PanelFfn2(benchmark::State& state) {  // forward FFN2, bias
 BENCHMARK(BM_PanelFfn2)->Args({64, 512, 128});
 
 void BM_PanelDgradNT(benchmark::State& state) {  // backward dX = dY W^T
-  const OneWorkerPool pool;
   const std::int64_t m = state.range(0), k = state.range(1),
                      n = state.range(2);
   Rng rng(1);
@@ -223,7 +219,6 @@ void BM_PanelDgradNT(benchmark::State& state) {  // backward dX = dY W^T
 BENCHMARK(BM_PanelDgradNT)->Args({64, 128, 512})->Args({64, 512, 128});
 
 void BM_PanelWgradTN(benchmark::State& state) {  // backward dW, db
-  const OneWorkerPool pool;
   const std::int64_t m = state.range(0), k = state.range(1),
                      n = state.range(2);
   Rng rng(1);
@@ -395,4 +390,11 @@ BENCHMARK(BM_ScalarGemmTN)->Arg(512)->Arg(1024);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  mpipe::ThreadPool::reset_shared(1);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,12 +1,34 @@
 #!/usr/bin/env python3
 """Compares a fresh google-benchmark JSON against the committed trajectory.
 
+Every row is scored as items per CPU second, read from the row's own clock:
+  * CPU-timed rows: google-benchmark already divides the items by the
+    row's CPU time, so `items_per_second` is the rate as reported;
+  * `/real_time` rows (UseRealTime): `items_per_second` is per wall-clock
+    second, so it is scaled by real/cpu back to items per CPU second.
+Which CPU time that is depends on the bench, and the bench sources say it
+per row: rows that run one kernel on one pool worker use the main thread's
+CPU time (the worker count is pinned to one, so the main thread does all
+the work), rows that exist to measure the pool use MeasureProcessCPUTime()
+(`/process_time` in the name: all threads' CPU time). A rate per CPU second
+does not move when the shared bench host deschedules the process, which a
+wall-clock rate does.
+
+With --benchmark_repetitions each side is scored by the mean rate over
+its repetitions. On the shared 4-vCPU bench host one row's repetitions
+spread by ~12% (coefficient of variation) even on one pinned worker, in
+phases that outlast a repetition; the fastest repetition is an extreme of
+that spread and moved 8% (sd of the normalized ratio) between identical
+sweeps, the mean of 30 short interleaved repetitions 3%. Both files must
+come from the same protocol (run_benches.sh writes and checks with the
+same min_time, repetitions and interleaving); the header prints both
+files' num_cpus and date so a cross-host comparison shows.
+
 The bench host is a shared VM whose absolute speed drifts run to run, so
 the contract is two-sided rather than a plain absolute bound:
-  1. per-benchmark: fail (exit 1) when a benchmark's cpu-time-normalized
-     throughput falls more than --threshold (default 15%) below the pack
-     (the median new/base ratio) — catches kernels that individually got
-     slower;
+  1. per-benchmark: fail (exit 1) when a benchmark's rate falls more than
+     --threshold (default 15%) below the pack (the median new/base
+     ratio) — catches kernels that individually got slower;
   2. global: fail when the median ratio itself drops below 0.80 — catches
      across-the-board regressions (dropped flags, shared-path
      pessimization) that per-benchmark normalization would hide. Uniform
@@ -29,15 +51,18 @@ import statistics
 import sys
 
 
-def load_rates(path):
-    """name -> cpu-time-normalized items/s (wall-clock rate scaled by
-    real/cpu so background load on the bench host cancels out). With
-    --benchmark_repetitions the best repetition wins: the check asks "can
-    the machine still reach the committed rate", and the minimum-noise
-    estimate of that is the fastest observed run."""
+def is_wall_clock(name):
+    """True for rows timed with UseRealTime: their items_per_second is per
+    wall-clock second, not per CPU second."""
+    return "real_time" in name.split("/")
+
+
+def load(path):
+    """Returns (context, rates): the JSON's context block and name -> items
+    per CPU second, averaged over repetitions (see the module docstring)."""
     with open(path) as f:
         doc = json.load(f)
-    rates = {}
+    samples = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") != "iteration":
             continue
@@ -47,9 +72,15 @@ def load_rates(path):
         if not ips or not real or not cpu or cpu <= 0:
             continue
         name = b.get("run_name", b["name"])
-        rate = ips * real / cpu
-        rates[name] = max(rates.get(name, 0.0), rate)
-    return rates
+        rate = ips * real / cpu if is_wall_clock(name) else ips
+        samples.setdefault(name, []).append(rate)
+    rates = {name: statistics.fmean(v) for name, v in samples.items()}
+    return doc.get("context", {}), rates
+
+
+def describe(label, path, context):
+    return (f"{label}: {path} (num_cpus {context.get('num_cpus', '?')}, "
+            f"date {context.get('date', '?')})")
 
 
 def main():
@@ -59,8 +90,10 @@ def main():
     ap.add_argument("--threshold", type=float, default=0.15)
     args = ap.parse_args()
 
-    base = load_rates(args.baseline)
-    cand = load_rates(args.candidate)
+    base_ctx, base = load(args.baseline)
+    cand_ctx, cand = load(args.candidate)
+    print(describe("baseline ", args.baseline, base_ctx))
+    print(describe("candidate", args.candidate, cand_ctx))
     if not base:
         print(f"note: no comparable entries in {args.baseline}; skipping")
         return 0
@@ -81,19 +114,19 @@ def main():
     med = statistics.median(ratios.values())
     regressions = []
     print(f"host drift factor (median new/base ratio): {med:.3f}")
-    print(f"{'benchmark':<40} {'base':>12} {'new':>12} {'ratio':>8}")
+    print(f"{'benchmark':<52} {'base':>12} {'new':>12} {'ratio':>8}")
     for name in sorted(base):
         if name not in cand:
-            print(f"{name:<40} {base[name]:>12.3e} {'MISSING':>12} {'-':>8}")
+            print(f"{name:<52} {base[name]:>12.3e} {'MISSING':>12} {'-':>8}")
             continue
         ratio = ratios[name]
         flag = " REGRESSED" if ratio < (1.0 - args.threshold) * med else ""
-        print(f"{name:<40} {base[name]:>12.3e} {cand[name]:>12.3e} "
+        print(f"{name:<52} {base[name]:>12.3e} {cand[name]:>12.3e} "
               f"{ratio:>8.3f}{flag}")
         if flag:
             regressions.append((name, ratio))
     for name in sorted(set(cand) - set(base)):
-        print(f"{name:<40} {'absent':>12} {cand[name]:>12.3e} {'new':>8}")
+        print(f"{name:<52} {'absent':>12} {cand[name]:>12.3e} {'new':>8}")
 
     if missing:
         print(f"\nFAIL: {len(missing)} baseline benchmark(s) missing from "

@@ -3,7 +3,9 @@
 # have a perf trajectory to compare against.
 #
 # Usage: bench/run_benches.sh [--check] [--advisory] [build_dir] [baseline_dir]
-#   --check       do not overwrite the trajectory: run a quick sweep into a
+#   (no flag)     write the trajectory: BENCH_{gemm,alltoall,datamove,step,
+#                 serve}.json into baseline_dir.
+#   --check       do not overwrite the trajectory: run a sweep into a
 #                 scratch dir and diff against the committed BENCH_*.json in
 #                 baseline_dir. Fails when any benchmark drops >15% below
 #                 the pack's median ratio, or the median itself drops below
@@ -17,6 +19,20 @@
 #   build_dir     CMake build tree holding bench/ binaries (default: build)
 #   baseline_dir  where BENCH_*.json live; in normal mode results are
 #                 written here (default: repo root)
+#
+# Writing and checking use one measurement protocol (PROTOCOL below), so
+# both sides of the diff are the same statistic: the sweep runs ROUNDS
+# rounds over the five suites; in each round every row runs REPS
+# repetitions of >= MIN_TIME s, interleaved in random order within its
+# suite. So the shared host's slow phases spread over every row and every
+# suite instead of landing on a few (a short suite fits in one phase: the
+# alltoall suite once ran 1.6x faster than the sweeps around it).
+# merge_bench_json.py joins a suite's rounds into its BENCH_<kind>.json,
+# and the checker averages each row's repetitions. The gate compares
+# items per CPU second, each row on its own clock: the GEMM, data-move
+# and serving suites pin the pool to one worker; GEMM and data-move rows
+# use the main thread's CPU time, training-step and serving rows process
+# CPU time. The bench sources say which clock each row uses and why.
 
 set -euo pipefail
 
@@ -44,11 +60,25 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
+# The single protocol for writing and checking the trajectory: ROUNDS x
+# REPS repetitions per row. Many short repetitions beat few long ones here:
+# the host's slow phases outlast a repetition, so what averages them out is
+# the number of repetitions. A row whose one iteration outlasts MIN_TIME
+# (the scalar GEMM baselines) runs one iteration per repetition.
+MIN_TIME=0.02
+ROUNDS=4
+REPS=5
+PROTOCOL=(--benchmark_min_time="${MIN_TIME}"
+          --benchmark_repetitions="${REPS}"
+          --benchmark_enable_random_interleaving=true
+          --benchmark_display_aggregates_only=true)
+
 # Name every missing binary (not just the first): a partial build otherwise
 # produces a hard-to-debug one-liner in CI logs.
+BENCHES=(bench_micro_gemm bench_micro_alltoall bench_micro_datamove
+         bench_micro_step bench_serve)
 MISSING=0
-for bin in bench_micro_gemm bench_micro_alltoall bench_micro_datamove \
-           bench_micro_step bench_serve; do
+for bin in "${BENCHES[@]}"; do
   if [[ ! -x "${BUILD_DIR}/bench/${bin}" ]]; then
     echo "error: bench binary missing: ${BUILD_DIR}/bench/${bin}" >&2
     MISSING=1
@@ -60,25 +90,37 @@ if [[ "${MISSING}" == "1" ]]; then
   exit 1
 fi
 
-run_suite() {  # run_suite <name> <dest_dir> <extra args...>
-  local name="$1" dest="$2"
-  shift 2
-  # BENCH_<kind>.json: strip bench_micro_ first, then bench_ (bench_serve).
-  local kind="${name#bench_micro_}"
-  kind="${kind#bench_}"
-  echo "== ${name} (items_per_second == FLOP/s, bytes/s or tokens/s) =="
-  "${BUILD_DIR}/bench/${name}" \
-    --benchmark_out="${dest}/BENCH_${kind}.json" \
-    --benchmark_out_format=json "$@"
+kind_of() {  # BENCH_<kind>.json: strip bench_micro_, then bench_ (serve)
+  local kind="${1#bench_micro_}"
+  echo "${kind#bench_}"
+}
+
+run_all() {  # run_all <dest_dir>: every round over every suite, then merge
+  local dest="$1" round name kind
+  for round in $(seq "${ROUNDS}"); do
+    for name in "${BENCHES[@]}"; do
+      echo "== ${name}, round ${round}/${ROUNDS} (items_per_second ==" \
+           "FLOP/s, bytes/s or tokens/s) =="
+      "${BUILD_DIR}/bench/${name}" \
+        --benchmark_out="${dest}/BENCH_$(kind_of "${name}").${round}.json" \
+        --benchmark_out_format=json "${PROTOCOL[@]}"
+    done
+  done
+  for name in "${BENCHES[@]}"; do
+    kind="$(kind_of "${name}")"
+    python3 "${SCRIPT_DIR}/merge_bench_json.py" "${dest}/BENCH_${kind}.json" \
+      "${dest}/BENCH_${kind}".*.json
+    rm -f "${dest}/BENCH_${kind}".*.json
+  done
 }
 
 if [[ "${CHECK}" == "0" ]]; then
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "error: python3 is needed to merge the measurement rounds" >&2
+    exit 1
+  fi
   mkdir -p "${OUT_DIR}"
-  run_suite bench_micro_gemm "${OUT_DIR}"
-  run_suite bench_micro_alltoall "${OUT_DIR}"
-  run_suite bench_micro_datamove "${OUT_DIR}"
-  run_suite bench_micro_step "${OUT_DIR}"
-  run_suite bench_serve "${OUT_DIR}"
+  run_all "${OUT_DIR}"
   echo "Wrote ${OUT_DIR}/BENCH_{gemm,alltoall,datamove,step,serve}.json"
   exit 0
 fi
@@ -101,19 +143,7 @@ SCRATCH="${BUILD_DIR}/bench_check"
 check_once() {
   rm -rf "${SCRATCH}"
   mkdir -p "${SCRATCH}"
-  # min_time 0.3 keeps even the ~140 ms/iter scalar baselines at >= 2
-  # iterations (one cold iteration skews short runs); best-of-2 reps and
-  # the checker's median normalization absorb shared-VM noise.
-  run_suite bench_micro_gemm "${SCRATCH}" \
-    --benchmark_min_time=0.3 --benchmark_repetitions=2
-  run_suite bench_micro_alltoall "${SCRATCH}" \
-    --benchmark_min_time=0.3 --benchmark_repetitions=2
-  run_suite bench_micro_datamove "${SCRATCH}" \
-    --benchmark_min_time=0.3 --benchmark_repetitions=2
-  run_suite bench_micro_step "${SCRATCH}" \
-    --benchmark_min_time=0.3 --benchmark_repetitions=2
-  run_suite bench_serve "${SCRATCH}" \
-    --benchmark_min_time=0.3 --benchmark_repetitions=2
+  run_all "${SCRATCH}"
   local status=0
   for kind in gemm alltoall datamove step serve; do
     python3 "${SCRIPT_DIR}/check_bench_regression.py" \

@@ -3,7 +3,11 @@
 contract on synthetic google-benchmark JSON: pass on matched runs, fail on
 a per-benchmark regression, fail loudly (not KeyError) when a baseline
 benchmark is missing from the fresh run, fail on across-the-board
-collapse, and stay informational for candidate-only benches. Invoked from
+collapse, and stay informational for candidate-only benches. Rows whose
+real and CPU times differ check that each side is scored as items per CPU
+second from its own clock: a CPU-timed row's items_per_second as reported,
+a `/real_time` row's scaled by real/cpu; repetitions are averaged, also
+across measurement rounds joined by merge_bench_json.py. Invoked from
 CTest via run_checker_selftest.sh."""
 
 import json
@@ -12,32 +16,36 @@ import subprocess
 import sys
 import tempfile
 
-CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "check_bench_regression.py")
+HERE = os.path.dirname(os.path.abspath(__file__))
+CHECKER = os.path.join(HERE, "check_bench_regression.py")
+MERGER = os.path.join(HERE, "merge_bench_json.py")
 
 
-def bench_doc(rates):
-    """google-benchmark JSON with one iteration entry per (name, rate)."""
-    return {
-        "benchmarks": [
-            {
+def bench_doc(rates, context=None):
+    """google-benchmark JSON with iteration entries per name. A rate is
+    items_per_second (real == cpu == 1.0), an (items_per_second, real_time,
+    cpu_time) tuple, or a list of either, one entry per repetition."""
+    rows = []
+    for name, reps in rates.items():
+        for rate in reps if isinstance(reps, list) else [reps]:
+            ips, real, cpu = (rate if isinstance(rate, tuple)
+                              else (rate, 1.0, 1.0))
+            rows.append({
                 "name": name,
                 "run_name": name,
                 "run_type": "iteration",
-                "items_per_second": rate,
-                "real_time": 1.0,
-                "cpu_time": 1.0,
-            }
-            for name, rate in rates.items()
-        ]
-    }
+                "items_per_second": ips,
+                "real_time": real,
+                "cpu_time": cpu,
+            })
+    return {"context": context or {}, "benchmarks": rows}
 
 
-def run_checker(tmp, base_rates, cand_rates):
+def run_checker(tmp, base_rates, cand_rates, base_context=None):
     base = os.path.join(tmp, "base.json")
     cand = os.path.join(tmp, "cand.json")
     with open(base, "w") as f:
-        json.dump(bench_doc(base_rates), f)
+        json.dump(bench_doc(base_rates, base_context), f)
     with open(cand, "w") as f:
         json.dump(bench_doc(cand_rates), f)
     proc = subprocess.run(
@@ -86,6 +94,75 @@ def main():
         code, out = run_checker(tmp, steady, added)
         expect(code == 0 and "new" in out,
                "candidate-only benchmark stays informational", out)
+
+        # Clock handling. A CPU-timed row's items_per_second is already per
+        # CPU second: a busier host (real 2x cpu) must not change its score,
+        # so rating it items*real/cpu (the clock counted twice) fails here.
+        # A /real_time row's items_per_second is per wall second: halving
+        # it while real doubles over the same cpu is the same work per CPU
+        # second, so comparing raw items_per_second fails here.
+        cpu_row, wall_row = "BM_Cpu/64", "BM_Wall/4/real_time"
+        base_clk = dict(steady, **{cpu_row: (100.0, 2.0, 1.0),
+                                   wall_row: (200.0, 1.0, 1.0)})
+        cand_clk = dict(steady, **{cpu_row: (100.0, 1.0, 1.0),
+                                   wall_row: (100.0, 2.0, 1.0)})
+        code, out = run_checker(tmp, base_clk, cand_clk)
+        expect(code == 0, "rows compare items per CPU second from their "
+               "own clock (real != cpu)", out)
+
+        # Real regressions that a wrong clock would hide: a CPU-timed row at
+        # half the rate with real/cpu doubled (items*real/cpu unchanged),
+        # and a /real_time row needing twice the CPU per item at an
+        # unchanged wall-clock items_per_second.
+        cand_cpu_slow = dict(base_clk, **{cpu_row: (50.0, 4.0, 1.0)})
+        code, out = run_checker(tmp, base_clk, cand_cpu_slow)
+        expect(code == 1 and f"{cpu_row}: 0.500x" in out,
+               "CPU-timed row at half the items per CPU second fails", out)
+        cand_wall_slow = dict(base_clk, **{wall_row: (200.0, 1.0, 2.0)})
+        code, out = run_checker(tmp, base_clk, cand_wall_slow)
+        expect(code == 1 and f"{wall_row}: 0.500x" in out,
+               "/real_time row at half the items per CPU second fails", out)
+
+        # Repetitions are averaged, not maxed: one fast repetition among
+        # slow ones does not hide a row that got slower.
+        reps_base = dict(steady, BM_B=[200.0, 200.0, 200.0])
+        reps_cand = dict(steady, BM_B=[200.0, 100.0, 100.0])
+        code, out = run_checker(tmp, reps_base, reps_cand)
+        expect(code == 1 and "BM_B: 0.667x" in out,
+               "repetitions are scored by their mean", out)
+
+        code, out = run_checker(tmp, steady, steady,
+                                base_context={"num_cpus": 1,
+                                              "date": "2026-08-08"})
+        expect(code == 0 and "num_cpus 1, date 2026-08-08" in out,
+               "header names each file's num_cpus and date", out)
+
+        # Measurement rounds merge into one file whose repetitions all
+        # count: rounds at 200 and 100 score as 150.
+        rounds = []
+        for i, rate in enumerate([200.0, 100.0]):
+            rounds.append(os.path.join(tmp, f"round{i}.json"))
+            with open(rounds[-1], "w") as f:
+                json.dump(bench_doc(dict(steady, BM_B=[rate, rate]),
+                                    {"date": f"round{i}"}), f)
+        merged = os.path.join(tmp, "merged.json")
+        subprocess.run([sys.executable, MERGER, merged] + rounds, check=True)
+        with open(merged) as f:
+            doc = json.load(f)
+        reps = [b["repetition_index"] for b in doc["benchmarks"]
+                if b["name"] == "BM_B"]
+        expect(reps == [0, 1, 2, 3] and doc["context"]["date"] == "round0",
+               "merged rounds keep every repetition and the first context",
+               json.dumps(doc))
+        base = os.path.join(tmp, "base.json")
+        with open(base, "w") as f:
+            json.dump(bench_doc(dict(steady, BM_B=150.0)), f)
+        proc = subprocess.run([sys.executable, CHECKER, "--baseline", base,
+                               "--candidate", merged],
+                              capture_output=True, text=True)
+        row = [l for l in proc.stdout.splitlines() if l.startswith("BM_B ")]
+        expect(proc.returncode == 0 and row and row[0].endswith(" 1.000"),
+               "checker scores the merged rounds' mean", proc.stdout)
 
         code, out = run_checker(tmp, {}, steady)
         expect(code == 0 and "skipping" in out,

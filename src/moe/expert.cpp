@@ -132,10 +132,6 @@ Tensor ExpertFFN::backward(const Tensor& dy, const Tensor& x,
 
 namespace {
 
-/// Below this many moved floats (~128 KiB) the parallel_for dispatch costs
-/// more than the copy itself; stay serial.
-constexpr std::int64_t kParallelCopyElems = 1 << 15;
-
 /// Validates spans against `buf` and returns each span's packed-row start
 /// (exclusive prefix sum of counts). Validation happens up front so the
 /// copy loops — serial or fanned out — never throw mid-flight.

@@ -96,6 +96,14 @@ class ExpertFFN {
   QuantizedMatrix qw1_, qw2_;
 };
 
+/// gather_spans and scatter_spans fan their spans out over the shared pool
+/// once a call moves at least this many floats (2 MiB); below it the
+/// parallel_for dispatch costs more than the copy itself and they stay
+/// serial. Set at the crossover measured on a 4-vCPU host (sweep in
+/// src/tensor/README.md). The spans are disjoint, so the result is
+/// bitwise identical on either side.
+inline constexpr std::int64_t kParallelCopyElems = 1 << 19;
+
 /// Copies the rows of `buf` covered by `spans` into one fresh packed
 /// (span_rows x cols) tensor — contiguous block memcpy per span, no
 /// per-row temporaries.

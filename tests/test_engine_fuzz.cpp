@@ -439,16 +439,25 @@ TEST(CommCalibration, FitKeepsFastestDuplicateAndClampsJitter) {
 // ---- SIMD kernels vs scalar fp64 references -------------------------------
 
 TEST(SimdEquivalenceFuzz, GatherScatterSpansMatchScalarReference) {
-  // The vectorized (and, above the size threshold, pool-parallel) span
-  // copies must move bytes exactly like a per-element scalar loop, on
-  // ragged span lists including 0-row and 1-row spans. Late iterations use
-  // buffers big enough to cross the parallel fan-out threshold.
+  // The vectorized (and, from moe::kParallelCopyElems moved floats up,
+  // pool-parallel) span copies must move bytes exactly like a per-element
+  // scalar loop, on ragged span lists including 0-row and 1-row spans.
+  // The first iterations stay below the fan-out threshold; the last ones
+  // are sized from it (spans cover about half the rows, so 3-4x the
+  // threshold in the buffer moves 1.5-2x it) and run on a 4-worker pool,
+  // so the pool branch is checked on any host.
+  constexpr int kSerialIters = 90, kIters = 94;
   Rng rng(1212);
-  for (int iter = 0; iter < 100; ++iter) {
-    const std::int64_t rows =
-        1 + static_cast<std::int64_t>(rng.uniform_index(iter < 80 ? 48 : 600));
+  for (int iter = 0; iter < kIters; ++iter) {
+    const bool fan_out = iter >= kSerialIters;
+    if (iter == kSerialIters) ThreadPool::reset_shared(4);
     const std::int64_t cols =
         1 + static_cast<std::int64_t>(rng.uniform_index(200));
+    const std::int64_t rows =
+        fan_out ? (3 + static_cast<std::int64_t>(rng.uniform_index(2))) *
+                      moe::kParallelCopyElems / cols
+                : 1 + static_cast<std::int64_t>(
+                          rng.uniform_index(iter < 80 ? 48 : 600));
     Tensor buf(Shape{rows, cols});
     init_normal(buf, rng);
 
@@ -463,7 +472,11 @@ TEST(SimdEquivalenceFuzz, GatherScatterSpansMatchScalarReference) {
     }
     if (spans.empty()) spans.push_back({0, 0});
 
+    // A fan-out posts helper tasks to the pool; a serial copy posts none.
+    std::uint64_t tasks = ThreadPool::shared().tasks_enqueued();
     const Tensor packed = moe::gather_spans(buf, spans);
+    ASSERT_EQ(ThreadPool::shared().tasks_enqueued() > tasks, fan_out)
+        << "iter " << iter << ": gather took the wrong copy branch";
     ASSERT_EQ(packed.dim(0), moe::span_rows(spans));
     std::int64_t prow = 0;
     for (const moe::RowSpan& s : spans) {
@@ -479,7 +492,10 @@ TEST(SimdEquivalenceFuzz, GatherScatterSpansMatchScalarReference) {
     init_normal(src, rng);
     Tensor out(Shape{rows, cols});
     out.fill(-7.0f);
+    tasks = ThreadPool::shared().tasks_enqueued();
     moe::scatter_spans(src, out, spans);
+    ASSERT_EQ(ThreadPool::shared().tasks_enqueued() > tasks, fan_out)
+        << "iter " << iter << ": scatter took the wrong copy branch";
     prow = 0;
     std::vector<bool> covered(static_cast<std::size_t>(rows), false);
     for (const moe::RowSpan& s : spans) {
@@ -498,6 +514,7 @@ TEST(SimdEquivalenceFuzz, GatherScatterSpansMatchScalarReference) {
       }
     }
   }
+  ThreadPool::reset_shared(0);
 
   // Overlapping destination spans would race under the parallel fan-out;
   // scatter rejects them loudly (gather tolerates overlapping reads).
