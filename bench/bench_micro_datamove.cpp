@@ -1,30 +1,32 @@
 /// google-benchmark microbench: the data-movement hot paths — span
 /// gather/scatter (token packing around the expert GEMMs) and the Adam
-/// step. Scalar/memcpy baselines stay in the suite so the SIMD + pool
-/// variants have an honest in-tree reference; items_per_second is bytes/s
-/// for the copies and parameter elements/s for Adam.
+/// step. Scalar/memcpy baselines stay in the suite so the SIMD and pool
+/// paths have an honest in-tree reference; items_per_second is bytes and
+/// parameter elements per CPU second, which the perf gate compares.
 ///
 /// main() pins the shared pool to one worker, the end-to-end benchmark's
-/// setting, so parallel_for runs inline and every row keeps the default
-/// clock, the main thread's CPU time; the perf gate compares items per CPU
-/// second. On the machine-sized pool the fanned-out 8192-row copies are
-/// memory-bound on four threads, and their rate per CPU second moved
-/// 15-25% against the suite between sweeps with the shared host's memory
-/// traffic. The fan-out's crossover sweep is in src/tensor/README.md;
-/// SimdEquivalenceFuzz checks its bytes.
+/// setting: parallel_for runs inline and the rows keep the default clock,
+/// the main thread's CPU time. The *Pool rows run the same code on the
+/// machine-sized pool with MeasureProcessCPUTime() (all threads): the
+/// 8192-row copies and the 4M-element Adam step fan out there, while the
+/// 512-row copies (256 KiB moved) stay below moe::kParallelCopyElems and
+/// serial, so a threshold set below 256 KiB shows as their CPU cost per
+/// byte rising (~1.7x on a 4-vCPU host at 128 KiB). The crossover sweep
+/// is in src/tensor/README.md; SimdEquivalenceFuzz checks the bytes.
+///
+/// BM_GatherSpans* allocate the packed tensor on every call, as
+/// moe::gather_spans does in the expert paths, so allocation and first-touch
+/// page faults are part of what they measure.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "moe/expert.h"
+#include "micro_pool.h"
 #include "runtime/adam.h"
 #include "tensor/quant.h"
 #include "tensor/random_init.h"
@@ -149,6 +151,32 @@ void BM_AdamStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStep)->Arg(1 << 16)->Arg(1 << 22);
 
+// ---- the same paths on the machine-sized pool ---------------------------
+
+void BM_GatherSpansPool(benchmark::State& state) {
+  const bench::MachineSizedPool pool;
+  BM_GatherSpans(state);
+}
+BENCHMARK(BM_GatherSpansPool)
+    ->Args({512, 256})
+    ->Args({8192, 1024})
+    ->MeasureProcessCPUTime();
+
+void BM_ScatterSpansPool(benchmark::State& state) {
+  const bench::MachineSizedPool pool;
+  BM_ScatterSpans(state);
+}
+BENCHMARK(BM_ScatterSpansPool)
+    ->Args({512, 256})
+    ->Args({8192, 1024})
+    ->MeasureProcessCPUTime();
+
+void BM_AdamStepPool(benchmark::State& state) {
+  const bench::MachineSizedPool pool;
+  BM_AdamStep(state);
+}
+BENCHMARK(BM_AdamStepPool)->Arg(1 << 22)->MeasureProcessCPUTime();
+
 void BM_AdamStepScalar(benchmark::State& state) {
   // The pre-vectorization implementation: serial scalar element loop.
   const std::int64_t n = state.range(0);
@@ -185,19 +213,5 @@ BENCHMARK(BM_AdamStepScalar)->Arg(1 << 16)->Arg(1 << 22);
 }  // namespace
 
 int main(int argc, char** argv) {
-  mpipe::ThreadPool::reset_shared(1);
-#if defined(__GLIBC__)
-  // The 8192-row copies allocate a 16 MiB packed tensor per call. Left to
-  // glibc's dynamic mmap threshold, whether that block page-faults depends
-  // on what ran before it, which random interleaving reorders: one row's
-  // repetitions split 2x between the two paths. Fixed thresholds keep big
-  // blocks on the heap, so every repetition measures the copy.
-  mallopt(M_MMAP_THRESHOLD, 64 << 20);
-  mallopt(M_TRIM_THRESHOLD, 1 << 30);
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return mpipe::bench::run_on_one_worker(argc, argv);
 }

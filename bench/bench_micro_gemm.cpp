@@ -7,18 +7,20 @@
 /// here so every run reports the packed-vs-scalar GFLOP/s ratio on the
 /// same machine (items_per_second == FLOP/s).
 ///
-/// Every row is one kernel on one pool worker (main() pins the shared pool,
-/// the end-to-end benchmark's setting): parallel_for runs inline, so the
-/// rows keep the default clock, the main thread's CPU time, and it covers
-/// all the work. items_per_second is FLOP per CPU second, which is what
-/// the perf gate compares.
+/// Every row but the *Pool ones is one kernel on one pool worker (main()
+/// pins the shared pool, the end-to-end benchmark's setting): parallel_for
+/// runs inline, so the rows keep the default clock, the main thread's CPU
+/// time, and it covers all the work. BM_GemmNNPool and BM_GemmFFNPool run
+/// the largest square and FFN GEMMs fanned out over the machine-sized pool
+/// and use MeasureProcessCPUTime() (all threads). items_per_second is FLOP
+/// per CPU second, which is what the perf gate compares.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "micro_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -162,6 +164,20 @@ BENCHMARK(BM_GemmFFN)
     ->Args({64, 64, 256})
     ->Args({256, 256, 1024})
     ->Args({512, 1024, 4096});
+
+// The same kernels fanned out over the machine-sized pool: what the pool's
+// dispatch and the workers' chunks cost per FLOP.
+void BM_GemmNNPool(benchmark::State& state) {
+  const bench::MachineSizedPool pool;
+  BM_GemmNN(state);
+}
+BENCHMARK(BM_GemmNNPool)->Arg(1024)->MeasureProcessCPUTime();
+
+void BM_GemmFFNPool(benchmark::State& state) {
+  const bench::MachineSizedPool pool;
+  BM_GemmFFN(state);
+}
+BENCHMARK(BM_GemmFFNPool)->Args({512, 1024, 4096})->MeasureProcessCPUTime();
 
 // ---- expert panels ---------------------------------------------------------
 
@@ -391,10 +407,5 @@ BENCHMARK(BM_ScalarGemmTN)->Arg(512)->Arg(1024);
 }  // namespace
 
 int main(int argc, char** argv) {
-  mpipe::ThreadPool::reset_shared(1);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return mpipe::bench::run_on_one_worker(argc, argv);
 }

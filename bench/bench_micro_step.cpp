@@ -3,16 +3,26 @@
 /// and the concurrent op-graph executor at 1/4/8 pool workers. This is the
 /// perf gate for the op-level concurrency layer: on a many-core host the
 /// parallel rows should beat serial (independent devices' GEMMs and the
-/// comm/mem-stream copies overlap); on a 1-core host they document the
-/// executor's scheduling overhead instead. items_per_second is training
-/// steps per wall-clock second (UseRealTime).
+/// comm/mem-stream copies overlap); on a small host they document the
+/// executor's scheduling overhead instead.
 ///
-/// Every row also uses MeasureProcessCPUTime(): the parallel executor runs
-/// ops on pool workers, so the main thread's CPU clock would flatter those
-/// rows. The perf gate compares
-/// steps per CPU second of all threads (items_per_second * real / cpu),
-/// which a descheduled run on a shared host does not move; the wall-clock
-/// overlap gain of the parallel rows is read off items_per_second.
+/// Every row uses MeasureProcessCPUTime(): the parallel executor runs ops
+/// on pool workers, so the main thread's CPU clock would flatter those
+/// rows. items_per_second is training steps per CPU second of all threads,
+/// which the perf gate compares and a descheduled run on a shared host
+/// does not move; real_time is the wall-clock step, where the overlap gain
+/// of the parallel rows shows.
+///
+/// The step (d_model 128, d_hidden 512, 512 tokens on each of 4 devices,
+/// ~50 ms of CPU) is sized so the parallel rows overlap ops on every run.
+/// At a fifth of that CPU per step (d_model 64, d_hidden 256, 256 tokens;
+/// ~180 ops of ~50 us) whether the executor overlapped ops at all changed
+/// from run to run on a 4-vCPU host: some runs woke sleeping drainers ~5
+/// times a step and ran the ops almost serially (real/cpu ~1.0), others
+/// ~30 times and spread them over the workers (real/cpu 0.84-0.89), at
+/// 30-50% more CPU per step. The mode held for minutes, so the parallel
+/// rows read 66-82 or 91-100 steps per CPU second by sweep. At this size
+/// every run counted 56-92 wake-ups a step.
 
 #include <benchmark/benchmark.h>
 
@@ -33,8 +43,8 @@ struct StepHarness {
                                              bool profile = false,
                                              DType dtype = DType::kF32) {
     core::MoELayerOptions o;
-    o.d_model = 64;
-    o.d_hidden = 256;
+    o.d_model = 128;
+    o.d_hidden = 512;
     o.num_experts = 4;
     o.num_partitions = 4;  // fixed n: no search noise in the timing
     o.memory_reuse = true;
@@ -48,8 +58,8 @@ struct StepHarness {
 
   static runtime::TrainerOptions trainer_options() {
     runtime::TrainerOptions t;
-    t.workload.d_model = 64;
-    t.workload.tokens_per_device = 256;
+    t.workload.d_model = 128;
+    t.workload.tokens_per_device = 512;
     t.workload.num_devices = 4;
     t.workload.seed = 29;
     // Keep the bench self-contained: measured curves would shift with the
@@ -84,7 +94,6 @@ void BM_TrainStepSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepSerial)
     ->Arg(1)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -96,7 +105,6 @@ BENCHMARK(BM_TrainStepParallel)
     ->Arg(1)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -111,7 +119,6 @@ void BM_TrainStepProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepProfiled)
     ->Arg(1)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -154,7 +161,6 @@ void BM_TrainStepMixedF32(benchmark::State& state) {
   run_steps_mixed(state, DType::kF32);
 }
 BENCHMARK(BM_TrainStepMixedF32)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -162,7 +168,6 @@ void BM_TrainStepMixedBf16(benchmark::State& state) {
   run_steps_mixed(state, DType::kBF16);
 }
 BENCHMARK(BM_TrainStepMixedBf16)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -170,7 +175,6 @@ void BM_TrainStepMixedInt8(benchmark::State& state) {
   run_steps_mixed(state, DType::kI8);
 }
 BENCHMARK(BM_TrainStepMixedInt8)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 

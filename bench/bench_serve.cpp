@@ -1,22 +1,25 @@
 /// google-benchmark closed-loop serving bench: a fresh Server per
 /// iteration replays a fixed open-arrival trace (Poisson and bursty
 /// shapes) through the continuous batcher and the forward-only path.
-/// items_per_second is real tokens served per wall-clock second (the
-/// host-side cost of batching + forward_only); the counters carry the
+/// items_per_second is real tokens served per CPU second of all threads
+/// (MeasureProcessCPUTime(): the host-side cost of batching +
+/// forward_only, which the perf gate compares; real_time keeps the
+/// wall-clock replay); the counters carry the
 /// virtual-clock serving quality — p50/p99 end-to-end latency in
 /// milliseconds and tokens/s on the simulated timeline — which is what
 /// joins the BENCH_*.json trajectory.
 ///
 /// main() pins the shared pool to one worker, the end-to-end benchmark's
-/// setting. On the machine-sized pool the ~40-token batches' kernels fan
+/// setting, so the layer runs every op on the main thread. On the
+/// machine-sized pool the ~40-token batches' kernels fan
 /// out and wait on worker wake-ups: one sweep's repetitions spread real/cpu
 /// over 0.74-3.3 and the suite's per-CPU-second rate moved 1.56x between
 /// sweeps, too much for the gate.
 
 #include <benchmark/benchmark.h>
 
-#include "common/thread_pool.h"
 #include "core/moe_layer.h"
+#include "micro_pool.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
 
@@ -83,15 +86,12 @@ void run_serve(benchmark::State& state,
       static_cast<double>(r.expert_weight_bytes);
 }
 
-// UseRealTime: items_per_second is tokens per wall-clock second.
 // MeasureProcessCPUTime: the CPU clock counts every thread, so the rows
-// stay honest if the layer ever runs work off the main thread. The perf
-// gate compares tokens per CPU second (items_per_second * real / cpu).
+// stay honest if the layer ever runs work off the main thread.
 void BM_ServePoisson(benchmark::State& state) {
   run_serve(state, serve::poisson_trace);
 }
 BENCHMARK(BM_ServePoisson)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -99,7 +99,6 @@ void BM_ServeBursty(benchmark::State& state) {
   run_serve(state, serve::bursty_trace);
 }
 BENCHMARK(BM_ServeBursty)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -110,17 +109,11 @@ void BM_ServePoissonBf16(benchmark::State& state) {
   run_serve(state, serve::poisson_trace, DType::kBF16);
 }
 BENCHMARK(BM_ServePoissonBf16)
-    ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  mpipe::ThreadPool::reset_shared(1);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return mpipe::bench::run_on_one_worker(argc, argv);
 }

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Compares a fresh google-benchmark JSON against the committed trajectory.
 
-Every row is scored as items per CPU second, read from the row's own clock:
-  * CPU-timed rows: google-benchmark already divides the items by the
-    row's CPU time, so `items_per_second` is the rate as reported;
-  * `/real_time` rows (UseRealTime): `items_per_second` is per wall-clock
-    second, so it is scaled by real/cpu back to items per CPU second.
-Which CPU time that is depends on the bench, and the bench sources say it
-per row: rows that run one kernel on one pool worker use the main thread's
-CPU time (the worker count is pinned to one, so the main thread does all
-the work), rows that exist to measure the pool use MeasureProcessCPUTime()
-(`/process_time` in the name: all threads' CPU time). A rate per CPU second
-does not move when the shared bench host deschedules the process, which a
-wall-clock rate does.
+Every row is scored by its items_per_second, which google-benchmark
+divides by the row's CPU time: items per CPU second. Which CPU time that is
+depends on the bench, and the bench sources say it per row: rows that run
+one kernel on one pool worker use the main thread's CPU time (the worker
+count is pinned to one, so the main thread does all the work), rows that
+exist to measure the pool use MeasureProcessCPUTime() (`/process_time` in
+the name: all threads' CPU time). A rate per CPU second does not move when
+the shared bench host deschedules the process, which a wall-clock rate
+does. A `/real_time` row (UseRealTime) reports items per wall-clock second
+instead, so the checker refuses it rather than score it as CPU-timed; a
+CPU-timed row keeps its wall time in its real_time field.
 
 With --benchmark_repetitions each side is scored by the mean rate over
 its repetitions. On the shared 4-vCPU bench host one row's repetitions
@@ -51,12 +50,6 @@ import statistics
 import sys
 
 
-def is_wall_clock(name):
-    """True for rows timed with UseRealTime: their items_per_second is per
-    wall-clock second, not per CPU second."""
-    return "real_time" in name.split("/")
-
-
 def load(path):
     """Returns (context, rates): the JSON's context block and name -> items
     per CPU second, averaged over repetitions (see the module docstring)."""
@@ -67,13 +60,14 @@ def load(path):
         if b.get("run_type") != "iteration":
             continue
         ips = b.get("items_per_second")
-        real = b.get("real_time")
-        cpu = b.get("cpu_time")
-        if not ips or not real or not cpu or cpu <= 0:
+        if not ips:
             continue
         name = b.get("run_name", b["name"])
-        rate = ips * real / cpu if is_wall_clock(name) else ips
-        samples.setdefault(name, []).append(rate)
+        if "real_time" in name.split("/"):
+            raise ValueError(f"{path}: {name} is timed on the wall clock "
+                             f"(UseRealTime); the gate compares items per "
+                             f"CPU second, so drop UseRealTime from it")
+        samples.setdefault(name, []).append(ips)
     rates = {name: statistics.fmean(v) for name, v in samples.items()}
     return doc.get("context", {}), rates
 
@@ -90,8 +84,12 @@ def main():
     ap.add_argument("--threshold", type=float, default=0.15)
     args = ap.parse_args()
 
-    base_ctx, base = load(args.baseline)
-    cand_ctx, cand = load(args.candidate)
+    try:
+        base_ctx, base = load(args.baseline)
+        cand_ctx, cand = load(args.candidate)
+    except ValueError as e:
+        print(f"FAIL: {e}")
+        return 1
     print(describe("baseline ", args.baseline, base_ctx))
     print(describe("candidate", args.candidate, cand_ctx))
     if not base:

@@ -29,10 +29,13 @@
 # alltoall suite once ran 1.6x faster than the sweeps around it).
 # merge_bench_json.py joins a suite's rounds into its BENCH_<kind>.json,
 # and the checker averages each row's repetitions. The gate compares
-# items per CPU second, each row on its own clock: the GEMM, data-move
-# and serving suites pin the pool to one worker; GEMM and data-move rows
-# use the main thread's CPU time, training-step and serving rows process
-# CPU time. The bench sources say which clock each row uses and why.
+# items_per_second, items per CPU second, and no row uses the wall clock:
+# the GEMM, data-move and serving suites pin the pool to one worker and
+# their single-kernel rows use the main thread's CPU time; the *Pool rows
+# (largest GEMMs, span copies, Adam on the machine-sized pool), the
+# training-step rows and the serving rows use process CPU time (all
+# threads); the alltoall replay runs on the main thread. The bench sources
+# say which clock each row uses and why.
 
 set -euo pipefail
 

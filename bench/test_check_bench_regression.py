@@ -4,10 +4,11 @@ contract on synthetic google-benchmark JSON: pass on matched runs, fail on
 a per-benchmark regression, fail loudly (not KeyError) when a baseline
 benchmark is missing from the fresh run, fail on across-the-board
 collapse, and stay informational for candidate-only benches. Rows whose
-real and CPU times differ check that each side is scored as items per CPU
-second from its own clock: a CPU-timed row's items_per_second as reported,
-a `/real_time` row's scaled by real/cpu; repetitions are averaged, also
-across measurement rounds joined by merge_bench_json.py. Invoked from
+real and CPU times differ check that every row is scored by its
+items_per_second (items per CPU second), never scaled by real/cpu, and
+that a `/real_time` row, whose items_per_second is per wall-clock second,
+is refused; repetitions are averaged, also across measurement rounds
+joined by merge_bench_json.py. Invoked from
 CTest via run_checker_selftest.sh."""
 
 import json
@@ -95,33 +96,33 @@ def main():
         expect(code == 0 and "new" in out,
                "candidate-only benchmark stays informational", out)
 
-        # Clock handling. A CPU-timed row's items_per_second is already per
-        # CPU second: a busier host (real 2x cpu) must not change its score,
-        # so rating it items*real/cpu (the clock counted twice) fails here.
-        # A /real_time row's items_per_second is per wall second: halving
-        # it while real doubles over the same cpu is the same work per CPU
-        # second, so comparing raw items_per_second fails here.
-        cpu_row, wall_row = "BM_Cpu/64", "BM_Wall/4/real_time"
-        base_clk = dict(steady, **{cpu_row: (100.0, 2.0, 1.0),
-                                   wall_row: (200.0, 1.0, 1.0)})
-        cand_clk = dict(steady, **{cpu_row: (100.0, 1.0, 1.0),
-                                   wall_row: (100.0, 2.0, 1.0)})
+        # Clock handling. items_per_second is already per CPU second: a
+        # busier host (real 2x cpu) must not change a row's score, so rating
+        # it items*real/cpu (the clock counted twice) fails here.
+        cpu_row = "BM_Cpu/64"
+        base_clk = dict(steady, **{cpu_row: (100.0, 2.0, 1.0)})
+        cand_clk = dict(steady, **{cpu_row: (100.0, 1.0, 1.0)})
         code, out = run_checker(tmp, base_clk, cand_clk)
-        expect(code == 0, "rows compare items per CPU second from their "
-               "own clock (real != cpu)", out)
+        expect(code == 0, "a row compares items per CPU second whatever "
+               "its real/cpu", out)
 
-        # Real regressions that a wrong clock would hide: a CPU-timed row at
-        # half the rate with real/cpu doubled (items*real/cpu unchanged),
-        # and a /real_time row needing twice the CPU per item at an
-        # unchanged wall-clock items_per_second.
+        # A real regression that the double count would hide: half the rate
+        # with real/cpu doubled (items*real/cpu unchanged).
         cand_cpu_slow = dict(base_clk, **{cpu_row: (50.0, 4.0, 1.0)})
         code, out = run_checker(tmp, base_clk, cand_cpu_slow)
         expect(code == 1 and f"{cpu_row}: 0.500x" in out,
-               "CPU-timed row at half the items per CPU second fails", out)
-        cand_wall_slow = dict(base_clk, **{wall_row: (200.0, 1.0, 2.0)})
-        code, out = run_checker(tmp, base_clk, cand_wall_slow)
-        expect(code == 1 and f"{wall_row}: 0.500x" in out,
-               "/real_time row at half the items per CPU second fails", out)
+               "a row at half the items per CPU second fails", out)
+
+        # A /real_time row's items_per_second is per wall-clock second: it
+        # is refused on either side instead of being scored as CPU-timed.
+        wall_row = "BM_Wall/4/real_time"
+        for side in ("baseline", "candidate"):
+            with_wall = dict(steady, **{wall_row: (200.0, 2.0, 1.0)})
+            code, out = (run_checker(tmp, with_wall, steady)
+                         if side == "baseline"
+                         else run_checker(tmp, steady, with_wall))
+            expect(code == 1 and wall_row in out and "wall clock" in out,
+                   f"a /real_time row in the {side} is refused", out)
 
         # Repetitions are averaged, not maxed: one fast repetition among
         # slow ones does not hide a row that got slower.
