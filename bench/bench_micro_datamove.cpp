@@ -14,9 +14,11 @@
 /// byte rising (~1.7x on a 4-vCPU host at 128 KiB). The crossover sweep
 /// is in src/tensor/README.md; SimdEquivalenceFuzz checks the bytes.
 ///
-/// BM_GatherSpans* allocate the packed tensor on every call, as
-/// moe::gather_spans does in the expert paths, so allocation and first-touch
-/// page faults are part of what they measure.
+/// The gather rows copy into one packed tensor reused across iterations
+/// (gather_spans' out-parameter form), so they measure the copy. A fresh
+/// 16 MiB tensor per call made one row's repetitions range 1.7-6.6 GB/s per
+/// CPU second within a sweep, by whether glibc's dynamic mmap threshold
+/// handed out fresh pages that fault on first touch.
 
 #include <benchmark/benchmark.h>
 
@@ -59,9 +61,10 @@ void BM_GatherSpans(benchmark::State& state) {
   Tensor buf(Shape{rows, cols});
   init_normal(buf, rng);
   const moe::RowSpanList spans = make_spans(rows, 16);
+  Tensor packed(Shape{moe::span_rows(spans), cols});
   std::uint64_t moved = 0;
   for (auto _ : state) {
-    Tensor packed = moe::gather_spans(buf, spans);
+    moe::gather_spans(buf, spans, packed);
     benchmark::DoNotOptimize(packed.data());
     moved += static_cast<std::uint64_t>(packed.nbytes());
   }
@@ -77,9 +80,9 @@ void BM_GatherSpansMemcpy(benchmark::State& state) {
   Tensor buf(Shape{rows, cols});
   init_normal(buf, rng);
   const moe::RowSpanList spans = make_spans(rows, 16);
+  Tensor packed(Shape{moe::span_rows(spans), cols});
   std::uint64_t moved = 0;
   for (auto _ : state) {
-    Tensor packed(Shape{moe::span_rows(spans), cols});
     float* dst = packed.data();
     for (const moe::RowSpan& s : spans) {
       std::memcpy(dst, buf.data() + s.offset * cols,
@@ -105,9 +108,10 @@ void BM_GatherSpansBf16(benchmark::State& state) {
   Tensor buf(Shape{rows, cols});
   init_normal(buf, rng);
   const moe::RowSpanList spans = make_spans(rows, 16);
+  Tensor packed(Shape{moe::span_rows(spans), cols});
   std::uint64_t moved = 0;
   for (auto _ : state) {
-    Tensor packed = moe::gather_spans(buf, spans);
+    moe::gather_spans(buf, spans, packed);
     round_through_bf16(packed.data(), packed.numel());
     benchmark::DoNotOptimize(packed.data());
     moved += quantized_bytes(moe::span_rows(spans), cols, DType::kBF16);

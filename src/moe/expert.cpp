@@ -150,13 +150,10 @@ std::vector<std::int64_t> packed_offsets(const Tensor& buf,
   return packed;
 }
 
-}  // namespace
-
-Tensor gather_spans(const Tensor& buf, const RowSpanList& spans) {
-  MPIPE_EXPECTS(buf.shape().rank() == 2, "span gather needs a matrix");
+/// Copies each span of `buf` to its packed-row start in `out`.
+void copy_spans_packed(const Tensor& buf, const RowSpanList& spans,
+                       const std::vector<std::int64_t>& packed, Tensor& out) {
   const std::int64_t cols = buf.dim(1);
-  const std::vector<std::int64_t> packed = packed_offsets(buf, spans);
-  Tensor out(Shape{span_rows(spans), cols});
   float* dst = out.data();
   const float* src = buf.data();
   auto copy_span = [&](std::size_t i) {
@@ -176,7 +173,25 @@ Tensor gather_spans(const Tensor& buf, const RowSpanList& spans) {
         },
         /*grain=*/1);
   }
+}
+
+}  // namespace
+
+Tensor gather_spans(const Tensor& buf, const RowSpanList& spans) {
+  MPIPE_EXPECTS(buf.shape().rank() == 2, "span gather needs a matrix");
+  const std::vector<std::int64_t> packed = packed_offsets(buf, spans);
+  Tensor out(Shape{span_rows(spans), buf.dim(1)});
+  copy_spans_packed(buf, spans, packed, out);
   return out;
+}
+
+void gather_spans(const Tensor& buf, const RowSpanList& spans, Tensor& out) {
+  MPIPE_EXPECTS(buf.shape().rank() == 2, "span gather needs a matrix");
+  const std::vector<std::int64_t> packed = packed_offsets(buf, spans);
+  MPIPE_EXPECTS(out.shape().rank() == 2 && out.dim(0) == span_rows(spans) &&
+                    out.dim(1) == buf.dim(1),
+                "gather output must be (span rows x buffer cols)");
+  copy_spans_packed(buf, spans, packed, out);
 }
 
 void scatter_spans(const Tensor& src, Tensor& buf, const RowSpanList& spans) {

@@ -109,6 +109,11 @@ inline constexpr std::int64_t kParallelCopyElems = 1 << 19;
 /// per-row temporaries.
 Tensor gather_spans(const Tensor& buf, const RowSpanList& spans);
 
+/// gather_spans into `out`, which must already be (span_rows x cols): a
+/// caller that gathers the same shape repeatedly reuses one packed tensor
+/// instead of allocating and zero-filling a fresh one per call.
+void gather_spans(const Tensor& buf, const RowSpanList& spans, Tensor& out);
+
 /// Scatters the packed rows of `src` back into the `spans` rows of `buf`
 /// (inverse of gather_spans). Spans must cover disjoint buffer rows —
 /// dispatch plans always do — because large scatters fan the copies out
