@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <map>
 
@@ -758,6 +759,73 @@ TEST(StepMemoryFingerprint, FunctionalLayer) {
     hash_functional_step(h, layer, /*inference=*/true);
     EXPECT_EQ(h.hex(), expected) << core::to_string(strategy);
   }
+}
+
+// ---- multi-expert step fingerprint ------------------------------------------
+// The functional fingerprints above route with one expert per device. This
+// pins the bits of a step with several experts per device, where each
+// device's receive rows hold more than one expert's tokens: outputs, dX
+// and every gate and expert gradient, one FNV-1a-64 hash per case.
+
+void hash_floats(GraphHasher& h, const Tensor& t) {
+  h.integer(t.numel());
+  const float* p = t.data();
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    h.integer(bits);
+  }
+}
+
+TEST(MultiExpertStepFingerprint, OutputsAndGradients) {
+  // Per (experts per device, strategy): n in {1, 2, 4} x {fp32, bf16,
+  // int8}, one forward/backward each. Serial and parallel execution on a
+  // 4-worker pool must both give the pinned hash.
+  const std::map<std::pair<int, core::ReuseStrategy>, std::string> want = {
+      {{2, core::ReuseStrategy::kNone}, "b3b55ccd6cea5585"},
+      {{2, core::ReuseStrategy::kS1}, "6a62d7225d24fd70"},
+      {{2, core::ReuseStrategy::kS2}, "6a62d7225d24fd70"},
+      {{2, core::ReuseStrategy::kS3}, "b3b55ccd6cea5585"},
+      {{2, core::ReuseStrategy::kS4}, "b3b55ccd6cea5585"},
+      {{4, core::ReuseStrategy::kNone}, "50af9e99ae56eaed"},
+      {{4, core::ReuseStrategy::kS1}, "fd3fbf16ae856ee8"},
+      {{4, core::ReuseStrategy::kS2}, "fd3fbf16ae856ee8"},
+      {{4, core::ReuseStrategy::kS3}, "50af9e99ae56eaed"},
+      {{4, core::ReuseStrategy::kS4}, "50af9e99ae56eaed"},
+  };
+  constexpr int kDevices = 4;
+  ThreadPool::reset_shared(4);
+  for (const auto& [key, expected] : want) {
+    const auto [experts_per_device, strategy] = key;
+    for (bool parallel : {false, true}) {
+      GraphHasher h;
+      for (int n : {1, 2, 4}) {
+        for (DType dt : {DType::kF32, DType::kBF16, DType::kI8}) {
+          sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, kDevices);
+          core::MoELayerOptions o;
+          o.d_model = 16;
+          o.d_hidden = 32;
+          o.num_experts = kDevices * experts_per_device;
+          o.num_partitions = n;
+          o.memory_reuse = strategy != core::ReuseStrategy::kNone;
+          if (o.memory_reuse) o.strategy = strategy;
+          o.compute_dtype = dt;
+          o.parallel_execution = parallel;
+          core::MoELayer layer(cluster, o);
+          const auto ys = layer.forward(small_batch(kDevices, 11));
+          const auto dxs = layer.backward(small_batch(kDevices, 12));
+          for (const Tensor& y : ys) hash_floats(h, y);
+          for (const Tensor& dx : dxs) hash_floats(h, dx);
+          for (const Tensor* g : layer.gradients()) hash_floats(h, *g);
+        }
+      }
+      EXPECT_EQ(h.hex(), expected)
+          << experts_per_device << " experts per device, "
+          << core::to_string(strategy)
+          << (parallel ? ", parallel" : ", serial");
+    }
+  }
+  ThreadPool::reset_shared(0);  // restore the machine-sized pool
 }
 
 TEST(NestedParallelism, PipelinePartitionGemmRunsWithoutDeadlock) {
