@@ -69,16 +69,19 @@ Tensor Tensor::clone() const {
 }
 
 Tensor Tensor::slice_rows(std::int64_t row_begin, std::int64_t row_end) const {
-  MPIPE_EXPECTS(shape_.rank() == 2, "slice_rows on non-matrix");
+  return view_rows(row_begin, row_end).clone();
+}
+
+Tensor Tensor::view_rows(std::int64_t row_begin, std::int64_t row_end) const {
+  MPIPE_EXPECTS(defined() && shape_.rank() == 2, "row range of a non-matrix");
   MPIPE_EXPECTS(0 <= row_begin && row_begin <= row_end &&
                     row_end <= shape_.dim(0),
                 "row range out of bounds");
-  const std::int64_t cols = shape_.dim(1);
-  Tensor out(Shape{row_end - row_begin, cols});
-  std::memcpy(out.data(), data() + row_begin * cols,
-              static_cast<std::size_t>((row_end - row_begin) * cols) *
-                  sizeof(float));
-  return out;
+  Tensor view;
+  view.shape_ = Shape{row_end - row_begin, shape_.dim(1)};
+  view.storage_ = storage_;
+  view.offset_ = offset_ + row_begin * shape_.dim(1);
+  return view;
 }
 
 void Tensor::copy_into_rows(std::int64_t row_begin, const Tensor& src) {
@@ -87,6 +90,7 @@ void Tensor::copy_into_rows(std::int64_t row_begin, const Tensor& src) {
   MPIPE_EXPECTS(src.dim(1) == dim(1), "column count mismatch");
   MPIPE_EXPECTS(row_begin >= 0 && row_begin + src.dim(0) <= dim(0),
                 "destination rows out of bounds");
+  if (src.numel() == 0) return;  // a 0-row source may have no storage
   std::memcpy(data() + row_begin * dim(1), src.data(),
               static_cast<std::size_t>(src.numel()) * sizeof(float));
 }

@@ -2,6 +2,7 @@
 /// \file tensor.h
 /// Dense row-major fp32 tensor with shared storage. Cheap to copy (copies
 /// share the buffer, like torch tensors); use clone() for a deep copy.
+/// view_rows() and reshape() also share it, at an element offset.
 /// All real math in the reproduction flows through these.
 
 #include <memory>
@@ -49,6 +50,10 @@ class Tensor {
   /// Returns a deep-copied row slice [row_begin, row_end) of a 2-D tensor.
   Tensor slice_rows(std::int64_t row_begin, std::int64_t row_end) const;
 
+  /// Rows [row_begin, row_end) of a 2-D tensor as a view on the same
+  /// storage: writes through it land in this tensor. Legal at 0 rows.
+  Tensor view_rows(std::int64_t row_begin, std::int64_t row_end) const;
+
   /// Copies `src` into rows [row_begin, row_begin+src.rows) of this 2-D
   /// tensor (shapes must agree on the column count).
   void copy_into_rows(std::int64_t row_begin, const Tensor& src);
@@ -67,7 +72,8 @@ class Tensor {
  private:
   Shape shape_;
   std::shared_ptr<std::vector<float>> storage_;
-  // Offset into storage in elements; nonzero only for reshape views.
+  // Offset into storage in elements; nonzero for row views (and their
+  // reshapes).
   std::int64_t offset_ = 0;
 };
 

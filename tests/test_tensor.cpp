@@ -66,6 +66,41 @@ TEST(Tensor, CloneOfEmptyTensorKeepsItsShape) {
   EXPECT_EQ(copy.numel(), 0);
 }
 
+TEST(Tensor, ZeroRowSliceAndCopyMoveNothing) {
+  // A 0-row tensor owns no floats; slicing or copying 0 rows must not
+  // hand its null data pointer to memcpy.
+  Tensor t = Tensor::full(Shape{3, 4}, 2.0f);
+  const Tensor none = t.slice_rows(1, 1);
+  EXPECT_EQ(none.shape(), (Shape{0, 4}));
+  EXPECT_EQ(Tensor(Shape{0, 4}).slice_rows(0, 0).numel(), 0);
+  t.copy_into_rows(0, none);
+  t.copy_into_rows(3, Tensor(Shape{0, 4}));
+  EXPECT_FLOAT_EQ(static_cast<float>(t.sum()), 24.0f);
+}
+
+TEST(Tensor, RowViewSharesStorage) {
+  Tensor t(Shape{4, 3});
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t.at(i) = static_cast<float>(i);
+  }
+  Tensor mid = t.view_rows(1, 3);
+  EXPECT_EQ(mid.shape(), (Shape{2, 3}));
+  EXPECT_FLOAT_EQ(mid.at(0, 0), 3.0f);
+  mid.at(1, 2) = -1.0f;
+  EXPECT_FLOAT_EQ(t.at(2, 2), -1.0f);
+  // Views of views keep the offset; reshape keeps it too.
+  EXPECT_FLOAT_EQ(mid.view_rows(1, 2).at(0, 0), 6.0f);
+  EXPECT_FLOAT_EQ(mid.reshape(Shape{6}).at(3), 6.0f);
+  // 0-row views are legal anywhere in range, also at the end.
+  for (std::int64_t r = 0; r <= 4; ++r) {
+    EXPECT_EQ(t.view_rows(r, r).shape(), (Shape{0, 3}));
+  }
+  EXPECT_EQ(Tensor(Shape{0, 3}).view_rows(0, 0).numel(), 0);
+  EXPECT_THROW(t.view_rows(3, 5), CheckError);
+  EXPECT_THROW(t.view_rows(2, 1), CheckError);
+  EXPECT_THROW(Tensor(Shape{12}).view_rows(0, 1), CheckError);
+}
+
 TEST(Tensor, SliceAndCopyRows) {
   Tensor t(Shape{4, 3});
   for (std::int64_t r = 0; r < 4; ++r) {
