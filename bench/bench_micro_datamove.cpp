@@ -1,33 +1,22 @@
-/// google-benchmark microbench: the data-movement hot paths — span
-/// gather/scatter (token packing around the expert GEMMs) and the Adam
-/// step. Scalar/memcpy baselines stay in the suite so the SIMD and pool
-/// paths have an honest in-tree reference; items_per_second is bytes and
-/// parameter elements per CPU second, which the perf gate compares.
+/// google-benchmark microbench: the data-movement hot paths — a dispatch
+/// payload in the bf16 wire format and the Adam step. A scalar baseline
+/// stays in the suite so the SIMD and pool paths have an honest in-tree
+/// reference; items_per_second is wire bytes and parameter elements per
+/// CPU second, which the perf gate compares.
 ///
 /// main() pins the shared pool to one worker, the end-to-end benchmark's
 /// setting: parallel_for runs inline and the rows keep the default clock,
-/// the main thread's CPU time. The *Pool rows run the same code on the
-/// machine-sized pool with MeasureProcessCPUTime() (all threads): the
-/// 8192-row copies and the 4M-element Adam step fan out there, while the
-/// 512-row copies (256 KiB moved) stay below moe::kParallelCopyElems and
-/// serial, so a threshold set below 256 KiB shows as their CPU cost per
-/// byte rising (~1.7x on a 4-vCPU host at 128 KiB). The crossover sweep
-/// is in src/tensor/README.md; SimdEquivalenceFuzz checks the bytes.
-///
-/// The gather rows copy into one packed tensor reused across iterations
-/// (gather_spans' out-parameter form), so they measure the copy. A fresh
-/// 16 MiB tensor per call made one row's repetitions range 1.7-6.6 GB/s per
-/// CPU second within a sweep, by whether glibc's dynamic mmap threshold
-/// handed out fresh pages that fault on first touch.
+/// the main thread's CPU time. BM_AdamStepPool runs the same step on the
+/// machine-sized pool with MeasureProcessCPUTime() (all threads), where
+/// the 4M-element step fans out.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
+#include "comm/all_to_all.h"
 #include "common/rng.h"
-#include "moe/expert.h"
 #include "micro_pool.h"
 #include "runtime/adam.h"
 #include "tensor/quant.h"
@@ -37,106 +26,39 @@ namespace {
 
 using namespace mpipe;
 
-/// Ragged span list over a (rows, cols) buffer: `pieces` spans with a
-/// 3:1 largest:smallest skew, covering half the buffer's rows.
-moe::RowSpanList make_spans(std::int64_t rows, int pieces) {
-  moe::RowSpanList spans;
-  std::int64_t covered = 0;
+void BM_ApplySegmentsBf16(benchmark::State& state) {
+  // comm::apply_segments in the bf16 wire format: 16 ragged row blocks
+  // (3:1 largest:smallest, gaps between, about half of `src`) copied into
+  // one packed receive buffer and rounded through bf16 — what one
+  // dispatch AllToAll's payload costs when compute_dtype is kBF16.
+  // items_per_second counts the wire bytes.
+  const std::int64_t rows = state.range(0);
+  const std::int64_t cols = state.range(1);
+  Rng rng(11);
+  Tensor src(Shape{rows, cols});
+  init_normal(src, rng);
+  constexpr int kPieces = 16;
   const std::int64_t budget = rows / 2;
-  for (int i = 0; i < pieces; ++i) {
+  std::vector<comm::RowSegment> segments;
+  std::int64_t covered = 0;
+  for (int i = 0; i < kPieces; ++i) {
     const std::int64_t count =
-        budget / pieces + (i % 3 == 0 ? budget / (2 * pieces) : 0);
-    const std::int64_t offset = covered * 2;  // gaps between spans
-    if (offset + count > rows) break;
-    spans.push_back({offset, count});
+        budget / kPieces + (i % 3 == 0 ? budget / (2 * kPieces) : 0);
+    if (covered * 2 + count > rows) break;  // gaps between the blocks
+    segments.push_back({0, &src, covered * 2, 1, nullptr, covered, count});
     covered += count;
   }
-  return spans;
-}
-
-void BM_GatherSpans(benchmark::State& state) {
-  const std::int64_t rows = state.range(0);
-  const std::int64_t cols = state.range(1);
-  Rng rng(11);
-  Tensor buf(Shape{rows, cols});
-  init_normal(buf, rng);
-  const moe::RowSpanList spans = make_spans(rows, 16);
-  Tensor packed(Shape{moe::span_rows(spans), cols});
+  Tensor dst(Shape{covered, cols});
+  for (comm::RowSegment& seg : segments) seg.dst = &dst;
   std::uint64_t moved = 0;
   for (auto _ : state) {
-    moe::gather_spans(buf, spans, packed);
-    benchmark::DoNotOptimize(packed.data());
-    moved += static_cast<std::uint64_t>(packed.nbytes());
+    comm::apply_segments(segments, DType::kBF16);
+    benchmark::DoNotOptimize(dst.data());
+    moved += quantized_bytes(covered, cols, DType::kBF16);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(moved));
 }
-BENCHMARK(BM_GatherSpans)->Args({512, 256})->Args({2048, 16})->Args({8192, 1024});
-
-void BM_GatherSpansMemcpy(benchmark::State& state) {
-  // The pre-vectorization implementation: one serial memcpy per span.
-  const std::int64_t rows = state.range(0);
-  const std::int64_t cols = state.range(1);
-  Rng rng(11);
-  Tensor buf(Shape{rows, cols});
-  init_normal(buf, rng);
-  const moe::RowSpanList spans = make_spans(rows, 16);
-  Tensor packed(Shape{moe::span_rows(spans), cols});
-  std::uint64_t moved = 0;
-  for (auto _ : state) {
-    float* dst = packed.data();
-    for (const moe::RowSpan& s : spans) {
-      std::memcpy(dst, buf.data() + s.offset * cols,
-                  static_cast<std::size_t>(s.count * cols) * sizeof(float));
-      dst += s.count * cols;
-    }
-    benchmark::DoNotOptimize(packed.data());
-    moved += static_cast<std::uint64_t>(packed.nbytes());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
-}
-BENCHMARK(BM_GatherSpansMemcpy)->Args({512, 256})->Args({2048, 16})->Args({8192, 1024});
-
-void BM_GatherSpansBf16(benchmark::State& state) {
-  // Payload packing in the bf16 wire format: gather the spans, then round
-  // the packed rows through bf16 — what a dispatch alltoall's payload
-  // staging costs when compute_dtype is kBF16. items_per_second counts the
-  // *wire* bytes (half the fp32 gather's), so the rate is directly
-  // comparable against BM_GatherSpans on the payload-reduction axis.
-  const std::int64_t rows = state.range(0);
-  const std::int64_t cols = state.range(1);
-  Rng rng(11);
-  Tensor buf(Shape{rows, cols});
-  init_normal(buf, rng);
-  const moe::RowSpanList spans = make_spans(rows, 16);
-  Tensor packed(Shape{moe::span_rows(spans), cols});
-  std::uint64_t moved = 0;
-  for (auto _ : state) {
-    moe::gather_spans(buf, spans, packed);
-    round_through_bf16(packed.data(), packed.numel());
-    benchmark::DoNotOptimize(packed.data());
-    moved += quantized_bytes(moe::span_rows(spans), cols, DType::kBF16);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
-}
-BENCHMARK(BM_GatherSpansBf16)->Args({512, 256})->Args({8192, 1024});
-
-void BM_ScatterSpans(benchmark::State& state) {
-  const std::int64_t rows = state.range(0);
-  const std::int64_t cols = state.range(1);
-  Rng rng(12);
-  Tensor buf(Shape{rows, cols});
-  const moe::RowSpanList spans = make_spans(rows, 16);
-  Tensor packed(Shape{moe::span_rows(spans), cols});
-  init_normal(packed, rng);
-  std::uint64_t moved = 0;
-  for (auto _ : state) {
-    moe::scatter_spans(packed, buf, spans);
-    benchmark::DoNotOptimize(buf.data());
-    moved += static_cast<std::uint64_t>(packed.nbytes());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(moved));
-}
-BENCHMARK(BM_ScatterSpans)->Args({512, 256})->Args({8192, 1024});
+BENCHMARK(BM_ApplySegmentsBf16)->Args({512, 256})->Args({8192, 1024});
 
 void BM_AdamStep(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -156,24 +78,6 @@ void BM_AdamStep(benchmark::State& state) {
 BENCHMARK(BM_AdamStep)->Arg(1 << 16)->Arg(1 << 22);
 
 // ---- the same paths on the machine-sized pool ---------------------------
-
-void BM_GatherSpansPool(benchmark::State& state) {
-  const bench::MachineSizedPool pool;
-  BM_GatherSpans(state);
-}
-BENCHMARK(BM_GatherSpansPool)
-    ->Args({512, 256})
-    ->Args({8192, 1024})
-    ->MeasureProcessCPUTime();
-
-void BM_ScatterSpansPool(benchmark::State& state) {
-  const bench::MachineSizedPool pool;
-  BM_ScatterSpans(state);
-}
-BENCHMARK(BM_ScatterSpansPool)
-    ->Args({512, 256})
-    ->Args({8192, 1024})
-    ->MeasureProcessCPUTime();
 
 void BM_AdamStepPool(benchmark::State& state) {
   const bench::MachineSizedPool pool;

@@ -70,6 +70,32 @@ void push_or_merge(std::vector<comm::RowSegment>& segments,
   segments.push_back(seg);
 }
 
+/// Partition p's token moves in send order, merged by push_or_merge:
+/// `segment(d, i, t, holder, recv_row)` gives the one-row move of token
+/// t = order[i] of device d, whose expert lives on `holder` at receive row
+/// `recv_row` of the partition's buffers.
+template <class Segment>
+std::vector<comm::RowSegment> token_segments(MoeStepContext& ctx, int p,
+                                             Segment segment) {
+  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
+  const auto& part = ctx.plan.part(p);
+  std::vector<comm::RowSegment> segments;
+  for (int d = 0; d < ctx.num_devices(); ++d) {
+    const auto& routing = part.src[static_cast<std::size_t>(d)];
+    const auto& expert_of = dev(ctx, d).gating.expert_of;
+    for (std::size_t i = 0; i < routing.order.size(); ++i) {
+      const std::int64_t t = routing.order[i];
+      const int holder =
+          static_cast<int>(expert_of[static_cast<std::size_t>(t)] /
+                           ctx.plan.experts_per_device);
+      push_or_merge(segments,
+                    segment(d, static_cast<std::int64_t>(i), t, holder,
+                            routing.recv_row[i]));
+    }
+  }
+  return segments;
+}
+
 // ---- expert hazard declarations ---------------------------------------------
 // The ExpertFFN::parameters()/gradients() ordering contract (w1, b1, w2, b2)
 // is encoded here once — an under-declared access set is a silent
@@ -101,28 +127,37 @@ void declare_expert_grad_accum(sim::Op& op,
   }
 }
 
+/// One expert's stage on its receive rows of partition p's slots: the
+/// GEMMs read and write row views of the ring slots in place.
 void run_expert_stage(ExpertStage stage, moe::ExpertFFN& expert,
                       MoeStepContext& c, int p, int d,
-                      const moe::RowSpanList& spans) {
+                      const moe::RowSpan& rows) {
+  auto view = [&](Tensor& slot) {
+    return slot.view_rows(rows.offset, rows.offset + rows.count);
+  };
+  Tensor tdi = view(tdi_buffer(c, d, p));
+  Tensor tm = view(tm_buffer(c, d, p));
   switch (stage) {
     case ExpertStage::kFfn1:
-      expert.forward_mid_rows(tdi_buffer(c, d, p), spans, tm_buffer(c, d, p));
-      return;
-    case ExpertStage::kFfn2:
-      expert.forward_out_rows(tm_buffer(c, d, p), spans, tdo_buffer(c, d, p));
-      return;
     case ExpertStage::kRecompute:
-      expert.recompute_mid_rows(tdi_buffer(c, d, p), spans,
-                                tm_buffer(c, d, p));
+      expert.forward_mid(tdi, tm);
       return;
-    case ExpertStage::kFused:
-      expert.forward_rows(tdi_buffer(c, d, p), spans, tm_buffer(c, d, p),
-                          tdo_buffer(c, d, p));
+    case ExpertStage::kFfn2: {
+      Tensor tdo = view(tdo_buffer(c, d, p));
+      expert.forward_out(tm, tdo);
       return;
-    case ExpertStage::kBackward:
-      expert.backward_rows(d_tdo_buffer(c, d, p), tdi_buffer(c, d, p),
-                           tm_buffer(c, d, p), spans, d_tdi_buffer(c, d, p));
+    }
+    case ExpertStage::kFused: {
+      Tensor tdo = view(tdo_buffer(c, d, p));
+      expert.forward_mid(tdi, tm);
+      expert.forward_out(tm, tdo);
       return;
+    }
+    case ExpertStage::kBackward: {
+      Tensor d_tdi = view(d_tdi_buffer(c, d, p));
+      expert.backward(view(d_tdo_buffer(c, d, p)), tdi, tm, d_tdi);
+      return;
+    }
   }
 }
 
@@ -187,94 +222,32 @@ void scale_by_gate_backward(DeviceStepState& st,
 // ---- segment builders -------------------------------------------------------
 
 std::vector<comm::RowSegment> dispatch_segments(MoeStepContext& ctx, int p) {
-  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
-  const auto& part = ctx.plan.part(p);
-  std::vector<comm::RowSegment> segments;
-  for (int d = 0; d < ctx.num_devices(); ++d) {
-    const auto& routing = part.src[static_cast<std::size_t>(d)];
-    auto& st = dev(ctx, d);
-    // Track how far into each destination block we have written.
-    std::vector<std::int64_t> written(
-        static_cast<std::size_t>(ctx.num_devices()), 0);
-    for (std::size_t i = 0; i < routing.order.size(); ++i) {
-      const std::int64_t t = routing.order[i];
-      const std::int64_t e =
-          st.gating.expert_of[static_cast<std::size_t>(t)];
-      const int dst = static_cast<int>(e / ctx.plan.experts_per_device);
-      comm::RowSegment seg;
-      seg.src_device = d;
-      seg.src = &st.x;
-      seg.src_row = t;
-      seg.dst_device = dst;
-      seg.dst = &tdi_buffer(ctx, dst, p);
-      seg.dst_row = part.recv_offset[static_cast<std::size_t>(dst)]
-                                    [static_cast<std::size_t>(d)] +
-                    written[static_cast<std::size_t>(dst)];
-      seg.rows = 1;
-      ++written[static_cast<std::size_t>(dst)];
-      push_or_merge(segments, seg);
-    }
-  }
-  return segments;
+  return token_segments(ctx, p, [&](int d, std::int64_t, std::int64_t t,
+                                    int holder, std::int64_t recv_row) {
+    return comm::RowSegment{d, &dev(ctx, d).x, t, holder,
+                            &tdi_buffer(ctx, holder, p), recv_row, 1};
+  });
 }
 
 std::vector<comm::RowSegment> grad_dispatch_segments(MoeStepContext& ctx,
                                                      int p) {
-  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
-  const auto& part = ctx.plan.part(p);
-  std::vector<comm::RowSegment> segments;
-  for (int d = 0; d < ctx.num_devices(); ++d) {
-    const auto& routing = part.src[static_cast<std::size_t>(d)];
-    for (int dst = 0; dst < ctx.num_devices(); ++dst) {
-      const std::int64_t count =
-          routing.send_counts[static_cast<std::size_t>(dst)];
-      if (count == 0) continue;
-      comm::RowSegment seg;
-      seg.src_device = d;
-      seg.src = &d_ys_buffer(ctx, d, p);
-      seg.src_row = routing.send_offsets[static_cast<std::size_t>(dst)];
-      seg.dst_device = dst;
-      seg.dst = &d_tdo_buffer(ctx, dst, p);
-      seg.dst_row = part.recv_offset[static_cast<std::size_t>(dst)]
-                                    [static_cast<std::size_t>(d)];
-      seg.rows = count;
-      segments.push_back(seg);
-    }
-  }
-  return segments;
+  return token_segments(ctx, p, [&](int d, std::int64_t i, std::int64_t,
+                                    int holder, std::int64_t recv_row) {
+    return comm::RowSegment{d, &d_ys_buffer(ctx, d, p), i, holder,
+                            &d_tdo_buffer(ctx, holder, p), recv_row, 1};
+  });
 }
 
 std::vector<comm::RowSegment> combine_segments(MoeStepContext& ctx, int p,
                                                bool backward) {
-  MPIPE_EXPECTS(ctx.functional(), "segments need materialized buffers");
-  const auto& part = ctx.plan.part(p);
-  std::vector<comm::RowSegment> segments;
-  for (int d = 0; d < ctx.num_devices(); ++d) {
-    const auto& routing = part.src[static_cast<std::size_t>(d)];
+  return token_segments(ctx, p, [&](int d, std::int64_t, std::int64_t t,
+                                    int holder, std::int64_t recv_row) {
     auto& st = dev(ctx, d);
-    std::vector<std::int64_t> read(
-        static_cast<std::size_t>(ctx.num_devices()), 0);
-    for (std::size_t i = 0; i < routing.order.size(); ++i) {
-      const std::int64_t t = routing.order[i];
-      const std::int64_t e =
-          st.gating.expert_of[static_cast<std::size_t>(t)];
-      const int holder = static_cast<int>(e / ctx.plan.experts_per_device);
-      comm::RowSegment seg;
-      seg.src_device = holder;
-      seg.src = backward ? &d_tdi_buffer(ctx, holder, p)
-                         : &tdo_buffer(ctx, holder, p);
-      seg.src_row = part.recv_offset[static_cast<std::size_t>(holder)]
-                                    [static_cast<std::size_t>(d)] +
-                    read[static_cast<std::size_t>(holder)];
-      seg.dst_device = d;
-      seg.dst = backward ? &st.dx : &st.out;
-      seg.dst_row = t;
-      seg.rows = 1;
-      ++read[static_cast<std::size_t>(holder)];
-      push_or_merge(segments, seg);
-    }
-  }
-  return segments;
+    return comm::RowSegment{
+        holder,
+        backward ? &d_tdi_buffer(ctx, holder, p) : &tdo_buffer(ctx, holder, p),
+        recv_row, d, backward ? &st.dx : &st.out, t, 1};
+  });
 }
 
 // ---- emitters ----------------------------------------------------------------
@@ -455,10 +428,11 @@ int OpEmitter::expert(ExpertStage stage, std::string label, int p, int d,
     auto* experts = refs_.experts;
     fn = [c, experts, stage, p, d] {
       auto& mine = (*experts)[static_cast<std::size_t>(d)];
-      const auto& spans_of =
-          c->plan.part(p).expert_spans[static_cast<std::size_t>(d)];
-      for (std::size_t k = 0; k < spans_of.size(); ++k) {
-        run_expert_stage(stage, mine[k], *c, p, d, spans_of[k]);
+      const auto& rows_of =
+          c->plan.part(p).expert_rows[static_cast<std::size_t>(d)];
+      for (std::size_t k = 0; k < rows_of.size(); ++k) {
+        if (rows_of[k].count == 0) continue;
+        run_expert_stage(stage, mine[k], *c, p, d, rows_of[k]);
       }
     };
   }

@@ -20,7 +20,8 @@
 ///
 /// The segment builders below drive the comm ops (AllToAll in the
 /// pipeline, P2P fragments in FasterMoE), which annotate themselves from
-/// the same segment tables they copy.
+/// the same segment tables they copy. Each walks the plan's per-token
+/// (order, recv_row) pairs; the receive layout is the dispatcher's alone.
 
 #include <string>
 #include <vector>
@@ -34,12 +35,12 @@ namespace mpipe::core {
 
 // ---- segment builders (functional steps only) -------------------------------
 
-/// Dispatch (S): token rows of every device's T_I chunk → the destination
-/// T_DI buffers, expert-sorted. Per-token segments (T_I is unsorted).
+/// Dispatch (S): token rows of every device's T_I chunk → their receive
+/// rows in the destination T_DI buffers.
 std::vector<comm::RowSegment> dispatch_segments(MoeStepContext& ctx, int p);
 
-/// Backward dispatch (S'): contiguous blocks of the pre-sorted, gate-scaled
-/// d_ys buffers → the d_TDO buffers.
+/// Backward dispatch (S'): rows of the gate-scaled d_ys buffers, in send
+/// order → their receive rows in the d_TDO buffers.
 std::vector<comm::RowSegment> grad_dispatch_segments(MoeStepContext& ctx,
                                                      int p);
 

@@ -7,12 +7,6 @@
 
 namespace mpipe::moe {
 
-std::int64_t span_rows(const RowSpanList& spans) {
-  std::int64_t total = 0;
-  for (const RowSpan& s : spans) total += s.count;
-  return total;
-}
-
 const PartitionPlan& DispatchPlan::part(int p) const {
   MPIPE_EXPECTS(p >= 0 && p < static_cast<int>(parts.size()),
                 "partition index out of range");
@@ -52,16 +46,22 @@ DispatchPlan Dispatcher::build(
   plan.synthetic = false;
 
   const auto chunks = chunk_sizes(tokens, n_partitions);
+  const auto devices = static_cast<std::size_t>(num_devices);
   std::int64_t begin = 0;
   for (int p = 0; p < n_partitions; ++p) {
     PartitionPlan part;
     part.chunk_begin = begin;
     part.chunk_rows = chunks[static_cast<std::size_t>(p)];
-    part.src.resize(static_cast<std::size_t>(num_devices));
-    part.recv_rows.assign(static_cast<std::size_t>(num_devices), 0);
-    part.recv_offset.assign(static_cast<std::size_t>(num_devices),
-                            std::vector<std::int64_t>(
-                                static_cast<std::size_t>(num_devices), 0));
+    part.src.resize(devices);
+    // next[s * num_experts + e] counts source s's tokens for global expert
+    // e, then becomes the receive row of the next such token.
+    std::vector<std::int64_t> next(devices *
+                                   static_cast<std::size_t>(num_experts));
+    auto next_of = [&](int s, std::int64_t e) -> std::int64_t& {
+      return next[static_cast<std::size_t>(s) *
+                      static_cast<std::size_t>(num_experts) +
+                  static_cast<std::size_t>(e)];
+    };
 
     for (int d = 0; d < num_devices; ++d) {
       DeviceRouting& routing = part.src[static_cast<std::size_t>(d)];
@@ -75,67 +75,49 @@ DispatchPlan Dispatcher::build(
                          return experts[static_cast<std::size_t>(a)] <
                                 experts[static_cast<std::size_t>(b)];
                        });
-      routing.send_counts.assign(static_cast<std::size_t>(num_devices), 0);
-      routing.counts_per_expert.assign(
-          static_cast<std::size_t>(num_devices),
-          std::vector<std::int64_t>(
-              static_cast<std::size_t>(experts_per_device), 0));
+      routing.send_counts.assign(devices, 0);
       // The counting pass touches every token anyway, so expert ids are
       // validated here instead of in a separate O(tokens) pre-scan.
       for (std::int64_t row : routing.order) {
         const std::int64_t e = experts[static_cast<std::size_t>(row)];
         MPIPE_CHECK(e >= 0 && e < num_experts, "expert id out of range");
-        const int dst = static_cast<int>(e / experts_per_device);
-        const int local = static_cast<int>(e % experts_per_device);
-        ++routing.send_counts[static_cast<std::size_t>(dst)];
-        ++routing.counts_per_expert[static_cast<std::size_t>(dst)]
-              [static_cast<std::size_t>(local)];
-      }
-      routing.send_offsets.assign(static_cast<std::size_t>(num_devices), 0);
-      for (int j = 1; j < num_devices; ++j) {
-        routing.send_offsets[static_cast<std::size_t>(j)] =
-            routing.send_offsets[static_cast<std::size_t>(j - 1)] +
-            routing.send_counts[static_cast<std::size_t>(j - 1)];
+        ++routing.send_counts[static_cast<std::size_t>(e /
+                                                       experts_per_device)];
+        ++next_of(d, e);
       }
     }
 
-    // Receive layout: source-major blocks, expert-major within a block.
+    // Expert-major receive layout: each local expert's block holds its
+    // sources in rank order.
+    part.recv_rows.assign(devices, 0);
+    part.expert_rows.assign(
+        devices,
+        std::vector<RowSpan>(static_cast<std::size_t>(experts_per_device)));
     for (int dst = 0; dst < num_devices; ++dst) {
-      std::int64_t offset = 0;
-      for (int srcd = 0; srcd < num_devices; ++srcd) {
-        part.recv_offset[static_cast<std::size_t>(dst)]
-            [static_cast<std::size_t>(srcd)] = offset;
-        offset += part.src[static_cast<std::size_t>(srcd)]
-                      .send_counts[static_cast<std::size_t>(dst)];
-      }
-      part.recv_rows[static_cast<std::size_t>(dst)] = offset;
-      plan.max_recv_rows = std::max(plan.max_recv_rows, offset);
-    }
-
-    // Per local expert: receive-buffer spans. Within each source block
-    // tokens are expert-sorted, so each (src, expert) group is one
-    // contiguous span at a computable offset — no per-row indices.
-    part.expert_spans.assign(
-        static_cast<std::size_t>(num_devices),
-        std::vector<RowSpanList>(
-            static_cast<std::size_t>(experts_per_device)));
-    for (int dst = 0; dst < num_devices; ++dst) {
-      for (int srcd = 0; srcd < num_devices; ++srcd) {
-        const DeviceRouting& routing = part.src[static_cast<std::size_t>(srcd)];
-        std::int64_t span_begin =
-            part.recv_offset[static_cast<std::size_t>(dst)]
-                            [static_cast<std::size_t>(srcd)];
-        for (int local = 0; local < experts_per_device; ++local) {
-          const std::int64_t count =
-              routing.counts_per_expert[static_cast<std::size_t>(dst)]
-                                       [static_cast<std::size_t>(local)];
-          if (count > 0) {
-            part.expert_spans[static_cast<std::size_t>(dst)]
-                             [static_cast<std::size_t>(local)]
-                .push_back(RowSpan{span_begin, count});
-          }
-          span_begin += count;
+      std::int64_t row = 0;
+      for (int local = 0; local < experts_per_device; ++local) {
+        RowSpan& span = part.expert_rows[static_cast<std::size_t>(dst)]
+                                        [static_cast<std::size_t>(local)];
+        span.offset = row;
+        for (int s = 0; s < num_devices; ++s) {
+          std::int64_t& slot = next_of(s, dst * experts_per_device + local);
+          const std::int64_t count = slot;
+          slot = row;
+          row += count;
         }
+        span.count = row - span.offset;
+      }
+      part.recv_rows[static_cast<std::size_t>(dst)] = row;
+      plan.max_recv_rows = std::max(plan.max_recv_rows, row);
+    }
+
+    for (int d = 0; d < num_devices; ++d) {
+      DeviceRouting& routing = part.src[static_cast<std::size_t>(d)];
+      const auto& experts = expert_of[static_cast<std::size_t>(d)];
+      routing.recv_row.reserve(routing.order.size());
+      for (std::int64_t row : routing.order) {
+        routing.recv_row.push_back(
+            next_of(d, experts[static_cast<std::size_t>(row)])++);
       }
     }
 
@@ -168,9 +150,6 @@ DispatchPlan Dispatcher::synthetic(std::int64_t tokens_per_device,
     part.chunk_rows = chunks[static_cast<std::size_t>(p)];
     part.src.resize(static_cast<std::size_t>(num_devices));
     part.recv_rows.assign(static_cast<std::size_t>(num_devices), 0);
-    part.recv_offset.assign(static_cast<std::size_t>(num_devices),
-                            std::vector<std::int64_t>(
-                                static_cast<std::size_t>(num_devices), 0));
 
     // Destination weights: device 0 absorbs `skew` of every sender's extra
     // traffic; the remainder spreads evenly.
@@ -201,24 +180,15 @@ DispatchPlan Dispatcher::synthetic(std::int64_t tokens_per_device,
             fractional[static_cast<std::size_t>(r) % fractional.size()]
                 .second)];
       }
-      routing.send_offsets.assign(static_cast<std::size_t>(num_devices), 0);
-      for (int j = 1; j < num_devices; ++j) {
-        routing.send_offsets[static_cast<std::size_t>(j)] =
-            routing.send_offsets[static_cast<std::size_t>(j - 1)] +
-            routing.send_counts[static_cast<std::size_t>(j - 1)];
+      for (int j = 0; j < num_devices; ++j) {
+        part.recv_rows[static_cast<std::size_t>(j)] +=
+            routing.send_counts[static_cast<std::size_t>(j)];
       }
     }
-    for (int dst = 0; dst < num_devices; ++dst) {
-      std::int64_t offset = 0;
-      for (int srcd = 0; srcd < num_devices; ++srcd) {
-        part.recv_offset[static_cast<std::size_t>(dst)]
-            [static_cast<std::size_t>(srcd)] = offset;
-        offset += part.src[static_cast<std::size_t>(srcd)]
-                      .send_counts[static_cast<std::size_t>(dst)];
-      }
-      part.recv_rows[static_cast<std::size_t>(dst)] = offset;
-      plan.max_recv_rows = std::max(plan.max_recv_rows, offset);
-    }
+    plan.max_recv_rows =
+        std::max(plan.max_recv_rows,
+                 *std::max_element(part.recv_rows.begin(),
+                                   part.recv_rows.end()));
     plan.parts.push_back(std::move(part));
     begin += chunks[static_cast<std::size_t>(p)];
   }

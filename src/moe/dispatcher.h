@@ -1,10 +1,16 @@
 #pragma once
 /// \file dispatcher.h
 /// Routing plans for expert parallelism. Given each token's expert, the
-/// dispatcher derives — per pipeline partition — the packed send layout,
-/// the AllToAll segment table, and the per-expert row indices on the
-/// receiving side. MPipeMoE partitions the batch dimension (paper Fig 5b),
-/// so every partition runs its own small, fused AllToAll.
+/// dispatcher derives — per pipeline partition — each source device's
+/// send order and the receive row of every routed token. MPipeMoE
+/// partitions the batch dimension (paper Fig 5b), so every partition runs
+/// its own small, fused AllToAll.
+///
+/// Receive rows are expert-major: a device's partition buffer holds local
+/// expert 0's rows (from sources 0..P-1 in rank order, each source's
+/// tokens in its `order`), then expert 1's, and so on. Every local expert
+/// therefore owns one contiguous RowSpan of the T_DI / T_M / T_DO ring
+/// slots, and the expert GEMMs run on row views of the slots themselves.
 ///
 /// Two construction modes:
 ///  - build():      exact plan from real gating decisions (functional runs)
@@ -16,10 +22,6 @@
 namespace mpipe::moe {
 
 /// A contiguous run of rows in a receive buffer: [offset, offset + count).
-/// The receive layout (source-major blocks, expert-sorted within a block)
-/// guarantees every (source, expert) group is one such run, so plans carry
-/// spans instead of per-row index lists and the compute path moves tokens
-/// with block memcpy.
 struct RowSpan {
   std::int64_t offset = 0;
   std::int64_t count = 0;
@@ -27,34 +29,26 @@ struct RowSpan {
   bool operator==(const RowSpan&) const = default;
 };
 
-/// Spans of one local expert, one per contributing source device.
-using RowSpanList = std::vector<RowSpan>;
-
-/// Total rows covered by a span list.
-std::int64_t span_rows(const RowSpanList& spans);
-
 /// Routing of one source device within one partition.
 struct DeviceRouting {
   /// Absolute row ids of this device's chunk, stably sorted by global
   /// expert id (so destination blocks are contiguous, rank-ordered).
   std::vector<std::int64_t> order;
+  /// Receive row of token order[i] in its destination's partition buffer
+  /// (parallel to `order`; empty in synthetic plans).
+  std::vector<std::int64_t> recv_row;
   /// Rows sent to each destination device.
   std::vector<std::int64_t> send_counts;
-  /// Prefix sums of send_counts (send-buffer block offsets).
-  std::vector<std::int64_t> send_offsets;
-  /// Rows per (destination device, local expert).
-  std::vector<std::vector<std::int64_t>> counts_per_expert;
 };
 
 struct PartitionPlan {
   std::int64_t chunk_begin = 0;  ///< first row of this partition's chunk
   std::int64_t chunk_rows = 0;   ///< rows per device in this partition
-  std::vector<DeviceRouting> src;                       ///< [device]
-  std::vector<std::int64_t> recv_rows;                  ///< [device]
-  std::vector<std::vector<std::int64_t>> recv_offset;   ///< [dst][src]
-  /// Contiguous receive-buffer spans per local expert (one span per
-  /// contributing source device); empty in synthetic plans.
-  std::vector<std::vector<RowSpanList>> expert_spans;
+  std::vector<DeviceRouting> src;       ///< [device]
+  std::vector<std::int64_t> recv_rows;  ///< [device]
+  /// Receive rows of each local expert, [device][local expert]; a span
+  /// may be empty. Empty in synthetic plans.
+  std::vector<std::vector<RowSpan>> expert_rows;
 };
 
 struct DispatchPlan {

@@ -84,28 +84,4 @@ inline constexpr std::int64_t kLanes = 1;
 
 #endif  // MPIPE_SIMD
 
-/// Contiguous float copy. Measured head-to-head on the bench host (see
-/// the data-movement section of tensor/README.md), tuned libc memcpy
-/// (AVX + rep-movsb dispatch) beats a plain unaligned 8-lane loop at
-/// every block size from 64 B up — so memcpy stays the wide engine for
-/// real blocks, and the explicit lanes cover only sub-16-float moves
-/// (where the two are at parity and the call is skipped) plus the no-
-/// vector-extension fallback. Copies are per-element moves, so results
-/// are identical regardless of how callers chunk the range across
-/// threads.
-inline void copy(float* dst, const float* src, std::int64_t n) {
-  std::int64_t i = 0;
-#if defined(MPIPE_SIMD)
-  if (n >= 2 * kLanes) {
-    __builtin_memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
-    return;
-  }
-  if (i + kLanes <= n) {  // at most one vector block below the cutoff
-    store(dst + i, load(src + i));
-    i += kLanes;
-  }
-#endif
-  for (; i < n; ++i) dst[i] = src[i];
-}
-
 }  // namespace mpipe::simd

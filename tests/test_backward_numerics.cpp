@@ -185,19 +185,27 @@ TEST(ExpertBackward, EmptyAndSingleRowSpans) {
   Tensor dout(Shape{4, 6}), din(Shape{4, 6});
   init_normal(in, rng);
   init_normal(dout, rng);
+  // The stages on row views of the buffers, as the pipeline runs them.
+  auto stages = [&](std::int64_t begin, std::int64_t end) {
+    Tensor mid = mid_buf.view_rows(begin, end);
+    Tensor out = out_buf.view_rows(begin, end);
+    Tensor dx = din.view_rows(begin, end);
+    expert.forward_mid(in.view_rows(begin, end), mid);
+    expert.forward_out(mid, out);
+    expert.zero_grad();
+    expert.backward(dout.view_rows(begin, end), in.view_rows(begin, end),
+                    mid, dx);
+  };
 
-  // Empty span list: backward_rows must be a no-op on buffers and grads.
-  expert.zero_grad();
+  // Empty range: the stages must be no-ops on buffers and grads.
   const Tensor din0 = din.clone();
-  expert.backward_rows(dout, in, mid_buf, {}, din);
+  stages(2, 2);
   EXPECT_EQ(max_abs_diff(din, din0), 0.0f);
+  EXPECT_EQ(out_buf.abs_max(), 0.0f);
   for (Tensor* g : expert.gradients()) EXPECT_EQ(g->abs_max(), 0.0f);
 
-  // One single-row span equals the dense backward on that row.
-  moe::RowSpanList one = {{2, 1}};
-  expert.forward_rows(in, one, mid_buf, out_buf);
-  expert.zero_grad();
-  expert.backward_rows(dout, in, mid_buf, one, din);
+  // One single-row range equals the dense backward on that row.
+  stages(2, 3);
   Tensor x1 = in.slice_rows(2, 3);
   Tensor dy1 = dout.slice_rows(2, 3);
   moe::ExpertFFN ref(6, 8, moe::ActivationKind::kReLU, rng);

@@ -1,6 +1,6 @@
 // Dispatch-plan invariants, parameterized over devices × experts ×
-// partitions: conservation of tokens, offset consistency, expert-major
-// receive layout, and synthetic-plan balance/skew.
+// partitions: conservation of tokens, the expert-major receive layout
+// (spans and per-token receive rows), and synthetic-plan balance/skew.
 
 #include <gtest/gtest.h>
 
@@ -98,47 +98,60 @@ TEST_P(DispatcherPlan, OrderIsSortedByExpertAndCoversChunk) {
   }
 }
 
-TEST_P(DispatcherPlan, ExpertSpansPartitionTheReceiveBuffer) {
+TEST_P(DispatcherPlan, ExpertRowsTileTheReceiveBuffer) {
+  // Local experts' spans follow one another from row 0 to recv_rows.
   const auto plan = make_plan();
   const auto& c = GetParam();
   for (const auto& part : plan.parts) {
     for (int d = 0; d < c.devices; ++d) {
-      std::vector<bool> seen(
-          static_cast<std::size_t>(part.recv_rows[static_cast<std::size_t>(
-              d)]),
-          false);
-      for (const auto& spans :
-           part.expert_spans[static_cast<std::size_t>(d)]) {
-        for (const RowSpan& s : spans) {
-          ASSERT_GT(s.count, 0) << "empty spans must be omitted";
-          ASSERT_GE(s.offset, 0);
-          ASSERT_LE(s.offset + s.count,
-                    part.recv_rows[static_cast<std::size_t>(d)]);
-          for (std::int64_t r = s.offset; r < s.offset + s.count; ++r) {
-            EXPECT_FALSE(seen[static_cast<std::size_t>(r)])
-                << "row assigned to two experts";
-            seen[static_cast<std::size_t>(r)] = true;
-          }
-        }
+      const auto& spans = part.expert_rows[static_cast<std::size_t>(d)];
+      ASSERT_EQ(static_cast<int>(spans.size()), c.experts_per_device);
+      std::int64_t next = 0;
+      for (const RowSpan& s : spans) {
+        EXPECT_EQ(s.offset, next);
+        EXPECT_GE(s.count, 0);
+        next += s.count;
       }
-      for (bool s : seen) EXPECT_TRUE(s) << "receive row not owned";
+      EXPECT_EQ(next, part.recv_rows[static_cast<std::size_t>(d)]);
     }
   }
 }
 
-TEST_P(DispatcherPlan, RecvOffsetsArePrefixSums) {
+TEST_P(DispatcherPlan, RecvRowsAreExpertMajor) {
+  // Every routed token owns one receive row inside its expert's span, and
+  // within a span the rows ascend with (source rank, position in order).
   const auto plan = make_plan();
   const auto& c = GetParam();
   for (const auto& part : plan.parts) {
-    for (int dst = 0; dst < c.devices; ++dst) {
-      std::int64_t expected = 0;
-      for (int src = 0; src < c.devices; ++src) {
-        EXPECT_EQ(part.recv_offset[static_cast<std::size_t>(dst)]
-                                  [static_cast<std::size_t>(src)],
-                  expected);
-        expected += part.src[static_cast<std::size_t>(src)]
-                        .send_counts[static_cast<std::size_t>(dst)];
+    std::vector<std::vector<bool>> seen;
+    for (std::int64_t rows : part.recv_rows) {
+      seen.emplace_back(static_cast<std::size_t>(rows), false);
+    }
+    std::vector<std::int64_t> last(
+        static_cast<std::size_t>(c.devices * c.experts_per_device), -1);
+    for (int src = 0; src < c.devices; ++src) {
+      const auto& routing = part.src[static_cast<std::size_t>(src)];
+      ASSERT_EQ(routing.recv_row.size(), routing.order.size());
+      for (std::size_t i = 0; i < routing.order.size(); ++i) {
+        const std::int64_t e =
+            expert_of_[static_cast<std::size_t>(src)]
+                      [static_cast<std::size_t>(routing.order[i])];
+        const auto dst = static_cast<std::size_t>(e / c.experts_per_device);
+        const RowSpan& span =
+            part.expert_rows[dst][static_cast<std::size_t>(
+                e % c.experts_per_device)];
+        const std::int64_t r = routing.recv_row[i];
+        ASSERT_GE(r, span.offset);
+        ASSERT_LT(r, span.offset + span.count);
+        EXPECT_FALSE(seen[dst][static_cast<std::size_t>(r)])
+            << "receive row assigned twice";
+        seen[dst][static_cast<std::size_t>(r)] = true;
+        EXPECT_GT(r, last[static_cast<std::size_t>(e)]);
+        last[static_cast<std::size_t>(e)] = r;
       }
+    }
+    for (const auto& rows : seen) {
+      for (bool s : rows) EXPECT_TRUE(s) << "receive row not owned";
     }
   }
 }

@@ -4,8 +4,8 @@
 // bounds, critical-path lower bound, interference never speeding things
 // up, and replay determinism. Plus kernel-level sweeps: the calibrated
 // cost model (GEMM efficiency and AllToAll bandwidth curves) against
-// direct measured-table interpolation, and the SIMD layer-norm/softmax/
-// gather-scatter kernels against scalar references.
+// direct measured-table interpolation, and the SIMD layer-norm/softmax
+// kernels against scalar references.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "moe/expert.h"
 #include "moe/layer_norm.h"
 #include "sim/calibration.h"
 #include "sim/cluster.h"
@@ -437,97 +436,6 @@ TEST(CommCalibration, FitKeepsFastestDuplicateAndClampsJitter) {
 }
 
 // ---- SIMD kernels vs scalar fp64 references -------------------------------
-
-TEST(SimdEquivalenceFuzz, GatherScatterSpansMatchScalarReference) {
-  // The vectorized (and, from moe::kParallelCopyElems moved floats up,
-  // pool-parallel) span copies must move bytes exactly like a per-element
-  // scalar loop, on ragged span lists including 0-row and 1-row spans.
-  // The first iterations stay below the fan-out threshold; the last ones
-  // are sized from it (spans cover about half the rows, so 3-4x the
-  // threshold in the buffer moves 1.5-2x it) and run on a 4-worker pool,
-  // so the pool branch is checked on any host.
-  constexpr int kSerialIters = 90, kIters = 94;
-  Rng rng(1212);
-  for (int iter = 0; iter < kIters; ++iter) {
-    const bool fan_out = iter >= kSerialIters;
-    if (iter == kSerialIters) ThreadPool::reset_shared(4);
-    const std::int64_t cols =
-        1 + static_cast<std::int64_t>(rng.uniform_index(200));
-    const std::int64_t rows =
-        fan_out ? (3 + static_cast<std::int64_t>(rng.uniform_index(2))) *
-                      moe::kParallelCopyElems / cols
-                : 1 + static_cast<std::int64_t>(
-                          rng.uniform_index(iter < 80 ? 48 : 600));
-    Tensor buf(Shape{rows, cols});
-    init_normal(buf, rng);
-
-    // Disjoint ascending spans with gaps; 0- and 1-row spans occur often.
-    moe::RowSpanList spans;
-    std::int64_t off = 0;
-    while (off < rows) {
-      const std::int64_t count = std::min<std::int64_t>(
-          static_cast<std::int64_t>(rng.uniform_index(5)), rows - off);
-      spans.push_back({off, count});
-      off += count + 1 + static_cast<std::int64_t>(rng.uniform_index(3));
-    }
-    if (spans.empty()) spans.push_back({0, 0});
-
-    // A fan-out posts helper tasks to the pool; a serial copy posts none.
-    std::uint64_t tasks = ThreadPool::shared().tasks_enqueued();
-    const Tensor packed = moe::gather_spans(buf, spans);
-    ASSERT_EQ(ThreadPool::shared().tasks_enqueued() > tasks, fan_out)
-        << "iter " << iter << ": gather took the wrong copy branch";
-    ASSERT_EQ(packed.dim(0), moe::span_rows(spans));
-    std::int64_t prow = 0;
-    for (const moe::RowSpan& s : spans) {
-      for (std::int64_t r = 0; r < s.count; ++r, ++prow) {
-        for (std::int64_t c = 0; c < cols; ++c) {
-          ASSERT_EQ(packed.at(prow, c), buf.at(s.offset + r, c))
-              << "iter " << iter << " span row " << r;
-        }
-      }
-    }
-
-    Tensor src(Shape{moe::span_rows(spans), cols});
-    init_normal(src, rng);
-    Tensor out(Shape{rows, cols});
-    out.fill(-7.0f);
-    tasks = ThreadPool::shared().tasks_enqueued();
-    moe::scatter_spans(src, out, spans);
-    ASSERT_EQ(ThreadPool::shared().tasks_enqueued() > tasks, fan_out)
-        << "iter " << iter << ": scatter took the wrong copy branch";
-    prow = 0;
-    std::vector<bool> covered(static_cast<std::size_t>(rows), false);
-    for (const moe::RowSpan& s : spans) {
-      for (std::int64_t r = 0; r < s.count; ++r, ++prow) {
-        covered[static_cast<std::size_t>(s.offset + r)] = true;
-        for (std::int64_t c = 0; c < cols; ++c) {
-          ASSERT_EQ(out.at(s.offset + r, c), src.at(prow, c));
-        }
-      }
-    }
-    for (std::int64_t r = 0; r < rows; ++r) {
-      if (covered[static_cast<std::size_t>(r)]) continue;
-      // Rows outside every span stay untouched.
-      for (std::int64_t c = 0; c < cols; ++c) {
-        ASSERT_EQ(out.at(r, c), -7.0f);
-      }
-    }
-  }
-  ThreadPool::reset_shared(0);
-
-  // Overlapping destination spans would race under the parallel fan-out;
-  // scatter rejects them loudly (gather tolerates overlapping reads).
-  Tensor buf(Shape{8, 4});
-  Tensor src(Shape{8, 4});
-  const moe::RowSpanList overlapping = {{0, 4}, {2, 4}};
-  EXPECT_THROW(moe::scatter_spans(src, buf, overlapping), CheckError);
-  EXPECT_NO_THROW(moe::gather_spans(buf, overlapping));
-  // Zero-count spans move nothing: legal at any offset, even inside
-  // another span's range.
-  const moe::RowSpanList with_empty = {{0, 4}, {2, 0}, {4, 4}};
-  EXPECT_NO_THROW(moe::scatter_spans(src, buf, with_empty));
-}
 
 TEST(SimdEquivalenceFuzz, SoftmaxMatchesScalarReference) {
   Rng rng(777);

@@ -50,20 +50,25 @@ TEST(GeluExpert, FiniteDifferenceThroughStashConvention) {
 }
 
 TEST(GeluExpert, SplitStagesMatchFusedForward) {
+  // C1 then C2 on row views of the buffers (rows 1..3, as the pipeline
+  // runs one expert's receive rows) against the dense forward.
   Rng rng(42);
   moe::ExpertFFN expert(4, 8, moe::ActivationKind::kGELU, rng);
   Tensor buf = random_tokens(5, 4, rng);
-  const moe::RowSpanList spans = {{0, 1}, {2, 1}, {4, 1}};
-  Tensor mid_buf(Shape{5, 8}), out_split(Shape{5, 4}), out_fused(Shape{5, 4});
-  expert.forward_mid_rows(buf, spans, mid_buf);  // C1
-  expert.forward_out_rows(mid_buf, spans, out_split);  // C2
-  Tensor mid2(Shape{5, 8});
-  expert.forward_rows(buf, spans, mid2, out_fused);
-  EXPECT_LT(max_abs_diff(out_split, out_fused), 1e-5f);
-  // Recompute (S3/S4 restore path) reproduces the stash exactly.
-  Tensor mid3(Shape{5, 8});
-  expert.recompute_mid_rows(buf, spans, mid3);
-  EXPECT_FLOAT_EQ(max_abs_diff(mid3, mid_buf), 0.0f);
+  Tensor mid_buf(Shape{5, 8}), out_buf(Shape{5, 4});
+  Tensor mid = mid_buf.view_rows(1, 4);
+  Tensor out = out_buf.view_rows(1, 4);
+  expert.forward_mid(buf.view_rows(1, 4), mid);  // C1
+  expert.forward_out(mid, out);                  // C2
+  Tensor dense_mid;
+  const Tensor dense_out = expert.forward(buf.slice_rows(1, 4), dense_mid);
+  EXPECT_FLOAT_EQ(max_abs_diff(mid, dense_mid), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(out, dense_out), 0.0f);
+  // Rows outside the views stay untouched.
+  for (std::int64_t r : {0, 4}) {
+    EXPECT_FLOAT_EQ(mid_buf.slice_rows(r, r + 1).abs_max(), 0.0f);
+    EXPECT_FLOAT_EQ(out_buf.slice_rows(r, r + 1).abs_max(), 0.0f);
+  }
 }
 
 TEST(GeluExpert, DistributedLayerTrainsWithGelu) {

@@ -1,8 +1,8 @@
 // The packed GEMM micro-kernel path: every transpose variant and fused
 // epilogue against a naive reference on ragged shapes, the bitwise
 // invariance pins (pool size, row-by-row), the grain contract
-// of the lock-light parallel_for, and span-vs-row-index equivalence of the
-// dispatcher's receive-buffer layout.
+// of the lock-light parallel_for, and a per-token reconstruction of the
+// dispatcher's expert-major receive layout.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "moe/dispatcher.h"
-#include "moe/expert.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/random_init.h"
@@ -402,9 +401,10 @@ TEST(ParallelFor, NestedCallsDoNotDeadlock) {
 // ---- dispatcher span layout ----------------------------------------------
 
 TEST(DispatcherSpans, SpansMatchPerRowIndexReconstruction) {
-  // Reconstruct the per-row expert assignment of the receive buffer the
-  // pre-span way (walk each source block in expert-sorted order) and check
-  // the plan's spans cover exactly those rows.
+  // Reconstruct the receive layout token by token (local expert by local
+  // expert; within one, source devices in rank order, each source's tokens
+  // in its expert-sorted send order) and check that every token's
+  // recv_row and every expert's span agree with it.
   const int devices = 3, experts_per_device = 4, partitions = 2;
   const std::int64_t tokens = 53;
   Rng rng(99);
@@ -420,59 +420,30 @@ TEST(DispatcherSpans, SpansMatchPerRowIndexReconstruction) {
 
   for (const auto& part : plan.parts) {
     for (int dst = 0; dst < devices; ++dst) {
-      // Per-row reference: for each source block, tokens arrive sorted by
-      // expert; rows for local expert e are the block rows whose token
-      // routed to global expert dst*experts_per_device + e.
-      std::vector<std::vector<std::int64_t>> want(
-          static_cast<std::size_t>(experts_per_device));
-      for (int srcd = 0; srcd < devices; ++srcd) {
-        std::int64_t row = part.recv_offset[static_cast<std::size_t>(dst)]
-                                           [static_cast<std::size_t>(srcd)];
-        const auto& routing = part.src[static_cast<std::size_t>(srcd)];
-        for (std::int64_t t : routing.order) {
-          const std::int64_t e =
-              expert_of[static_cast<std::size_t>(srcd)]
-                       [static_cast<std::size_t>(t)];
-          if (static_cast<int>(e / experts_per_device) != dst) continue;
-          want[static_cast<std::size_t>(e % experts_per_device)].push_back(
-              row);
-          ++row;
-        }
-      }
+      std::int64_t row = 0;
       for (int local = 0; local < experts_per_device; ++local) {
-        std::vector<std::int64_t> got;
-        for (const moe::RowSpan& s :
-             part.expert_spans[static_cast<std::size_t>(dst)]
-                              [static_cast<std::size_t>(local)]) {
-          for (std::int64_t r = s.offset; r < s.offset + s.count; ++r) {
-            got.push_back(r);
+        const std::int64_t e = dst * experts_per_device + local;
+        const std::int64_t first = row;
+        for (int srcd = 0; srcd < devices; ++srcd) {
+          const auto& routing = part.src[static_cast<std::size_t>(srcd)];
+          for (std::size_t i = 0; i < routing.order.size(); ++i) {
+            if (expert_of[static_cast<std::size_t>(srcd)]
+                         [static_cast<std::size_t>(routing.order[i])] != e) {
+              continue;
+            }
+            EXPECT_EQ(routing.recv_row[i], row)
+                << "dst " << dst << " expert " << local << " src " << srcd;
+            ++row;
           }
         }
-        EXPECT_EQ(got, want[static_cast<std::size_t>(local)])
+        EXPECT_EQ(part.expert_rows[static_cast<std::size_t>(dst)]
+                                  [static_cast<std::size_t>(local)],
+                  (moe::RowSpan{first, row - first}))
             << "dst " << dst << " expert " << local;
       }
+      EXPECT_EQ(part.recv_rows[static_cast<std::size_t>(dst)], row);
     }
   }
-}
-
-TEST(DispatcherSpans, GatherScatterRoundTrip) {
-  Rng rng(21);
-  Tensor buf = Tensor(Shape{10, 3});
-  init_normal(buf, rng);
-  const moe::RowSpanList spans = {{0, 2}, {5, 1}, {7, 3}};
-  EXPECT_EQ(moe::span_rows(spans), 6);
-  Tensor packed = moe::gather_spans(buf, spans);
-  ASSERT_EQ(packed.dim(0), 6);
-  Tensor restored(Shape{10, 3});
-  moe::scatter_spans(packed, restored, spans);
-  for (const moe::RowSpan& s : spans) {
-    EXPECT_FLOAT_EQ(
-        max_abs_diff(restored.slice_rows(s.offset, s.offset + s.count),
-                     buf.slice_rows(s.offset, s.offset + s.count)),
-        0.0f);
-  }
-  // Rows outside the spans stay zero.
-  EXPECT_FLOAT_EQ(restored.slice_rows(2, 5).abs_max(), 0.0f);
 }
 
 }  // namespace

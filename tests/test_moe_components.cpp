@@ -148,44 +148,34 @@ TEST(Expert, WeightGradFiniteDifference) {
   }
 }
 
-TEST(Expert, SpanIndexedMatchesDense) {
+TEST(Expert, RowViewStagesMatchDense) {
   Rng rng(20);
   ExpertFFN expert(4, 8, ActivationKind::kReLU, rng);
   Tensor buf = random_tokens(6, 4, rng);
   Tensor mid_buf(Shape{6, 8});
   Tensor out_buf(Shape{6, 4});
-  // Rows 1 and 3..4, as two contiguous spans.
-  const RowSpanList spans = {{1, 1}, {3, 2}};
-  const std::vector<std::int64_t> rows = {1, 3, 4};
-  expert.forward_rows(buf, spans, mid_buf, out_buf);
+  // Rows 1..3 as one expert's contiguous receive rows.
+  Tensor mid = mid_buf.view_rows(1, 4);
+  Tensor out = out_buf.view_rows(1, 4);
+  expert.forward_mid(buf.view_rows(1, 4), mid);
+  expert.forward_out(mid, out);
 
-  Tensor dense_in(Shape{3, 4});
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    dense_in.copy_into_rows(static_cast<std::int64_t>(i),
-                            buf.slice_rows(rows[i], rows[i] + 1));
-  }
   Tensor dense_mid;
-  Tensor dense_out = expert.forward(dense_in, dense_mid);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_LT(max_abs_diff(
-                  out_buf.slice_rows(rows[i], rows[i] + 1),
-                  dense_out.slice_rows(static_cast<std::int64_t>(i),
-                                       static_cast<std::int64_t>(i) + 1)),
-              1e-6f);
-  }
+  const Tensor dense_out = expert.forward(buf.slice_rows(1, 4), dense_mid);
+  EXPECT_FLOAT_EQ(max_abs_diff(mid_buf.slice_rows(1, 4), dense_mid), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(out_buf.slice_rows(1, 4), dense_out), 0.0f);
   // Untouched rows stay zero.
   EXPECT_FLOAT_EQ(out_buf.slice_rows(0, 1).abs_max(), 0.0f);
-  EXPECT_FLOAT_EQ(out_buf.slice_rows(2, 3).abs_max(), 0.0f);
-  EXPECT_FLOAT_EQ(out_buf.slice_rows(5, 6).abs_max(), 0.0f);
+  EXPECT_FLOAT_EQ(out_buf.slice_rows(4, 6).abs_max(), 0.0f);
+  EXPECT_FLOAT_EQ(mid_buf.slice_rows(4, 6).abs_max(), 0.0f);
 
-  // Recompute reproduces the stored middle rows exactly.
-  Tensor mid_recomputed(Shape{6, 8});
-  expert.recompute_mid_rows(buf, spans, mid_recomputed);
-  EXPECT_FLOAT_EQ(max_abs_diff(mid_recomputed, mid_buf), 0.0f);
-  // And FFN2-only matches the fused output.
-  Tensor out2(Shape{6, 4});
-  expert.forward_out_rows(mid_buf, spans, out2);
-  EXPECT_LT(max_abs_diff(out2, out_buf), 1e-6f);
+  // Each output row depends on its own input row only: a single-row view
+  // matches the same row of the wider one.
+  Tensor out_row(Shape{1, 4});
+  Tensor mid_row(Shape{1, 8});
+  expert.forward_mid(buf.view_rows(2, 3), mid_row);
+  expert.forward_out(mid_row, out_row);
+  EXPECT_LT(max_abs_diff(out_row, out_buf.slice_rows(2, 3)), 1e-6f);
 }
 
 TEST(LayerNorm, NormalisesRows) {

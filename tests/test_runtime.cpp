@@ -174,10 +174,9 @@ TEST(TrainingDeterminism, AdamStepBitwiseAcrossThreadCounts) {
 
 TEST(TrainingDeterminism, BitwiseIdenticalLossesAcrossThreadCounts) {
   // The GEMM tile grid, the bias-grad epilogue's column-range ownership,
-  // the row-parallel softmax/layer-norm kernels, the span gather/scatter
-  // fan-out, the vectorized Adam step, and the concurrent op-graph
-  // executor are all designed so results never depend on how work lands
-  // on workers. Lock that in: identical seeds must give bit-identical
+  // the row-parallel softmax/layer-norm kernels, the vectorized Adam
+  // step, and the concurrent op-graph executor are all designed so
+  // results never depend on how work lands on workers. Lock that in: identical seeds must give bit-identical
   // losses under serial and parallel graph execution, each at 1, 4 and 8
   // pool threads. Sizes are chosen so the FFN GEMMs span multiple tiles
   // and parallel_for actually fans out (tile grid > 1, rows > grain).
