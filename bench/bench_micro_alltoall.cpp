@@ -2,7 +2,8 @@
 /// how fast the discrete-event engine replays collective-heavy graphs
 /// (this bounds the cost of the adaptive search's trial probes). The
 /// replay runs on the calling thread, so rows keep the default clock, the
-/// main thread's CPU time; items_per_second is collectives per CPU second.
+/// main thread's CPU time; items_per_second is collectives (and, for
+/// BM_AdaptiveProbe, searcher trials) per CPU second.
 
 #include <benchmark/benchmark.h>
 
@@ -40,8 +41,11 @@ BENCHMARK(BM_TimedAllToAllGraph)
     ->Args({64, 64});
 
 void BM_AdaptiveProbe(benchmark::State& state) {
-  // Cost of one full Algorithm-1 trial sweep at 64 devices.
+  // Cost of one full Algorithm-1 trial sweep at 64 devices;
+  // items_per_second is the searcher's trials (one corrected probe per
+  // (B, n) candidate) per CPU second.
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(8, 8);
+  std::int64_t trials = 0;
   for (auto _ : state) {
     state.PauseTiming();
     // Fresh layer so the cache is cold every iteration.
@@ -53,7 +57,9 @@ void BM_AdaptiveProbe(benchmark::State& state) {
     core::MoELayer layer(cluster, o);
     state.ResumeTiming();
     benchmark::DoNotOptimize(layer.step_timing(8192).n_partitions);
+    trials += static_cast<std::int64_t>(layer.searcher().stats().trials);
   }
+  state.SetItemsProcessed(trials);
 }
 BENCHMARK(BM_AdaptiveProbe)->Unit(benchmark::kMillisecond);
 

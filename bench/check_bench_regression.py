@@ -39,9 +39,16 @@ would otherwise un-gate its kernel); retiring a bench means regenerating
 the baseline in the same change. Candidate-only benchmarks are reported
 as informational, so adding benches does not break the gate.
 
+With --rows instead of --candidate the checker compares names only: the
+rows a bench binary declares (its `--benchmark_list_tests` output, one
+name per line) against the rows of the committed file. Any difference
+fails, so a row added to or deleted from a bench without regenerating its
+BENCH_*.json is caught in seconds, without a sweep.
+
 Usage:
   check_bench_regression.py --baseline BENCH_gemm.json \
       --candidate new/BENCH_gemm.json [--threshold 0.15]
+  check_bench_regression.py --baseline BENCH_gemm.json --rows listed.txt
 """
 
 import argparse
@@ -72,6 +79,30 @@ def load(path):
     return doc.get("context", {}), rates
 
 
+def check_rows(baseline, listed):
+    """Exit status of the --rows comparison: 0 when the bench's listed rows
+    and the baseline's rows are the same set of names."""
+    with open(baseline) as f:
+        doc = json.load(f)
+    committed = {b.get("run_name", b["name"])
+                 for b in doc.get("benchmarks", [])
+                 if b.get("run_type") == "iteration"}
+    with open(listed) as f:
+        declared = {line.strip() for line in f if line.strip()}
+    added = sorted(declared - committed)
+    dropped = sorted(committed - declared)
+    for name in added:
+        print(f"FAIL: {name} is in the bench but not in {baseline}")
+    for name in dropped:
+        print(f"FAIL: {name} is in {baseline} but not in the bench")
+    if added or dropped:
+        print("Regenerate the trajectory (bench/run_benches.sh) in the "
+              "change that adds or deletes a row.")
+        return 1
+    print(f"OK: {baseline} holds the bench's {len(declared)} rows.")
+    return 0
+
+
 def describe(label, path, context):
     return (f"{label}: {path} (num_cpus {context.get('num_cpus', '?')}, "
             f"date {context.get('date', '?')})")
@@ -80,9 +111,13 @@ def describe(label, path, context):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline", required=True)
-    ap.add_argument("--candidate", required=True)
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--candidate")
+    which.add_argument("--rows")
     ap.add_argument("--threshold", type=float, default=0.15)
     args = ap.parse_args()
+    if args.rows:
+        return check_rows(args.baseline, args.rows)
 
     try:
         base_ctx, base = load(args.baseline)

@@ -2,7 +2,8 @@
 # Runs the micro benches and emits machine-readable results so future PRs
 # have a perf trajectory to compare against.
 #
-# Usage: bench/run_benches.sh [--check] [--advisory] [build_dir] [baseline_dir]
+# Usage: bench/run_benches.sh [--check|--rows] [--advisory] [build_dir]
+#                             [baseline_dir]
 #   (no flag)     write the trajectory: BENCH_{gemm,alltoall,datamove,step,
 #                 serve}.json into baseline_dir.
 #   --check       do not overwrite the trajectory: run a sweep into a
@@ -12,6 +13,10 @@
 #                 0.8 (see check_bench_regression.py for the exact
 #                 contract); one automatic retry absorbs scheduler noise.
 #                 Exits 77 (CTest SKIP) if python3 or a baseline is missing.
+#   --rows        run nothing: compare each bench binary's row names
+#                 (--benchmark_list_tests) against the rows of its committed
+#                 BENCH_*.json and fail on any difference — a row added or
+#                 deleted without regenerating the trajectory. Takes seconds.
 #   --advisory    with --check: still run the full diff and print every
 #                 regression, but exit 0 regardless. For noisy shared
 #                 runners (CI perf-sanity job) where a hard gate would
@@ -32,7 +37,7 @@
 # items_per_second, items per CPU second, and no row uses the wall clock:
 # the GEMM, data-move and serving suites pin the pool to one worker and
 # their single-kernel rows use the main thread's CPU time; the *Pool rows
-# (largest GEMMs, span copies, Adam on the machine-sized pool), the
+# (largest GEMMs and Adam on the machine-sized pool), the
 # training-step rows and the serving rows use process CPU time (all
 # threads); the alltoall replay runs on the main thread. The bench sources
 # say which clock each row uses and why.
@@ -40,10 +45,12 @@
 set -euo pipefail
 
 CHECK=0
+ROWS=0
 ADVISORY=0
 while [[ "${1:-}" == --* ]]; do
   case "$1" in
     --check) CHECK=1 ;;
+    --rows) ROWS=1 ;;
     --advisory) ADVISORY=1 ;;
     *)
       echo "error: unknown flag $1" >&2
@@ -97,6 +104,19 @@ kind_of() {  # BENCH_<kind>.json: strip bench_micro_, then bench_ (serve)
   local kind="${1#bench_micro_}"
   echo "${kind#bench_}"
 }
+
+if [[ "${ROWS}" == "1" ]]; then
+  LISTED="$(mktemp)"
+  trap 'rm -f "${LISTED}"' EXIT
+  status=0
+  for name in "${BENCHES[@]}"; do
+    "${BUILD_DIR}/bench/${name}" --benchmark_list_tests=true > "${LISTED}"
+    python3 "${SCRIPT_DIR}/check_bench_regression.py" \
+      --baseline "${OUT_DIR}/BENCH_$(kind_of "${name}").json" \
+      --rows "${LISTED}" || status=1
+  done
+  exit "${status}"
+fi
 
 run_all() {  # run_all <dest_dir>: every round over every suite, then merge
   local dest="$1" round name kind

@@ -8,8 +8,9 @@ real and CPU times differ check that every row is scored by its
 items_per_second (items per CPU second), never scaled by real/cpu, and
 that a `/real_time` row, whose items_per_second is per wall-clock second,
 is refused; repetitions are averaged, also across measurement rounds
-joined by merge_bench_json.py. Invoked from
-CTest via run_checker_selftest.sh."""
+joined by merge_bench_json.py. --rows fails when a bench's listed rows and
+the committed rows differ either way. Invoked from CTest via
+run_checker_selftest.sh."""
 
 import json
 import os
@@ -168,6 +169,30 @@ def main():
         code, out = run_checker(tmp, {}, steady)
         expect(code == 0 and "skipping" in out,
                "empty baseline skips (nothing committed yet)", out)
+
+        # --rows: the names a bench lists against the committed rows.
+        base = os.path.join(tmp, "base.json")
+        with open(base, "w") as f:
+            json.dump(bench_doc(dict(steady, BM_NoItems=0.0)), f)
+
+        def rows_check(names):
+            listed = os.path.join(tmp, "listed.txt")
+            with open(listed, "w") as f:
+                f.write("".join(f"{n}\n" for n in names))
+            proc = subprocess.run([sys.executable, CHECKER, "--baseline",
+                                   base, "--rows", listed],
+                                  capture_output=True, text=True)
+            return proc.returncode, proc.stdout + proc.stderr
+
+        same = sorted(steady) + ["BM_NoItems"]
+        code, out = rows_check(same)
+        expect(code == 0, "listed rows matching the trajectory pass", out)
+        code, out = rows_check(same + ["BM_New/8"])
+        expect(code == 1 and "BM_New/8 is in the bench" in out,
+               "a row missing from the trajectory fails", out)
+        code, out = rows_check([n for n in same if n != "BM_B"])
+        expect(code == 1 and "BM_B is in" in out and "not in the bench" in out,
+               "a trajectory row the bench no longer has fails", out)
     print("all checker self-tests passed")
 
 
