@@ -54,6 +54,7 @@ void BM_ApplySegmentsBf16(benchmark::State& state) {
   for (auto _ : state) {
     comm::apply_segments(segments, DType::kBF16);
     benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
     moved += quantized_bytes(covered, cols, DType::kBF16);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(moved));
