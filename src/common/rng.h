@@ -2,10 +2,15 @@
 /// \file rng.h
 /// Deterministic random number generation. Every stochastic component owns
 /// its own Rng seeded explicitly, so whole-cluster runs replay bit-exactly.
+///
+/// Stream contract: an Rng's only state is its engine, so a value copy
+/// replays the stream from the point it was taken (the Trainer's step
+/// retry and checkpoint/restore rely on this). No sampler keeps a cached
+/// draw between calls.
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace mpipe {
 
@@ -25,8 +30,15 @@ class Rng {
   /// Normal with given mean/stddev.
   double normal(double mean, double stddev);
 
-  /// Samples an index from an (unnormalized) weight vector.
-  std::size_t categorical(const std::vector<double>& weights);
+  /// Fills out[0, n) with N(mean, stddev^2) floats: the bulk sampler for
+  /// synthetic token batches, ~5x cheaper per element than normal(). A
+  /// 128-layer Marsaglia–Tsang ziggurat (tables built once per process)
+  /// drawing one 64-bit engine output per sample in the common case and
+  /// Marsaglia's exponential method past the tail strip at |x| = 3.4426.
+  /// Stateless between calls, so filling n1 and then n2 elements writes
+  /// the same floats as one fill of n1 + n2. Its stream differs from
+  /// normal()'s.
+  void fill_normal(float* out, std::size_t n, float mean, float stddev);
 
   /// Zipf-distributed index in [0, n) with skew parameter s >= 0
   /// (s == 0 degenerates to uniform). Used for skewed expert routing.

@@ -1,6 +1,7 @@
 #include "core/moe_layer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -61,6 +62,10 @@ std::vector<std::int64_t> slot_rows(const MoeStepContext& ctx, int d,
   if (!ctx.reuse()) return rows;
   const std::int64_t worst = *std::max_element(rows.begin(), rows.end());
   return std::vector<std::int64_t>(static_cast<std::size_t>(depth), worst);
+}
+
+std::int64_t total_rows(const std::vector<std::int64_t>& rows) {
+  return std::accumulate(rows.begin(), rows.end(), std::int64_t{0});
 }
 
 /// Reads the per-category peaks of one device allocator.
@@ -359,6 +364,15 @@ void MoELayer::setup_forward_buffers(MoeStepContext& ctx) {
   const int depth = std::min(2, ctx.n());
   const auto act = mem::Category::kActivation;
   const std::uint64_t schedule_bytes = builder_->step_model_state_bytes(ctx);
+  if (mat) {
+    // Every device's T_DI, T_M and T_DO slots, as laid out below.
+    std::int64_t floats = 0;
+    for (int d = 0; d < ctx.num_devices(); ++d) {
+      floats += 2 * total_rows(slot_rows(ctx, d, depth)) * M +
+                total_rows(slot_rows(ctx, d, 1)) * H;
+    }
+    forward_slots_.begin(floats);
+  }
 
   for (int d = 0; d < ctx.num_devices(); ++d) {
     auto& st = ctx.dev[static_cast<std::size_t>(d)];
@@ -378,9 +392,10 @@ void MoELayer::setup_forward_buffers(MoeStepContext& ctx) {
     // quantized size. T_M is the fp32-accumulating FFN intermediate and
     // stays full width; its ring has one slot.
     const auto rows = slot_rows(ctx, d, depth);
-    st.tdi.emplace(&alloc, rows, M, act, mat, ctx.dtype);
-    st.tm.emplace(&alloc, slot_rows(ctx, d, 1), H, act, mat);
-    st.tdo.emplace(&alloc, rows, M, act, mat, ctx.dtype);
+    st.tdi.emplace(&alloc, rows, M, act, mat, ctx.dtype, &forward_slots_);
+    st.tm.emplace(&alloc, slot_rows(ctx, d, 1), H, act, mat, DType::kF32,
+                  &forward_slots_);
+    st.tdo.emplace(&alloc, rows, M, act, mat, ctx.dtype, &forward_slots_);
     if (schedule_bytes > 0) {
       st.step_model_state_alloc =
           alloc.allocate(mem::Category::kModelState, schedule_bytes);
@@ -405,6 +420,16 @@ void MoELayer::setup_backward_buffers(MoeStepContext& ctx) {
     chunk_rows.push_back(std::max<std::int64_t>(
         1, ctx.plan.part(ctx.reuse() ? 0 : p).chunk_rows));
   }
+  if (mat) {
+    // Every device's d_ys, d_T_DO and d_T_DI slots, as laid out below.
+    std::int64_t floats = 0;
+    for (int d = 0; d < ctx.num_devices(); ++d) {
+      floats +=
+          (total_rows(chunk_rows) + 2 * total_rows(slot_rows(ctx, d, depth))) *
+          M;
+    }
+    backward_slots_.begin(floats);
+  }
 
   for (int d = 0; d < ctx.num_devices(); ++d) {
     auto& st = ctx.dev[static_cast<std::size_t>(d)];
@@ -425,17 +450,20 @@ void MoELayer::setup_backward_buffers(MoeStepContext& ctx) {
                                sizeof(float));
       tracked = nullptr;
     }
-    st.d_ys.emplace(tracked, chunk_rows, M, temp, mat);
+    st.d_ys.emplace(tracked, chunk_rows, M, temp, mat, DType::kF32,
+                    &backward_slots_);
     // d_T_DO / d_T_DI carry gradient wire payloads (received from S' /
     // shipped by R'), so — like T_DI / T_DO — they are accounted in
     // ctx.dtype. d_ys and d_T_M stay fp32 (local accumulation).
     const auto rows = slot_rows(ctx, d, depth);
-    st.d_tdo.emplace(tracked, rows, M, temp, mat, ctx.dtype);
+    st.d_tdo.emplace(tracked, rows, M, temp, mat, ctx.dtype,
+                     &backward_slots_);
     // The d_T_M gradients live inside the fused expert-backward kernel;
     // the buffer is accounted (Eq 5) but never addressed.
     st.d_tm.emplace(tracked, slot_rows(ctx, d, 1), H, temp,
                     /*materialize=*/false);
-    st.d_tdi.emplace(tracked, rows, M, temp, mat, ctx.dtype);
+    st.d_tdi.emplace(tracked, rows, M, temp, mat, ctx.dtype,
+                     &backward_slots_);
   }
 }
 

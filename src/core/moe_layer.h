@@ -255,6 +255,9 @@ class MoELayer {
   /// per-category memory peaks of the step so far.
   void run_step_graph(const MoeStepContext& ctx, const sim::OpGraph& graph,
                       bool backward);
+  /// Account and back one step's buffers. Functional steps take the pool
+  /// slots from forward_slots_ / backward_slots_; `out` and `dx` outlive
+  /// the step in the caller's hands, so they get fresh storage.
   void setup_forward_buffers(MoeStepContext& ctx);
   void setup_backward_buffers(MoeStepContext& ctx);
   LayerRefs refs();
@@ -264,6 +267,9 @@ class MoELayer {
   comm::ProcessGroup world_;
   std::deque<mem::DeviceAllocator> allocators_;
   mem::HostStaging staging_;
+  /// Host storage of the forward's and the backward's pool slots on every
+  /// device, kept across steps.
+  mem::SlotStorage forward_slots_, backward_slots_;
   std::unique_ptr<ScheduleBuilder> builder_;
 
   // Parameters (full mode only; timing-only keeps accounting records).

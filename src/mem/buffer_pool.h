@@ -9,6 +9,14 @@
 /// between partitions; the pipeline scheduler turns prior readers into
 /// dependencies of the next writer (tests/test_schedule_invariants.cpp
 /// asserts this).
+///
+/// A pool does two jobs with two lifetimes. Its device accounting is per
+/// step: each slot holds a DeviceAllocator::allocate record for exactly
+/// the bytes a fresh tensor of its shape would account, released with the
+/// pool. Its host storage can outlive the step: a pool given a SlotStorage
+/// hands out views of it, so a steady-state step allocates and zero-fills
+/// no slot. Slots are then not zeroed: every op writes a slot's rows
+/// before it reads them.
 
 #include <cstdint>
 #include <vector>
@@ -18,6 +26,30 @@
 
 namespace mpipe::mem {
 
+/// Host storage behind BufferPool slots that persists across steps: one
+/// flat buffer holding, back to back, the slots of every pool that one
+/// buffer setup lays out (say, all devices' T_DI / T_M / T_DO). It grows to
+/// the largest layout it has served and is never shrunk, like HostStaging's
+/// slots; since the devices' receive rows sum to the step's tokens, that is
+/// the layout of the step with the most tokens. Use it only while step
+/// buffers are set up (single-threaded, before the graph runs).
+class SlotStorage {
+ public:
+  /// Starts a layout of `floats` floats, reallocating the buffer first if
+  /// it is smaller. The previous layout's views must be dead: the new one
+  /// reuses their memory.
+  void begin(std::int64_t floats);
+
+  /// The layout's next (rows, cols) block as a view. Rows kept from an
+  /// earlier step are not cleared.
+  Tensor take(std::int64_t rows, std::int64_t cols);
+
+ private:
+  Tensor buffer_;  ///< (capacity, 1)
+  std::int64_t size_ = 0;  ///< floats of the current layout
+  std::int64_t used_ = 0;
+};
+
 class BufferPool {
  public:
   /// One (slot_rows[i], cols) slot per entry of `slot_rows`, accounted on
@@ -25,12 +57,15 @@ class BufferPool {
   /// untracked (scratch whose footprint the caller accounts otherwise).
   /// With materialize = false the slots are accounting-only (timing-only
   /// mode). `account_dtype` accounts each slot at its wire-format size
-  /// (DeviceAllocator::alloc_tensor) — used for the dispatch/combine
-  /// payload buffers, whose rows a real device stores in the reduced dtype.
+  /// (accounted_bytes) — used for the dispatch/combine payload buffers,
+  /// whose rows a real device stores in the reduced dtype. Materialized
+  /// slots are taken from `storage`'s current layout when given, else
+  /// fresh zeroed tensors.
   BufferPool(DeviceAllocator* allocator,
              const std::vector<std::int64_t>& slot_rows, std::int64_t cols,
              Category category, bool materialize = true,
-             DType account_dtype = DType::kF32);
+             DType account_dtype = DType::kF32,
+             SlotStorage* storage = nullptr);
 
   /// Slot backing partition `index` (index % depth).
   Tensor& slot(int index);

@@ -80,15 +80,17 @@ Allocation DeviceAllocator::allocate(Category category, std::uint64_t bytes) {
   return Allocation(this, category, bytes);
 }
 
+std::uint64_t accounted_bytes(const Shape& shape, DType dtype) {
+  return dtype != DType::kF32 && shape.rank() == 2
+             ? quantized_bytes(shape.dim(0), shape.dim(1), dtype)
+             : static_cast<std::uint64_t>(shape.numel()) * sizeof(float);
+}
+
 TrackedTensor DeviceAllocator::alloc_tensor(Shape shape, Category category,
                                             bool materialize,
                                             DType account_dtype) {
-  const std::uint64_t bytes =
-      account_dtype != DType::kF32 && shape.rank() == 2
-          ? quantized_bytes(shape.dim(0), shape.dim(1), account_dtype)
-          : static_cast<std::uint64_t>(shape.numel()) * sizeof(float);
   TrackedTensor out;
-  out.allocation = allocate(category, bytes);
+  out.allocation = allocate(category, accounted_bytes(shape, account_dtype));
   if (materialize) {
     out.tensor = Tensor(shape);
   }

@@ -4,6 +4,12 @@
 /// handles: real storage lives in mpipe::Tensor (host memory standing in
 /// for HBM); the allocator tracks *what the GPU would hold* so peak
 /// footprints reproduce the paper's Figures 2, 9, 10.
+///
+/// Accounting and storage are separate jobs: allocate() records bytes for
+/// the step that asks, whoever holds the storage. alloc_tensor() does both
+/// for a tensor that needs fresh storage (a step's outputs); BufferPool
+/// accounts its slots per step but may back them with storage that
+/// persists across steps (SlotStorage).
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +23,11 @@
 namespace mpipe::mem {
 
 class DeviceAllocator;
+
+/// Accounted device bytes of a tensor of `shape`: fp32 elements, or for a
+/// rank-2 shape with a reduced `dtype` its wire/storage size
+/// (quantized_bytes).
+std::uint64_t accounted_bytes(const Shape& shape, DType dtype);
 
 /// RAII accounting record; releases its bytes on destruction.
 class Allocation {
@@ -70,12 +81,12 @@ class DeviceAllocator {
 
   Allocation allocate(Category category, std::uint64_t bytes);
 
-  /// Allocates a zeroed tensor with accounting. With materialize = false
-  /// only the accounting happens (timing-only runs at paper scale must not
-  /// touch real storage); the tensor member stays undefined.
+  /// Allocates a fresh zeroed tensor with accounting. With materialize =
+  /// false only the accounting happens (timing-only runs at paper scale
+  /// must not touch real storage); the tensor member stays undefined.
   ///
   /// `account_dtype` sets the accounted footprint of a rank-2 shape to its
-  /// wire/storage format (quantized_bytes) while the materialized tensor
+  /// wire/storage format (accounted_bytes) while the materialized tensor
   /// stays fp32 — the simulation computes in fp32 on values already rounded
   /// through the wire format, but a real device would hold the reduced
   /// bytes. kF32 keeps the exact legacy accounting.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "tensor/random_init.h"
 
 namespace mpipe::runtime {
 
@@ -29,7 +28,10 @@ std::vector<Tensor> WorkloadGenerator::next_batch() {
   std::vector<Tensor> batch;
   batch.reserve(static_cast<std::size_t>(options_.num_devices));
   for (int d = 0; d < options_.num_devices; ++d) {
-    batch.push_back(random_tokens(tokens, options_.d_model, rng_));
+    Tensor x(Shape{tokens, options_.d_model});
+    rng_.fill_normal(x.data(), static_cast<std::size_t>(x.numel()), 0.0f,
+                     1.0f);
+    batch.push_back(std::move(x));
   }
   return batch;
 }
@@ -41,9 +43,10 @@ std::vector<Tensor> WorkloadGenerator::targets_for(
   for (const Tensor& x : batch) {
     // A smooth deterministic function of the input keeps the regression
     // learnable: target = 0.5 * x (the layer must learn a contraction).
-    Tensor t = x.clone();
-    float* p = t.data();
-    for (std::int64_t i = 0; i < t.numel(); ++i) p[i] *= 0.5f;
+    Tensor t(x.shape());
+    const float* src = x.data();
+    float* dst = t.data();
+    for (std::int64_t i = 0; i < t.numel(); ++i) dst[i] = 0.5f * src[i];
     targets.push_back(std::move(t));
   }
   return targets;

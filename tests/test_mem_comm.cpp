@@ -136,6 +136,49 @@ TEST(BufferPool, UntrackedPoolAddressesSlotsWithoutAccounting) {
   EXPECT_EQ(pool.bytes(), 0u);
 }
 
+TEST(BufferPool, StorageBackedSlotsPersistAndAccountPerPool) {
+  // A SlotStorage outlives its pools: each layout takes slots back to back
+  // from one buffer, which a smaller layout reuses (stale rows included)
+  // and a larger one reallocates. The accounting is an unbacked pool's and
+  // leaves with the pool.
+  mem::DeviceAllocator alloc(0);
+  mem::SlotStorage storage;
+  const float* base = nullptr;
+  storage.begin((8 + 6) * 4);
+  {
+    mem::BufferPool pool(&alloc, {8, 6}, 4, Category::kActivation, true,
+                         DType::kF32, &storage);
+    EXPECT_EQ(alloc.tracker().current_total(), (8u + 6u) * 4 * 4);
+    base = pool.slot(0).data();
+    EXPECT_EQ(pool.slot(1).data(), base + 8 * 4);
+    pool.slot(0).fill(3.0f);
+  }
+  EXPECT_EQ(alloc.tracker().current_total(), 0u);
+  storage.begin(5 * 4 + 2 * 8);
+  {
+    mem::BufferPool pool(&alloc, {5}, 4, Category::kActivation, true,
+                         DType::kBF16, &storage);
+    mem::BufferPool wide(&alloc, {2}, 8, Category::kActivation, true,
+                         DType::kF32, &storage);
+    EXPECT_EQ(pool.bytes(), 5u * 4 * 2);
+    EXPECT_EQ(pool.slot(0).data(), base);
+    EXPECT_FLOAT_EQ(pool.slot(0).at(4, 3), 3.0f);  // not cleared
+    EXPECT_EQ(wide.slot(0).data(), base + 5 * 4);
+    EXPECT_EQ(wide.slot(0).dim(1), 8);
+    // The layout is full: a further slot is refused, and its pool unwinds
+    // the accounting it took.
+    EXPECT_THROW(mem::BufferPool(&alloc, {1}, 4, Category::kActivation, true,
+                                 DType::kF32, &storage),
+                 CheckError);
+    EXPECT_EQ(alloc.tracker().current_total(), 5u * 4 * 2 + 2u * 8 * 4);
+  }
+  storage.begin(100 * 4);
+  mem::BufferPool big(&alloc, {100}, 4, Category::kActivation, true,
+                      DType::kF32, &storage);
+  big.slot(0).at(99, 3) = 1.0f;  // the grown buffer holds the whole slot
+  EXPECT_EQ(big.slot(0).dim(0), 100);
+}
+
 TEST(BufferPool, AccountingOnlyPoolRefusesSlotAccess) {
   mem::DeviceAllocator alloc(0);
   mem::BufferPool pool(&alloc, {8}, 4, Category::kTempBuffer,

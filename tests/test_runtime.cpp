@@ -6,8 +6,10 @@
 
 #include "common/check.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -268,7 +270,15 @@ TEST(Workload, TargetsAreContraction) {
   auto batch = gen.next_batch();
   auto targets = gen.targets_for(batch);
   ASSERT_EQ(targets.size(), 2u);
-  EXPECT_NEAR(targets[0].at(0), batch[0].at(0) * 0.5f, 1e-6f);
+  for (std::size_t d = 0; d < targets.size(); ++d) {
+    ASSERT_EQ(targets[d].shape(), batch[d].shape());
+    EXPECT_NE(targets[d].data(), batch[d].data()) << "targets alias inputs";
+    for (std::int64_t i = 0; i < batch[d].numel(); ++i) {
+      // Bitwise: EXPECT_EQ on floats.
+      EXPECT_EQ(targets[d].data()[i], 0.5f * batch[d].data()[i])
+          << "device " << d << " element " << i;
+    }
+  }
   EXPECT_EQ(gen.last_batch_tokens(), 4);
 }
 
@@ -317,15 +327,110 @@ TEST(Rng, ForkDecorrelatesAndZipfSkews) {
   for (int c : flat) EXPECT_GT(c, 700);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(4);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 3000; ++i) {
-    ++counts[rng.categorical({1.0, 0.0, 3.0})];
+// ---- Rng::fill_normal ---------------------------------------------------------
+// The ziggurat's moments and tail, checked against N(0, 1) over 2^22 seeded
+// samples. Each tolerance is ~5 standard errors of its statistic at that
+// count (mean 1/2048, variance 1/1448, kurtosis 1/418, a CDF point at most
+// 1/4096, the tail count ~1/49 of itself), so a correct sampler passes and
+// a wrong table or tail does not.
+
+std::vector<float> normal_samples(std::uint64_t seed, std::size_t n,
+                                  float mean = 0.0f, float stddev = 1.0f) {
+  Rng rng(seed);
+  std::vector<float> out(n);
+  rng.fill_normal(out.data(), n, mean, stddev);
+  return out;
+}
+
+TEST(RngFillNormal, MomentsAndCdfMatchStandardNormal) {
+  const std::size_t n = std::size_t{1} << 22;
+  const auto xs = normal_samples(17, n);
+  double m1 = 0.0;
+  for (float x : xs) m1 += x;
+  m1 /= static_cast<double>(n);
+  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (float x : xs) {
+    const double c = x - m1;
+    m2 += c * c;
+    m3 += c * c * c;
+    m4 += c * c * c * c;
   }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_GT(counts[2], counts[0]);
-  EXPECT_THROW(rng.categorical({0.0, 0.0}), CheckError);
+  m2 /= static_cast<double>(n);
+  m3 /= static_cast<double>(n);
+  m4 /= static_cast<double>(n);
+  EXPECT_NEAR(m1, 0.0, 2.5e-3);
+  EXPECT_NEAR(m2, 1.0, 3.5e-3);
+  EXPECT_NEAR(m3 / std::pow(m2, 1.5), 0.0, 6e-3);  // skewness
+  EXPECT_NEAR(m4 / (m2 * m2), 3.0, 1.2e-2);        // kurtosis
+  // P(X < t) against Phi(t) = erfc(-t / sqrt 2) / 2, inside and across
+  // the layers.
+  for (double t : {-2.5, -1.5, -0.5, 0.0, 0.3, 1.0, 2.0, 3.0}) {
+    std::size_t below = 0;
+    for (float x : xs) below += x < t ? 1 : 0;
+    const double phi = 0.5 * std::erfc(-t / std::sqrt(2.0));
+    EXPECT_NEAR(static_cast<double>(below) / static_cast<double>(n), phi,
+                1.25e-3)
+        << "t = " << t;
+  }
+}
+
+TEST(RngFillNormal, TailStripMassMatchesTwoPhiOfMinusR) {
+  // Samples past |x| = r come only from the base strip's tail branch.
+  const double r = 3.442619855899;
+  const std::size_t n = std::size_t{1} << 22;
+  const auto xs = normal_samples(29, n);
+  std::size_t beyond = 0, positive = 0;
+  for (float x : xs) {
+    if (std::fabs(x) > r) {
+      ++beyond;
+      positive += x > 0.0f ? 1 : 0;
+    }
+  }
+  const double want = std::erfc(r / std::sqrt(2.0)) * static_cast<double>(n);
+  EXPECT_NEAR(static_cast<double>(beyond), want, 0.1 * want);  // ~2400
+  // Both tails are drawn.
+  EXPECT_NEAR(static_cast<double>(positive),
+              0.5 * static_cast<double>(beyond), 0.05 * want);
+}
+
+TEST(RngFillNormal, MeanAndStddevScaleTheOutput) {
+  const std::size_t n = 4096;
+  const auto unit = normal_samples(3, n);
+  const auto scaled = normal_samples(3, n, 2.5f, 3.0f);
+  const auto flat = normal_samples(3, n, -1.25f, 0.0f);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = 2.5 + 3.0 * static_cast<double>(unit[i]);
+    EXPECT_NEAR(scaled[i], want, 1e-6 * (1.0 + std::fabs(want))) << i;
+    EXPECT_EQ(flat[i], -1.25f) << i;
+  }
+  Rng rng(3);
+  float x = 0.0f;
+  EXPECT_THROW(rng.fill_normal(&x, 1, 0.0f, -1.0f), CheckError);
+}
+
+TEST(RngFillNormal, SplitFillsAndCopiesReplayTheStream) {
+  // Stateless between calls: any split of one fill writes the same bits,
+  // and an Rng copied mid-stream (the Trainer's retry and checkpoint
+  // snapshot) replays the rest.
+  const std::size_t total = 10007;
+  const auto whole = normal_samples(41, total);
+  for (std::size_t n1 : {std::size_t{0}, std::size_t{1}, std::size_t{777},
+                         std::size_t{5000}, total}) {
+    Rng rng(41);
+    std::vector<float> split(total);
+    rng.fill_normal(split.data(), n1, 0.0f, 1.0f);
+    rng.fill_normal(split.data() + n1, total - n1, 0.0f, 1.0f);
+    EXPECT_EQ(split, whole) << "split at " << n1;
+  }
+  Rng rng(41);
+  std::vector<float> head(777);
+  rng.fill_normal(head.data(), head.size(), 0.0f, 1.0f);
+  Rng copy = rng;
+  std::vector<float> a(total - 777), b(total - 777);
+  rng.fill_normal(a.data(), a.size(), 0.0f, 1.0f);
+  copy.fill_normal(b.data(), b.size(), 0.0f, 1.0f);
+  EXPECT_EQ(a, b);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), whole.begin() + 777));
 }
 
 TEST(ThreadPool, ParallelForCoversRangeOnce) {

@@ -14,9 +14,12 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "baselines/fastermoe.h"
 #include "baselines/fastmoe.h"
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/moe_layer.h"
@@ -26,34 +29,6 @@
 
 namespace mpipe {
 namespace {
-
-struct BuiltStep {
-  sim::OpGraph forward;
-  sim::OpGraph backward;
-  sim::TimingResult fwd_timing;
-  sim::TimingResult bwd_timing;
-};
-
-/// Builds fwd+bwd timing-only graphs for a paper-scale configuration.
-BuiltStep build_step(sim::Cluster& cluster, int n,
-                     core::ReuseStrategy strategy, std::int64_t tokens) {
-  core::MoELayerOptions o;
-  o.d_model = 1024;
-  o.d_hidden = 4096;
-  o.num_experts = 64;
-  o.num_partitions = n;
-  o.memory_reuse = strategy != core::ReuseStrategy::kNone;
-  if (o.memory_reuse) o.strategy = strategy;
-  o.mode = core::ExecutionMode::kTimingOnly;
-  core::MoELayer layer(cluster, o);
-  // step_timing runs both graphs; rebuild them here for inspection via the
-  // same public path.
-  auto report = layer.step_timing(tokens);
-  BuiltStep out;
-  out.fwd_timing = report.forward_timing;
-  out.bwd_timing = report.backward_timing;
-  return out;
-}
 
 struct ScheduleCase {
   int n;
@@ -629,12 +604,13 @@ void hash_memory(GraphHasher& h, core::MoELayer& layer) {
   h.integer(static_cast<long long>(layer.staging().bytes_stored()));
 }
 
-/// Per-device (32, 16) normal inputs for a small full-mode layer.
-std::vector<Tensor> small_batch(int devices, std::uint64_t seed) {
+/// Per-device (rows, 16) normal inputs for a small full-mode layer.
+std::vector<Tensor> small_batch(int devices, std::uint64_t seed,
+                                std::int64_t rows = 32) {
   Rng rng(seed);
   std::vector<Tensor> xs;
   for (int d = 0; d < devices; ++d) {
-    xs.emplace_back(Shape{32, 16});
+    xs.emplace_back(Shape{rows, 16});
     init_normal(xs.back(), rng);
   }
   return xs;
@@ -823,6 +799,100 @@ TEST(MultiExpertStepFingerprint, OutputsAndGradients) {
           << experts_per_device << " experts per device, "
           << core::to_string(strategy)
           << (parallel ? ", parallel" : ", serial");
+    }
+  }
+  ThreadPool::reset_shared(0);  // restore the machine-sized pool
+}
+
+// ---- persistent step storage ---------------------------------------------------
+// The layer backs its ring slots with storage that outlives a step: it only
+// grows and is never cleared, and each step lays its slots out afresh. So
+// a layer that has run other batch sizes, and steps that failed part-way,
+// must still produce the bits of a fresh layer on the same batch.
+
+/// Hash of one forward_only, then one forward/backward from zeroed
+/// gradients: its outputs, dX and every parameter gradient.
+std::string step_hash(core::MoELayer& layer, const std::vector<Tensor>& xs,
+                      const std::vector<Tensor>& dys) {
+  GraphHasher h;
+  for (const Tensor& y : layer.forward_only(xs)) hash_floats(h, y);
+  layer.zero_grad();
+  for (const Tensor& y : layer.forward(xs)) hash_floats(h, y);
+  for (const Tensor& dx : layer.backward(dys)) hash_floats(h, dx);
+  for (const Tensor* g : layer.gradients()) hash_floats(h, *g);
+  return h.hex();
+}
+
+/// Fails the next allocation on device `d`.
+void inject_oom(core::MoELayer& layer, int d) {
+  FaultInjectionConfig cfg;
+  cfg.alloc_failure_prob = 1.0;
+  cfg.max_alloc_failures = 1;
+  layer.allocator(d).set_fault_injector(
+      std::make_shared<const FaultInjector>(cfg));
+}
+
+TEST(PersistentStepStorage, StepsMatchAFreshLayer) {
+  struct Case {
+    bool pipeline;
+    core::ReuseStrategy strategy;
+  };
+  constexpr int kDevices = 4;
+  const std::vector<Case> cases = {
+      {false, core::ReuseStrategy::kNone}, {true, core::ReuseStrategy::kNone},
+      {true, core::ReuseStrategy::kS1},    {true, core::ReuseStrategy::kS2},
+      {true, core::ReuseStrategy::kS3},    {true, core::ReuseStrategy::kS4},
+  };
+  ThreadPool::reset_shared(4);
+  for (const Case& c : cases) {
+    for (DType dt : {DType::kF32, DType::kBF16}) {
+      for (bool parallel : {false, true}) {
+        core::MoELayerOptions o;
+        o.d_model = 16;
+        o.d_hidden = 32;
+        o.num_experts = 2 * kDevices;
+        o.pipeline = c.pipeline;
+        o.num_partitions = c.pipeline ? 4 : 1;
+        o.memory_reuse = c.strategy != core::ReuseStrategy::kNone;
+        if (o.memory_reuse) o.strategy = c.strategy;
+        o.compute_dtype = dt;
+        o.parallel_execution = parallel;
+        const std::string label =
+            std::string(c.pipeline ? "" : "no pipeline, ") +
+            core::to_string(c.strategy) + ", " + to_string(dt) +
+            (parallel ? ", parallel" : ", serial");
+        sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, kDevices);
+        core::MoELayer layer(cluster, o);
+        std::uint64_t seed = 100;
+        for (std::int64_t rows : {384, 128, 384, 1}) {
+          if (rows == 128) {
+            // Two failed steps at a larger batch, which grows the storage:
+            // one fails setting up the forward on the last device, after
+            // the others took their slots; one fails setting up the
+            // backward, after the forward wrote every slot. Only the
+            // accounting unwinds.
+            const auto big = small_batch(kDevices, 7, 512);
+            inject_oom(layer, kDevices - 1);
+            EXPECT_THROW(layer.forward(big), mem::OutOfMemoryError) << label;
+            layer.allocator(kDevices - 1).set_fault_injector(nullptr);
+            layer.forward(big);
+            inject_oom(layer, kDevices - 1);
+            EXPECT_THROW(layer.backward(big), mem::OutOfMemoryError) << label;
+            layer.allocator(kDevices - 1).set_fault_injector(nullptr);
+            for (int d = 0; d < kDevices; ++d) {
+              const auto& t = layer.allocator(d).tracker();
+              EXPECT_EQ(t.current(mem::Category::kActivation), 0u) << label;
+              EXPECT_EQ(t.current(mem::Category::kTempBuffer), 0u) << label;
+            }
+          }
+          const auto xs = small_batch(kDevices, seed++, rows);
+          const auto dys = small_batch(kDevices, seed++, rows);
+          sim::Cluster fresh_cluster = sim::Cluster::dgx_a100_pod(1, kDevices);
+          core::MoELayer fresh(fresh_cluster, o);
+          EXPECT_EQ(step_hash(layer, xs, dys), step_hash(fresh, xs, dys))
+              << label << ", B = " << rows;
+        }
+      }
     }
   }
   ThreadPool::reset_shared(0);  // restore the machine-sized pool
