@@ -3,7 +3,6 @@
 /// matching the paper's testbed and per-system step timers.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -17,34 +16,6 @@
 #include "runtime/model_zoo.h"
 
 namespace mpipe::bench {
-
-/// Shared measurement policy for the calibration harnesses: repeat fn()
-/// until a batch takes >= `target` seconds, then report best-of-3 batches
-/// (the least-noise estimator — matching the fits' keep-fastest-duplicate
-/// policy). One timing rule means the GEMM and comm curves are produced
-/// under identical conditions.
-template <typename F>
-double time_best_seconds(double target, F&& fn) {
-  int reps = 1;
-  double best = 1e300;
-  for (int batch = 0; batch < 3; ++batch) {
-    for (;;) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < reps; ++i) fn();
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      if (dt.count() >= target || reps >= (1 << 24)) {
-        best = std::min(best, dt.count() / reps);
-        break;
-      }
-      reps = dt.count() <= 0.0
-                 ? reps * 16
-                 : static_cast<int>(reps * std::max(2.0, 1.3 * target /
-                                                             dt.count()));
-    }
-  }
-  return best;
-}
 
 /// The paper's testbed: 8 DGX A100 nodes, 64 GPUs.
 inline sim::Cluster paper_pod() { return sim::Cluster::dgx_a100_pod(8, 8); }

@@ -1,8 +1,8 @@
 /// google-benchmark microbench: the data-movement hot paths — a dispatch
-/// payload in the bf16 wire format and the Adam step. A scalar baseline
-/// stays in the suite so the SIMD and pool paths have an honest in-tree
-/// reference; items_per_second is wire bytes and parameter elements per
-/// CPU second, which the perf gate compares.
+/// payload in the bf16 wire format and the Adam step. items_per_second is
+/// wire bytes and parameter elements per CPU second, which the perf gate
+/// compares. The serial scalar Adam loop the step replaced is timed in the
+/// ungated bench_scalar_reference binary.
 ///
 /// main() pins the shared pool to one worker, the end-to-end benchmark's
 /// setting: parallel_for runs inline and the rows keep the default clock,
@@ -12,7 +12,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <map>
 #include <utility>
 #include <vector>
@@ -105,39 +104,6 @@ void BM_AdamStepPool(benchmark::State& state) {
   BM_AdamStep(state);
 }
 BENCHMARK(BM_AdamStepPool)->Arg(1 << 22)->MeasureProcessCPUTime();
-
-void BM_AdamStepScalar(benchmark::State& state) {
-  // The pre-vectorization implementation: serial scalar element loop.
-  const std::int64_t n = state.range(0);
-  Rng rng(13);
-  Tensor w(Shape{n}), g(Shape{n});
-  init_normal(w, rng);
-  init_normal(g, rng);
-  std::vector<float> m(static_cast<std::size_t>(n), 0.0f);
-  std::vector<float> v(static_cast<std::size_t>(n), 0.0f);
-  const float lr = 1e-3f, b1 = 0.9f, b2 = 0.999f, eps = 1e-8f, wd = 0.01f;
-  std::int64_t t = 0;
-  float* p = w.data();
-  const float* gd = g.data();
-  for (auto _ : state) {
-    ++t;
-    const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
-    const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
-    for (std::int64_t k = 0; k < n; ++k) {
-      const float grad = gd[k] + wd * p[k];
-      m[static_cast<std::size_t>(k)] =
-          b1 * m[static_cast<std::size_t>(k)] + (1.0f - b1) * grad;
-      v[static_cast<std::size_t>(k)] =
-          b2 * v[static_cast<std::size_t>(k)] + (1.0f - b2) * grad * grad;
-      const float m_hat = m[static_cast<std::size_t>(k)] / bc1;
-      const float v_hat = v[static_cast<std::size_t>(k)] / bc2;
-      p[k] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-    }
-    benchmark::DoNotOptimize(p);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_AdamStepScalar)->Arg(1 << 16)->Arg(1 << 22);
 
 }  // namespace
 

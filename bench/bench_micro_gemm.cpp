@@ -1,11 +1,10 @@
 /// google-benchmark microbench: the functional GEMM kernels that carry all
 /// expert math in full (numeric) execution mode.
 ///
-/// Covers all three transpose variants of the packed micro-kernel path,
-/// the fused bias/activation epilogues, and — as `BM_Scalar*` — the
-/// pre-packing scalar kernels this repo shipped before the rewrite, kept
-/// here so every run reports the packed-vs-scalar GFLOP/s ratio on the
-/// same machine (items_per_second == FLOP/s).
+/// Covers all three transpose variants of the packed micro-kernel path and
+/// the fused bias/activation epilogues (items_per_second == FLOP/s). The
+/// pre-rewrite scalar kernels they are compared against live in the ungated
+/// bench_scalar_reference binary.
 ///
 /// Every row but the *Pool ones is one kernel on one pool worker (main()
 /// pins the shared pool, the end-to-end benchmark's setting): parallel_for
@@ -17,8 +16,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "micro_pool.h"
 #include "tensor/gemm.h"
@@ -29,75 +26,6 @@
 namespace {
 
 using namespace mpipe;
-
-// ---- pre-rewrite scalar kernels (baseline under identical flags) ----------
-
-void scalar_gemm_nn(const Tensor& a, const Tensor& b, Tensor& c) {
-  constexpr std::int64_t kBlockM = 64, kBlockN = 128, kBlockK = 128;
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  c.zero();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::int64_t i0 = 0; i0 < m; i0 += kBlockM) {
-    const std::int64_t mb = std::min(kBlockM, m - i0);
-    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::int64_t kb = std::min(kBlockK, k - k0);
-      for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-        const std::int64_t nb = std::min(kBlockN, n - j0);
-        const float* ap = pa + i0 * k + k0;
-        const float* bp = pb + k0 * n + j0;
-        float* cp = pc + i0 * n + j0;
-        for (std::int64_t i = 0; i < mb; ++i) {
-          for (std::int64_t kk = 0; kk < kb; ++kk) {
-            const float aik = ap[i * k + kk];
-            if (aik == 0.0f) continue;
-            const float* brow = bp + kk * n;
-            float* crow = cp + i * n;
-            for (std::int64_t j = 0; j < nb; ++j) crow[j] += aik * brow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-void scalar_gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  c.zero();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      double acc = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(arow[kk]) * brow[kk];
-      }
-      crow[j] += static_cast<float>(acc);
-    }
-  }
-}
-
-void scalar_gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
-  const std::int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  c.zero();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = pc + i * n;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aki = pa[kk * m + i];
-      if (aki == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
-    }
-  }
-}
 
 // ---- harness --------------------------------------------------------------
 
@@ -366,43 +294,6 @@ void BM_WgradDbUnfused(benchmark::State& state) {
   flops_counter(state, dim, dim, rows);
 }
 BENCHMARK(BM_WgradDbUnfused)->Args({64, 512})->Args({512, 512});
-
-/// The seed repo's backward: pre-rewrite scalar TN kernel for dW, then
-/// the separate db pass — the "unfused two-pass backward" the fused
-/// epilogue replaces end to end.
-void BM_WgradDbScalarTwoPass(benchmark::State& state) {
-  const std::int64_t rows = state.range(0), dim = state.range(1);
-  Rng rng(1);
-  Tensor act(Shape{rows, dim}), dy(Shape{rows, dim});
-  Tensor gw(Shape{dim, dim}), gb(Shape{dim});
-  init_normal(act, rng);
-  init_normal(dy, rng);
-  for (auto _ : state) {
-    scalar_gemm_tn(act, dy, gw);
-    add_(gb, bias_backward(dy));
-    benchmark::DoNotOptimize(gw.data());
-    benchmark::DoNotOptimize(gb.data());
-  }
-  flops_counter(state, dim, dim, rows);
-}
-BENCHMARK(BM_WgradDbScalarTwoPass)->Args({64, 512})->Args({512, 512});
-
-// ---- pre-rewrite scalar baselines -----------------------------------------
-
-void BM_ScalarGemmNN(benchmark::State& state) {
-  run_square(state, scalar_gemm_nn);
-}
-BENCHMARK(BM_ScalarGemmNN)->Arg(512)->Arg(1024);
-
-void BM_ScalarGemmNT(benchmark::State& state) {
-  run_square(state, scalar_gemm_nt);
-}
-BENCHMARK(BM_ScalarGemmNT)->Arg(512)->Arg(1024);
-
-void BM_ScalarGemmTN(benchmark::State& state) {
-  run_square(state, scalar_gemm_tn);
-}
-BENCHMARK(BM_ScalarGemmTN)->Arg(512)->Arg(1024);
 
 }  // namespace
 

@@ -62,9 +62,6 @@ struct StepHarness {
     t.workload.tokens_per_device = 512;
     t.workload.num_devices = 4;
     t.workload.seed = 29;
-    // Keep the bench self-contained: measured curves would shift with the
-    // committed CSVs, and the cost model does not affect the math.
-    t.load_calibration = false;
     return t;
   }
 

@@ -5,7 +5,9 @@
 # Usage: bench/run_benches.sh [--check|--rows] [--advisory] [build_dir]
 #                             [baseline_dir]
 #   (no flag)     write the trajectory: BENCH_{gemm,alltoall,datamove,step,
-#                 serve}.json into baseline_dir.
+#                 serve}.json into baseline_dir. Before each file is
+#                 overwritten, prints the suite's median ratio against it
+#                 and flags a suite outside +-10% (see drift_report).
 #   --check       do not overwrite the trajectory: run a sweep into a
 #                 scratch dir and diff against the committed BENCH_*.json in
 #                 baseline_dir. Fails when any benchmark drops >15% below
@@ -74,7 +76,7 @@ SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 # REPS repetitions per row. Many short repetitions beat few long ones here:
 # the host's slow phases outlast a repetition, so what averages them out is
 # the number of repetitions. A row whose one iteration outlasts MIN_TIME
-# (the scalar GEMM baselines) runs one iteration per repetition.
+# runs one iteration per repetition.
 MIN_TIME=0.02
 ROUNDS=4
 REPS=5
@@ -137,13 +139,57 @@ run_all() {  # run_all <dest_dir>: every round over every suite, then merge
   done
 }
 
+# drift_report <committed.json> <fresh.json> <kind>: prints the suite's
+# median fresh/committed rate ratio over the rows both files hold, and
+# flags it outside +-10%. A suite whose code did not change should read
+# near 1.0; one that does not says the host is in another speed phase than
+# the committed sweep, and a trajectory written then fails the gate later
+# (a sweep once read an untouched suite at 1.43x and was committed).
+drift_report() {
+  python3 - "$1" "$2" "$3" "${SCRIPT_DIR}" <<'PY'
+import statistics
+import sys
+
+sys.path.insert(0, sys.argv[4])
+from check_bench_regression import load
+
+committed, fresh, kind = sys.argv[1], sys.argv[2], sys.argv[3]
+_, base = load(committed)
+_, new = load(fresh)
+shared = [n for n in base if n in new]
+if not shared:
+    print(f"{kind}: no rows shared with {committed}")
+    sys.exit(0)
+med = statistics.median(new[n] / base[n] for n in shared)
+print(f"{kind}: median fresh/committed ratio {med:.3f} over "
+      f"{len(shared)} shared rows")
+if abs(med - 1.0) > 0.10:
+    print(f"  FLAG {kind}: outside +-10% of {committed}. If this suite's "
+          f"code did not change, the host is in another speed phase than "
+          f"the committed sweep; rerun before committing this trajectory.")
+PY
+}
+
 if [[ "${CHECK}" == "0" ]]; then
   if ! command -v python3 >/dev/null 2>&1; then
     echo "error: python3 is needed to merge the measurement rounds" >&2
     exit 1
   fi
   mkdir -p "${OUT_DIR}"
-  run_all "${OUT_DIR}"
+  FRESH="${BUILD_DIR}/bench_write"
+  rm -rf "${FRESH}"
+  mkdir -p "${FRESH}"
+  run_all "${FRESH}"
+  echo "== fresh sweep against the trajectory it replaces =="
+  for name in "${BENCHES[@]}"; do
+    kind="$(kind_of "${name}")"
+    if [[ -f "${OUT_DIR}/BENCH_${kind}.json" ]]; then
+      drift_report "${OUT_DIR}/BENCH_${kind}.json" \
+        "${FRESH}/BENCH_${kind}.json" "${kind}"
+    fi
+    mv "${FRESH}/BENCH_${kind}.json" "${OUT_DIR}/BENCH_${kind}.json"
+  done
+  rm -rf "${FRESH}"
   echo "Wrote ${OUT_DIR}/BENCH_{gemm,alltoall,datamove,step,serve}.json"
   exit 0
 fi

@@ -24,11 +24,6 @@ int main() {
   o.memory_reuse = false;
   o.mode = core::ExecutionMode::kTimingOnly;
 
-  // Measured calibration curves, when the committed sweeps cover this
-  // trace's probe ranges (4k–30k tokens probes panels past the committed
-  // GEMM sweep, so the demo usually reports the analytic fallback).
-  const auto status = core::install_calibration(cluster, o, 4096, 30720);
-  std::printf("calibration: %s\n", status.detail.c_str());
   core::MoELayer layer(cluster, o);
 
   // 40 steps over 6 recurring bucket sizes in [4k, 30k].

@@ -18,9 +18,7 @@ using namespace mpipe;
 constexpr std::int64_t kMinBatch = 1024;
 constexpr std::int64_t kMaxBatch = 262144;
 
-/// The GPT-XL-like layer both systems sweep; the same options feed the
-/// calibration coverage check so its probe ranges cannot drift from the
-/// workload they describe.
+/// The GPT-XL-like layer both systems sweep.
 core::MoELayerOptions budget_options(bool reuse, std::uint64_t capacity) {
   core::MoELayerOptions o;
   o.d_model = 2048;
@@ -32,17 +30,6 @@ core::MoELayerOptions budget_options(bool reuse, std::uint64_t capacity) {
   o.device_capacity_bytes = capacity;
   o.mode = core::ExecutionMode::kTimingOnly;
   return o;
-}
-
-/// Installs the committed measured calibration curves when they cover the
-/// batch sweep's probe ranges; otherwise the analytic cost model stays in
-/// effect and the fallback is reported.
-void load_calibration(sim::Cluster& cluster, bool print_status) {
-  const auto status = core::install_calibration(
-      cluster, budget_options(false, 0), kMinBatch, kMaxBatch);
-  if (print_status) {
-    std::printf("calibration: %s\n\n", status.detail.c_str());
-  }
 }
 
 /// Largest power-of-two batch that fits under the capacity.
@@ -66,18 +53,11 @@ std::int64_t max_batch(sim::Cluster& cluster, bool reuse,
 int main() {
   std::printf("=== batch scaling under a fixed per-GPU memory budget ===\n");
   std::printf("(GPT-XL-like layer, 64 simulated GPUs, n = 8)\n\n");
-  {
-    // Report the calibration outcome once, before the table.
-    sim::Cluster probe = sim::Cluster::dgx_a100_pod(8, 8);
-    load_calibration(probe, /*print_status=*/true);
-  }
   std::printf("%-10s %-22s %-22s\n", "budget", "PipeMoE max batch",
               "MPipeMoE max batch");
   for (std::uint64_t budget_gib : {2, 4, 8}) {
     sim::Cluster c1 = sim::Cluster::dgx_a100_pod(8, 8);
     sim::Cluster c2 = sim::Cluster::dgx_a100_pod(8, 8);
-    load_calibration(c1, false);
-    load_calibration(c2, false);
     const std::uint64_t capacity = budget_gib * GiB;
     const auto without = max_batch(c1, false, capacity);
     const auto with_reuse = max_batch(c2, true, capacity);

@@ -35,12 +35,6 @@ int main() {
   mo.parallel_execution = true;  // concurrent op-graph executor
   mo.profile_execution = true;   // per-op wall-clock vs simulated timeline
 
-  // Measured calibration curves, when the committed sweeps cover the
-  // fixed n = 2 probe ranges of this tiny block (analytic fallback
-  // otherwise).
-  const auto status =
-      core::install_calibration(cluster, mo, kTokens, kTokens);
-  std::printf("calibration: %s\n", status.detail.c_str());
   core::MoELayer moe_ffn(cluster, mo);
 
   // Data-parallel attention scaffolding (one replica per device).

@@ -34,16 +34,11 @@ int main() {
   topt.workload.tokens_per_device = 128;
   topt.workload.num_devices = cluster.num_devices();
   topt.steps = 5;
-  // The trainer installs the committed measured calibration curves when
-  // they cover this workload's probe ranges (falls back to the analytic
-  // cost model otherwise).
   // Online measured-vs-modeled loop: profile the first two steps' per-op
   // wall clock, fit compute/comm/memcpy correction factors, and let the
   // adaptive selectors re-rank the remaining steps with corrected costs.
   topt.profile_warmup_steps = 2;
   runtime::Trainer trainer(layer, topt);
-  std::printf("calibration: %s\n",
-              trainer.calibration_status().detail.c_str());
   trainer.run();
   const auto& corr = trainer.corrections();
   std::printf("fitted corrections (measured/modeled): compute x%.2f, "
@@ -73,11 +68,6 @@ int main() {
   big.d_hidden = 8192;
   big.num_experts = 64;
   big.mode = core::ExecutionMode::kTimingOnly;
-  // Same calibration attempt at paper scale: the committed sweeps do not
-  // reach 8k-token panels, so this typically reports the analytic
-  // fallback — by design, not silently.
-  const auto pod_status = core::install_calibration(pod, big, 8192, 8192);
-  std::printf("\npod calibration: %s\n", pod_status.detail.c_str());
   core::MoELayer big_layer(pod, big);
   const auto big_report = big_layer.step_timing(/*tokens_per_device=*/8192);
   std::printf("\nGPT-XL-like layer, 64 GPUs, B=8k (timing-only):\n");

@@ -63,14 +63,4 @@ double trimmed_mean(std::vector<double> values, std::size_t trim) {
   return sum / static_cast<double>(values.size() - 2 * trim);
 }
 
-double geomean(const std::vector<double>& values) {
-  MPIPE_EXPECTS(!values.empty());
-  double log_sum = 0.0;
-  for (double v : values) {
-    MPIPE_EXPECTS(v > 0.0, "geomean requires positive values");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 }  // namespace mpipe

@@ -33,7 +33,4 @@ double percentile(std::vector<double> values, double p);
 /// Mean after dropping `trim` smallest and `trim` largest samples.
 double trimmed_mean(std::vector<double> values, std::size_t trim);
 
-/// Geometric mean (values must be positive).
-double geomean(const std::vector<double>& values);
-
 }  // namespace mpipe

@@ -17,57 +17,6 @@ GranularitySearcher::GranularitySearcher(std::vector<int> candidates,
   }
 }
 
-std::pair<std::int64_t, std::int64_t> GranularitySearcher::row_range(
-    std::int64_t min_tokens, std::int64_t max_tokens,
-    const std::vector<int>& candidates) {
-  MPIPE_EXPECTS(min_tokens >= 1 && max_tokens >= min_tokens,
-                "bad token range");
-  MPIPE_EXPECTS(!candidates.empty(), "no candidate partition counts");
-  std::int64_t min_n = candidates.front(), max_n = candidates.front();
-  for (int n : candidates) {
-    MPIPE_EXPECTS(n >= 1, "partition count must be >= 1");
-    min_n = std::min<std::int64_t>(min_n, n);
-    max_n = std::max<std::int64_t>(max_n, n);
-  }
-  // Each trial splits B into n near-even partitions (floor(B/n) and
-  // floor(B/n)+1 rows, see Dispatcher::chunk_sizes), so the smallest
-  // panel probed is floor(min_tokens/max_n) and the largest
-  // ceil(max_tokens/min_n) — not max_tokens itself unless 1 is a
-  // candidate.
-  const std::int64_t lo = std::max<std::int64_t>(1, min_tokens / max_n);
-  const std::int64_t hi = (max_tokens + min_n - 1) / min_n;
-  return {lo, hi};
-}
-
-std::pair<std::int64_t, std::int64_t> GranularitySearcher::expert_panel_range(
-    std::int64_t min_tokens, std::int64_t max_tokens,
-    const std::vector<int>& candidates, int experts_per_device) {
-  MPIPE_EXPECTS(experts_per_device >= 1, "bad experts_per_device");
-  const auto rows = row_range(min_tokens, max_tokens, candidates);
-  return {std::max<std::int64_t>(1, rows.first / experts_per_device),
-          rows.second};
-}
-
-std::pair<std::uint64_t, std::uint64_t>
-GranularitySearcher::alltoall_payload_range(std::int64_t min_tokens,
-                                            std::int64_t max_tokens,
-                                            const std::vector<int>& candidates,
-                                            std::int64_t d_model,
-                                            int group_size, DType dtype) {
-  MPIPE_EXPECTS(d_model >= 1, "bad d_model");
-  MPIPE_EXPECTS(group_size >= 2, "payload range needs >= 2 participants");
-  const auto rows = row_range(min_tokens, max_tokens, candidates);
-  const std::uint64_t row_bytes = quantized_bytes(1, d_model, dtype);
-  const std::uint64_t p = static_cast<std::uint64_t>(group_size);
-  // Balanced exchange: the busiest sender ships (P-1)/P of its micro-batch.
-  const std::uint64_t lo = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(rows.first) * row_bytes * (p - 1) / p);
-  // Full skew: every row of the largest micro-batch leaves the device.
-  const std::uint64_t hi =
-      static_cast<std::uint64_t>(rows.second) * row_bytes;
-  return {lo, hi};
-}
-
 int GranularitySearcher::search_best(std::int64_t b) {
   ++stats_.full_searches;
   double best_cost = std::numeric_limits<double>::infinity();

@@ -116,34 +116,6 @@ std::vector<int> partition_candidates(const MoELayerOptions& options) {
   return options.candidate_partitions;
 }
 
-sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
-                                           const MoELayerOptions& options,
-                                           std::int64_t min_tokens,
-                                           std::int64_t max_tokens) {
-  MPIPE_EXPECTS(min_tokens >= 1 && max_tokens >= min_tokens,
-                "bad token range");
-  const std::vector<int> candidates = partition_candidates(options);
-  const int epd = options.num_experts / cluster.num_devices();
-  const auto rows = GranularitySearcher::expert_panel_range(
-      min_tokens, max_tokens, candidates, epd);
-  std::pair<std::uint64_t, std::uint64_t> payloads{0, 0};
-  if (cluster.num_devices() >= 2) {
-    // Payloads are counted in the layer's wire format: a bf16 layer
-    // presents half the bytes, so the coverage check must use the range
-    // the probes will actually consult.
-    payloads = GranularitySearcher::alltoall_payload_range(
-        min_tokens, max_tokens, candidates, options.d_model,
-        cluster.num_devices(), options.compute_dtype);
-  }
-  sim::CostModelConfig config = cluster.cost_model().config();
-  sim::CalibrationStatus status = sim::try_apply_calibration_files(
-      config, rows.first, rows.second, payloads.first, payloads.second);
-  if (status.gemm_loaded || status.comm_loaded) {
-    cluster.set_cost_config(std::move(config));
-  }
-  return status;
-}
-
 MoELayer::MoELayer(sim::Cluster& cluster, MoELayerOptions options,
                    std::unique_ptr<ScheduleBuilder> schedule)
     : cluster_(&cluster),
@@ -237,28 +209,6 @@ LayerRefs MoELayer::refs() {
 int MoELayer::configure_partitions(std::int64_t tokens_per_device) {
   const std::vector<int> candidates = partition_candidates(options_);
   if (candidates.size() == 1) return candidates.front();
-  const auto& curve = cluster_->cost_model().config().gemm_curve;
-  if (!curve.empty()) {
-    // A measured efficiency curve is loaded: the probes must interpolate,
-    // not extrapolate, so their expert panels (received rows split across
-    // local experts) must sit inside the calibrated sweep. Fails with an
-    // actionable message instead of silently clamping to the nearest knot.
-    const auto range = GranularitySearcher::expert_panel_range(
-        tokens_per_device, tokens_per_device, candidates,
-        experts_per_device());
-    curve.validate_covers(range.first, range.second);
-  }
-  const auto& comm_curve = cluster_->cost_model().config().comm_curve;
-  if (!comm_curve.empty() && num_devices() >= 2) {
-    // Same contract for the probes' AllToAll payloads. Steps that pin n
-    // and skip this gate (forward_only with n_override: the batcher
-    // dispatches whatever tokens arrived) instead record every off-sweep
-    // consultation in the curve's CommClampStats.
-    const auto payloads = GranularitySearcher::alltoall_payload_range(
-        tokens_per_device, tokens_per_device, candidates, options_.d_model,
-        num_devices(), options_.compute_dtype);
-    comm_curve.validate_covers(payloads.first, payloads.second);
-  }
   return searcher_->configure(tokens_per_device);
 }
 

@@ -24,7 +24,6 @@
 #include "core/pipeline_schedule.h"
 #include "core/step_report.h"
 #include "mem/host_staging.h"
-#include "sim/calibration.h"
 #include "sim/cluster.h"
 
 namespace mpipe::core {
@@ -111,17 +110,6 @@ struct MoELayerOptions {
 /// The partition counts a layer can run: {1} without pipelining,
 /// {num_partitions} when fixed, else candidate_partitions.
 std::vector<int> partition_candidates(const MoELayerOptions& options);
-
-/// Installs the committed CALIBRATION_gemm.csv / CALIBRATION_alltoall.csv
-/// measured curves into `cluster` when they cover the probe ranges a layer
-/// with `options` will present for batches in [min_tokens, max_tokens]
-/// over its partition_candidates. Missing files or insufficient knot
-/// coverage fall back to the analytic cost model — the returned status says
-/// which, so entry points (runtime::Trainer, the examples) can surface it.
-sim::CalibrationStatus install_calibration(sim::Cluster& cluster,
-                                           const MoELayerOptions& options,
-                                           std::int64_t min_tokens,
-                                           std::int64_t max_tokens);
 
 class MoELayer {
  public:

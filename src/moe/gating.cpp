@@ -48,25 +48,4 @@ Tensor GatingNetwork::backward(const Tensor& x, const GatingForward& fwd,
   return dx;
 }
 
-double GatingNetwork::load_balance_loss(const GatingForward& fwd) const {
-  const std::int64_t b = fwd.probs.dim(0);
-  const int e = num_experts();
-  MPIPE_EXPECTS(b > 0, "empty batch");
-  std::vector<double> fraction(static_cast<std::size_t>(e), 0.0);
-  std::vector<double> mean_prob(static_cast<std::size_t>(e), 0.0);
-  for (std::int64_t t = 0; t < b; ++t) {
-    fraction[static_cast<std::size_t>(
-        fwd.expert_of[static_cast<std::size_t>(t)])] += 1.0;
-    for (int j = 0; j < e; ++j) {
-      mean_prob[static_cast<std::size_t>(j)] += fwd.probs.at(t, j);
-    }
-  }
-  double loss = 0.0;
-  for (int j = 0; j < e; ++j) {
-    loss += (fraction[static_cast<std::size_t>(j)] / double(b)) *
-            (mean_prob[static_cast<std::size_t>(j)] / double(b));
-  }
-  return loss * e;
-}
-
 }  // namespace mpipe::moe

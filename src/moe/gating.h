@@ -30,11 +30,6 @@ class GatingNetwork {
   Tensor backward(const Tensor& x, const GatingForward& fwd,
                   const std::vector<float>& dgate);
 
-  /// Load-balancing auxiliary loss (Switch Transformer Eq 4):
-  /// E * sum_e f_e * p_e, where f_e is the token fraction routed to e and
-  /// p_e the mean router probability of e.
-  double load_balance_loss(const GatingForward& fwd) const;
-
   Tensor& weight() { return w_; }
   const Tensor& weight() const { return w_; }
   Tensor& weight_grad() { return w_grad_; }

@@ -27,12 +27,6 @@ struct RecoveryCounters {
   std::uint64_t straggler_flags = 0;         ///< watchdog flags on committed steps
   /// The cluster injector's totals (FaultInjector::stats) at the last sync.
   FaultStats injected;
-
-  bool any_recovery() const {
-    return transient_step_retries + non_finite_steps +
-               optimizer_steps_skipped + rollbacks !=
-           0;
-  }
 };
 
 class TrainingMetrics {

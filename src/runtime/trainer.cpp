@@ -1,6 +1,5 @@
 #include "runtime/trainer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -37,21 +36,10 @@ Trainer::Trainer(core::MoELayer& layer, TrainerOptions options)
                 "workload/device mismatch");
   MPIPE_EXPECTS(options_.workload.d_model == layer.options().d_model,
                 "workload/model dimension mismatch");
-  if (options_.load_calibration) {
-    // The workload bounds every batch size the adaptive search can see,
-    // which bounds the GEMM panels and AllToAll payloads it will probe —
-    // exactly the coverage contract the measured curves must satisfy.
-    const auto& wo = options_.workload;
-    const std::int64_t min_tokens = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::floor(
-               static_cast<double>(wo.tokens_per_device) *
-               (1.0 - wo.batch_jitter))));
-    const std::int64_t max_tokens = static_cast<std::int64_t>(std::ceil(
-        static_cast<double>(wo.tokens_per_device) *
-        (1.0 + wo.batch_jitter)));
-    calibration_status_ = core::install_calibration(
-        layer.cluster(), layer.options(), min_tokens, max_tokens);
-  }
+  MPIPE_EXPECTS(!options_.load_calibration,
+                "TrainerOptions::load_calibration: the committed-CSV cost "
+                "model calibration was removed; the cost model is analytic, "
+                "corrected online by profile_warmup_steps");
   const auto& ft = options_.fault_tolerance;
   MPIPE_EXPECTS(ft.checkpoint_interval >= 0, "negative checkpoint interval");
   MPIPE_EXPECTS(ft.rollback_after >= 1, "rollback_after must be >= 1");

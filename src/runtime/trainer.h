@@ -23,7 +23,6 @@
 #include "runtime/adam.h"
 #include "runtime/metrics.h"
 #include "runtime/workload.h"
-#include "sim/calibration.h"
 
 namespace mpipe::runtime {
 
@@ -48,13 +47,10 @@ struct TrainerOptions {
   WorkloadOptions workload;
   AdamOptions adam;
   int steps = 10;
-  /// Install the committed CALIBRATION_gemm.csv / CALIBRATION_alltoall.csv
-  /// measured curves into the layer's cluster at construction, when the
-  /// files exist and their knots cover the row/payload ranges this
-  /// workload's granularity search will probe. Missing files or
-  /// insufficient coverage fall back to the analytic cost model (see
-  /// calibration_status()).
-  bool load_calibration = true;
+  /// Retired: the offline CSV calibration is gone and the cost model is
+  /// the analytic one plus the online warmup below. Kept only so existing
+  /// callers that set it false still compile; true throws CheckError.
+  bool load_calibration = false;
   /// Online measured-vs-modeled loop: profile the wall clock of the first
   /// N steps (per-op timestamps, see sim/profile.h), fit per-op-class
   /// correction factors (measured / modeled seconds for compute, comm and
@@ -83,12 +79,6 @@ class Trainer {
   const TrainingMetrics& run();
 
   const TrainingMetrics& metrics() const { return metrics_; }
-
-  /// What calibration loading did at construction (empty detail when
-  /// options.load_calibration was false).
-  const sim::CalibrationStatus& calibration_status() const {
-    return calibration_status_;
-  }
 
   /// The layer's per-op-class correction factors: the warmup's fit once
   /// it completes (identity until then for a fresh layer).
@@ -133,7 +123,6 @@ class Trainer {
   WorkloadGenerator workload_;
   std::unique_ptr<Adam> optimizer_;
   TrainingMetrics metrics_;
-  sim::CalibrationStatus calibration_status_;
   core::CorrectionWarmup warmup_;
   int steps_run_ = 0;
   // Recovery ladder state.

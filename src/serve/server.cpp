@@ -16,15 +16,6 @@ Server::Server(core::MoELayer& layer, ServerOptions options)
       batcher_(queue_, /*max_batch_tokens=*/0),
       selector_(layer, options.slo),
       warmup_(options.profile_warmup_batches) {
-  if (options_.load_calibration) {
-    // Calibrate for the steady-state upper half of the ladder; smaller
-    // batches then consult the curve below its front knot, which the
-    // clamp counters in calibration_status() make visible.
-    const std::int64_t hi = options_.slo.max_tokens_per_device;
-    calibration_status_ = core::install_calibration(
-        layer.cluster(), layer.options(), std::max<std::int64_t>(1, hi / 4),
-        hi);
-  }
   selector_.plan();
   batcher_.set_max_batch_tokens(selector_.last_plan().max_batch_tokens);
 }

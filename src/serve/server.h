@@ -47,12 +47,6 @@ struct ServerOptions {
   /// the warmup.
   bool profile_execution = false;
 
-  /// Install the committed calibration curves (core::install_calibration)
-  /// over the upper half of the batch ladder before planning. Serving
-  /// batches below the calibrated sweep then run clamped-to-front-knot —
-  /// recorded in the curve's CommClampStats via calibration_status().
-  bool load_calibration = false;
-
   /// Retain per-request output tensors (output_for). Tests only — a real
   /// deployment hands outputs to the transport and drops them.
   bool keep_outputs = false;
@@ -77,9 +71,6 @@ class Server {
 
   const ServeMetrics& metrics() const { return metrics_; }
   const ServePlan& plan() const { return selector_.last_plan(); }
-  const sim::CalibrationStatus& calibration_status() const {
-    return calibration_status_;
-  }
   /// The layer's per-op-class correction factors (the warmup's fit once
   /// installed).
   const sim::OpClassCorrections& corrections() const {
@@ -100,7 +91,6 @@ class Server {
   ContinuousBatcher batcher_;
   SloSelector selector_;
   ServeMetrics metrics_;
-  sim::CalibrationStatus calibration_status_;
   core::CorrectionWarmup warmup_;
   double clock_ = 0.0;
   std::map<std::int64_t, Tensor> outputs_;

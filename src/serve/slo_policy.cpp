@@ -16,7 +16,6 @@ std::string ServePlan::summary() const {
      << (slo_feasible ? "" : " [SLO INFEASIBLE — degraded to smallest rung]")
      << ", Eq-10 forward argmin " << core::to_string(strategy)
      << ", dtype " << to_string(compute_dtype);
-  if (!curve_provenance.empty()) os << " (" << curve_provenance << ")";
   return os.str();
 }
 
@@ -31,17 +30,6 @@ ServePlan SloSelector::plan() {
   ServePlan plan;
   const auto candidates = core::partition_candidates(layer_->options());
   plan.compute_dtype = layer_->options().compute_dtype;
-  {
-    // Record which curves probe_forward_seconds will consult, so the
-    // summary can say what ranked the rungs.
-    const auto& cfg = layer_->cluster().cost_model().config();
-    auto source = [](bool empty) {
-      return empty ? "analytic" : "calibrated[shared]";
-    };
-    plan.curve_provenance =
-        std::string("gemm ") + source(cfg.gemm_curve.empty()) + ", comm " +
-        source(cfg.comm_curve.empty());
-  }
 
   // Probe ladder: powers of two up to max_tokens_per_device, plus the cap
   // itself when it is not a power of two.

@@ -59,11 +59,6 @@ struct ServePlan {
   /// (MoELayerOptions::compute_dtype) — the format every rung's predicted
   /// latency was costed in.
   DType compute_dtype = DType::kF32;
-  /// Which cost curves the ranked probes consulted, e.g.
-  /// "gemm calibrated[shared], comm analytic" — calibrated[shared] is a
-  /// measured curve that serves every compute dtype (comm payloads are
-  /// counted in wire bytes), analytic the closed-form model.
-  std::string curve_provenance;
 
   std::string summary() const;
 };

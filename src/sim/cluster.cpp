@@ -24,10 +24,6 @@ std::vector<int> Cluster::all_device_ids() const {
   return ids;
 }
 
-void Cluster::set_cost_config(CostModelConfig config) {
-  cost_model_ = CostModel(std::move(config), topology_);
-}
-
 void Cluster::set_fault_injection(FaultInjectionConfig config) {
   fault_injector_ = std::make_shared<const FaultInjector>(config);
 }

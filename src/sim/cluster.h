@@ -37,10 +37,6 @@ class Cluster {
   const CostModel& cost_model() const { return cost_model_; }
   const InterferenceModel& interference() const { return interference_; }
 
-  /// Replaces the cost-model configuration (same topology). Entry points
-  /// use this to install measured calibration curves after construction.
-  void set_cost_config(CostModelConfig config);
-
   /// Installs a cluster-scoped fault injector (common/fault_injection.h).
   /// Comm ops built after this consult it for injected failures, retries,
   /// stragglers, and payload corruption; allocators wired via

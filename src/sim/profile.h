@@ -7,9 +7,9 @@
 /// measured makespan, per-stream occupancy), diffs it op-by-op against the
 /// TimingEngine's simulated schedule, and fits per-op-class correction
 /// factors (compute / comm / memcpy) that the adaptive selectors consume to
-/// re-rank strategies with reality-corrected costs — the same
-/// measure→refit→reselect contract the calibration curves established
-/// offline, applied online from profiled steps.
+/// re-rank strategies with reality-corrected costs. Fitted online from
+/// profiled steps (core::CorrectionWarmup), this is the only place the
+/// machine that runs a step enters the analytic cost model.
 
 #include <array>
 #include <cstdint>

@@ -31,18 +31,6 @@ Topology Topology::single_node(int num_devices) {
   return Topology(cfg);
 }
 
-Topology Topology::multi_node(int nodes, int devices_per_node) {
-  TopologyConfig cfg;
-  cfg.num_devices = nodes * devices_per_node;
-  cfg.devices_per_node = devices_per_node;
-  return Topology(cfg);
-}
-
-int Topology::num_nodes() const {
-  return (config_.num_devices + config_.devices_per_node - 1) /
-         config_.devices_per_node;
-}
-
 int Topology::node_of(int device) const {
   MPIPE_EXPECTS(device >= 0 && device < config_.num_devices,
                 "device out of range");

@@ -36,12 +36,9 @@ class Topology {
 
   /// Single-node convenience factory.
   static Topology single_node(int num_devices);
-  /// Paper testbed: `nodes` × `devices_per_node`.
-  static Topology multi_node(int nodes, int devices_per_node);
 
   int num_devices() const { return config_.num_devices; }
   int devices_per_node() const { return config_.devices_per_node; }
-  int num_nodes() const;
   int node_of(int device) const;
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
 

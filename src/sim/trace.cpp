@@ -1,7 +1,5 @@
 #include "sim/trace.h"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "common/check.h"
@@ -74,43 +72,6 @@ std::string to_chrome_trace(const OpGraph& graph, const TimingResult& timing,
     }
   }
   os << "]}";
-  return os.str();
-}
-
-std::string ascii_timeline(const OpGraph& graph, const TimingResult& timing,
-                           int width) {
-  MPIPE_EXPECTS(width > 10, "timeline too narrow");
-  if (timing.makespan <= 0.0) return "(empty schedule)\n";
-
-  // Collect the streams that actually ran anything.
-  std::map<std::pair<int, int>, std::string> rows;
-  for (const Op& op : graph.ops()) {
-    const OpTiming& t = timing.op_times[static_cast<std::size_t>(op.id)];
-    if (!t.started()) continue;
-    for (int device : op.devices) {
-      auto key = std::make_pair(device, static_cast<int>(op.stream));
-      auto [it, inserted] =
-          rows.try_emplace(key, std::string(static_cast<std::size_t>(width),
-                                            '.'));
-      std::string& row = it->second;
-      int begin = static_cast<int>(t.start / timing.makespan * width);
-      int end = static_cast<int>(t.end / timing.makespan * width);
-      begin = std::clamp(begin, 0, width - 1);
-      end = std::clamp(end, begin + 1, width);
-      const char glyph = op.label.empty() ? '#' : op.label[0];
-      for (int i = begin; i < end; ++i) {
-        row[static_cast<std::size_t>(i)] = glyph;
-      }
-    }
-  }
-
-  std::ostringstream os;
-  for (const auto& [key, row] : rows) {
-    os << "dev" << key.first << ' '
-       << to_string(static_cast<StreamKind>(key.second)) << " |" << row
-       << "|\n";
-  }
-  os << "total " << to_ms(timing.makespan) << " ms\n";
   return os.str();
 }
 

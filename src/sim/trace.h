@@ -22,9 +22,4 @@ std::string to_chrome_trace(const OpGraph& graph, const TimingResult& timing);
 std::string to_chrome_trace(const OpGraph& graph, const TimingResult& timing,
                             const MeasuredTimeline& measured);
 
-/// Renders a coarse ASCII timeline (one row per device stream) — handy in
-/// examples and debugging without leaving the terminal.
-std::string ascii_timeline(const OpGraph& graph, const TimingResult& timing,
-                           int width = 100);
-
 }  // namespace mpipe::sim

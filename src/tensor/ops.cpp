@@ -35,14 +35,6 @@ void add_(Tensor& a, const Tensor& b) {
   for (std::int64_t i = 0; i < n; ++i) pa[i] += pb[i];
 }
 
-void axpy_(Tensor& a, float alpha, const Tensor& b) {
-  check_same_shape(a, b);
-  float* pa = a.data();
-  const float* pb = b.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) pa[i] += alpha * pb[i];
-}
-
 Tensor scale(const Tensor& a, float s) {
   Tensor out = a.clone();
   scale_(out, s);

@@ -24,8 +24,6 @@ inline float gelu_scalar(float v) {
 Tensor add(const Tensor& a, const Tensor& b);
 /// a += b in place.
 void add_(Tensor& a, const Tensor& b);
-/// a += alpha * b in place (axpy).
-void axpy_(Tensor& a, float alpha, const Tensor& b);
 /// out = a * scalar.
 Tensor scale(const Tensor& a, float s);
 void scale_(Tensor& a, float s);

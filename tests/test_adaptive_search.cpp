@@ -156,49 +156,6 @@ TEST(Searcher, MonotoneTraceBuildsCompactRangeSet) {
   EXPECT_EQ(searcher.stats().trials, trials_before);
 }
 
-TEST(Searcher, RowRangeMatchesChunkExtremes) {
-  // Chunks are floor(B/n)/floor(B/n)+1 (Dispatcher::chunk_sizes): the
-  // smallest probed panel is the floor chunk at the largest n, the
-  // largest the ceil chunk at the smallest n.
-  const auto r = GranularitySearcher::row_range(10, 10, {4});
-  EXPECT_EQ(r.first, 2);   // chunks {3, 3, 2, 2}: floor(10/4)
-  EXPECT_EQ(r.second, 3);  // ceil(10/4)
-  const auto wide = GranularitySearcher::row_range(64, 1024, {1, 2, 4, 8});
-  EXPECT_EQ(wide.first, 8);      // floor(64/8)
-  EXPECT_EQ(wide.second, 1024);  // ceil(1024/1)
-  // Degenerate: batch smaller than the largest n still probes >= 1 row.
-  EXPECT_EQ(GranularitySearcher::row_range(3, 3, {8}).first, 1);
-  EXPECT_THROW(GranularitySearcher::row_range(0, 1, {2}), CheckError);
-  EXPECT_THROW(GranularitySearcher::row_range(1, 2, {}), CheckError);
-}
-
-TEST(Searcher, ExpertPanelRangeDividesLowerBoundOnly) {
-  // The schedule feeds gemm_efficiency per-expert panels (received rows
-  // split across local experts); the upper bound keeps whole-micro-batch
-  // headroom for routing skew.
-  const auto r = GranularitySearcher::expert_panel_range(1024, 1024,
-                                                         {1, 2, 4, 8}, 2);
-  EXPECT_EQ(r.first, 64);     // floor(1024/8) / 2
-  EXPECT_EQ(r.second, 1024);  // ceil(1024/1), undivided
-  // Clamped at one row even when experts outnumber the smallest chunk.
-  EXPECT_EQ(GranularitySearcher::expert_panel_range(8, 8, {8}, 4).first, 1);
-  EXPECT_THROW(GranularitySearcher::expert_panel_range(8, 8, {8}, 0),
-               CheckError);
-}
-
-TEST(Searcher, AllToAllPayloadRangeTracksRowRange) {
-  // d_model = 256 -> 1 KiB rows; balanced exchange of the smallest floor
-  // chunk below, full skew of the largest chunk above.
-  const auto p = GranularitySearcher::alltoall_payload_range(
-      1024, 16384, {1, 2, 4, 8}, 256, 8);
-  EXPECT_EQ(p.first, 128u * 1024 * 7 / 8);  // floor(1024/8) rows, (P-1)/P
-  EXPECT_EQ(p.second, 16384u * 1024);       // every row leaves the device
-  EXPECT_THROW(GranularitySearcher::alltoall_payload_range(8, 8, {2}, 256, 1),
-               CheckError);
-  EXPECT_THROW(GranularitySearcher::alltoall_payload_range(8, 8, {2}, 0, 4),
-               CheckError);
-}
-
 // ---- the layer's one (n, strategy) ranking --------------------------------
 
 constexpr ReuseStrategy kReuseStrategies[] = {

@@ -83,9 +83,13 @@ INSTANTIATE_TEST_SUITE_P(
                     PanelShape{64, 64, 128}, PanelShape{100, 70, 150},
                     PanelShape{257, 33, 140}, PanelShape{300, 129, 257}),
     [](const auto& info) {
-      return "r" + std::to_string(info.param.rows) + "m" +
-             std::to_string(info.param.m) + "n" +
-             std::to_string(info.param.n);
+      std::string name = "r";
+      name += std::to_string(info.param.rows);
+      name += "m";
+      name += std::to_string(info.param.m);
+      name += "n";
+      name += std::to_string(info.param.n);
+      return name;
     });
 
 TEST(FusedWgrad, ZeroRowPanelLeavesGradientsAlone) {

@@ -2,10 +2,8 @@
 // valid DAGs over arbitrary clusters, core invariants must hold — complete
 // execution, dependency and FIFO ordering in simulated time, busy-time
 // bounds, critical-path lower bound, interference never speeding things
-// up, and replay determinism. Plus kernel-level sweeps: the calibrated
-// cost model (GEMM efficiency and AllToAll bandwidth curves) against
-// direct measured-table interpolation, and the SIMD layer-norm/softmax
-// kernels against scalar references.
+// up, and replay determinism. Plus a kernel-level sweep of the SIMD
+// layer-norm/softmax kernels against scalar references.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "moe/layer_norm.h"
-#include "sim/calibration.h"
 #include "sim/cluster.h"
 #include "sim/graph_executor.h"
 #include "tensor/ops.h"
@@ -182,258 +179,6 @@ INSTANTIATE_TEST_SUITE_P(Random, EngineFuzz, testing::ValuesIn(fuzz_cases()),
                                   "d" + std::to_string(info.param.devices) +
                                   "o" + std::to_string(info.param.ops);
                          });
-
-// ---- calibrated cost model vs measured-table interpolation ----------------
-
-/// Linear interpolation of measured seconds at `r`, rescaled to `flops`
-/// (the table stores flops-proportional runs, so seconds/flops at r is
-/// the table's implied rate). Clamped like the curve.
-double table_seconds(const std::vector<GemmSample>& t, std::int64_t r,
-                     double flops) {
-  auto per_flop = [&](std::size_t i) {
-    return t[i].seconds / static_cast<double>(t[i].flops);
-  };
-  if (r <= t.front().rows) return flops * per_flop(0);
-  if (r >= t.back().rows) return flops * per_flop(t.size() - 1);
-  std::size_t hi = 1;
-  while (t[hi].rows < r) ++hi;
-  const std::size_t lo = hi - 1;
-  const double u = static_cast<double>(r - t[lo].rows) /
-                   static_cast<double>(t[hi].rows - t[lo].rows);
-  // seconds at r for a flops-proportional op, interpolated in seconds.
-  const double s_lo = per_flop(lo) * flops;
-  const double s_hi = per_flop(hi) * flops;
-  return s_lo + u * (s_hi - s_lo);
-}
-
-TEST(CostModelCalibrationFuzz, TracksMeasuredTableAndStaysMonotone) {
-  Rng rng(4242);
-  for (int iter = 0; iter < 300; ++iter) {
-    // Synthetic measured table: ascending rows with bounded spacing,
-    // physically-consistent seconds (non-decreasing in rows, efficiency
-    // moves at most 3x per knot) — what a real, conditioned sweep emits.
-    const int npts = 3 + static_cast<int>(rng.uniform_index(8));
-    const double flops_per_row = rng.uniform(1e6, 1e9);
-    std::vector<GemmSample> table;
-    std::int64_t r = 1 + static_cast<std::int64_t>(rng.uniform_index(16));
-    double seconds = rng.uniform(1e-5, 1e-3);
-    for (int i = 0; i < npts; ++i) {
-      GemmSample s;
-      s.rows = r;
-      s.flops = static_cast<std::uint64_t>(flops_per_row *
-                                           static_cast<double>(r));
-      s.seconds = seconds;
-      table.push_back(s);
-      const std::int64_t next =
-          r + 1 + static_cast<std::int64_t>(rng.uniform_index(
-                      static_cast<std::uint64_t>(3 * r)));
-      // seconds grow at least proportionally to eff drop cap (<= 3x) and
-      // never shrink: eff_next/eff = (r_next/r) * (s/s_next) in [1/3, 1].
-      const double ratio = static_cast<double>(next) / static_cast<double>(r);
-      seconds *= ratio * rng.uniform(1.0, 3.0);
-      r = next;
-    }
-
-    CostModelConfig config;
-    config.compute_launch_latency = 0.0;  // isolate the efficiency curve
-    GemmEfficiencyCurve curve =
-        fit_efficiency_curve(table, config.gemm_max_efficiency);
-    config = apply_calibration(config, curve, table.front().rows,
-                               table.back().rows);
-    CostModel model(config, Topology(TopologyConfig{}));
-
-    // Host peak implied by the fit: best sample maps to max_efficiency.
-    double peak_rate = 0.0;
-    for (const auto& s : table) {
-      peak_rate = std::max(peak_rate,
-                           static_cast<double>(s.flops) / s.seconds);
-    }
-    const double scale =
-        peak_rate / (config.peak_flops * config.gemm_max_efficiency);
-
-    const std::int64_t lo = table.front().rows, hi = table.back().rows;
-    double prev_seconds = -1.0;
-    for (int probe = 0; probe < 64; ++probe) {
-      const std::int64_t rr =
-          lo + static_cast<std::int64_t>(
-                   rng.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
-      const double eff = model.gemm_efficiency(rr);
-      ASSERT_GT(eff, 0.0);
-      ASSERT_LE(eff, config.gemm_max_efficiency + 1e-12);
-      const double flops = flops_per_row * static_cast<double>(rr);
-      const double pred =
-          model.gemm_seconds(static_cast<std::uint64_t>(flops), rr) / scale;
-      const double meas = table_seconds(table, rr, flops);
-      // The curve interpolates efficiency, the table interpolates
-      // seconds: identical at knots, boundedly apart between them.
-      EXPECT_NEAR(pred / meas, 1.0, 0.5)
-          << "iter " << iter << " rows " << rr;
-      (void)prev_seconds;
-    }
-    // Exactness at the knots.
-    for (const auto& s : table) {
-      const double pred = model.gemm_seconds(s.flops, s.rows) / scale;
-      EXPECT_NEAR(pred / s.seconds, 1.0, 1e-6) << "knot rows " << s.rows;
-    }
-    // Monotonicity: proportionally bigger GEMMs never get cheaper.
-    std::vector<std::int64_t> probes;
-    for (int i = 0; i < 32; ++i) {
-      probes.push_back(lo + static_cast<std::int64_t>(rng.uniform_index(
-                                static_cast<std::uint64_t>(hi - lo + 1))));
-    }
-    std::sort(probes.begin(), probes.end());
-    double last = -1.0;
-    for (std::int64_t rr : probes) {
-      const double flops = flops_per_row * static_cast<double>(rr);
-      const double t =
-          model.gemm_seconds(static_cast<std::uint64_t>(flops), rr);
-      EXPECT_GE(t, last * (1.0 - 1e-9)) << "rows " << rr;
-      last = t;
-    }
-  }
-}
-
-TEST(CostModelCalibration, CoverageAndStructureErrorsAreLoud) {
-  GemmEfficiencyCurve curve;
-  curve.rows = {8, 64, 512};
-  curve.efficiency = {0.2, 0.6, 0.9};
-  CostModelConfig config;
-  // Probing below/above the calibrated sweep must throw at load time.
-  EXPECT_THROW(apply_calibration(config, curve, 1, 512), CheckError);
-  EXPECT_THROW(apply_calibration(config, curve, 8, 1024), CheckError);
-  EXPECT_NO_THROW(apply_calibration(config, curve, 8, 512));
-  // An empty curve cannot satisfy any required range.
-  EXPECT_THROW(GemmEfficiencyCurve{}.validate_covers(1, 2), CheckError);
-  // Superlinear efficiency growth (bigger GEMM predicted faster) rejected.
-  GemmEfficiencyCurve bad;
-  bad.rows = {8, 16};
-  bad.efficiency = {0.1, 0.9};  // 9x eff on 2x rows
-  EXPECT_THROW(bad.validate(), CheckError);
-}
-
-// ---- calibrated comm model vs measured-table interpolation ----------------
-
-/// Linear interpolation of measured exchange seconds at payload `b`,
-/// clamped to the table ends — the direct reading of the measurements the
-/// CommBandwidthCurve must reproduce.
-double comm_table_seconds(const std::vector<CommSample>& t, std::uint64_t b) {
-  if (b <= t.front().bytes) return t.front().seconds;
-  if (b >= t.back().bytes) return t.back().seconds;
-  std::size_t hi = 1;
-  while (t[hi].bytes < b) ++hi;
-  const std::size_t lo = hi - 1;
-  const double u = static_cast<double>(b - t[lo].bytes) /
-                   static_cast<double>(t[hi].bytes - t[lo].bytes);
-  return t[lo].seconds + u * (t[hi].seconds - t[lo].seconds);
-}
-
-TEST(CommCalibrationFuzz, TracksMeasuredTableAndStaysMonotone) {
-  Rng rng(5353);
-  for (int iter = 0; iter < 300; ++iter) {
-    // Synthetic measured table: ascending payloads with bounded spacing,
-    // physically-consistent seconds (a bigger exchange never faster) —
-    // what a real, conditioned sweep emits.
-    const int npts = 3 + static_cast<int>(rng.uniform_index(8));
-    std::vector<CommSample> table;
-    std::uint64_t b = 1 + rng.uniform_index(4096);
-    double seconds = rng.uniform(1e-6, 1e-3);
-    for (int i = 0; i < npts; ++i) {
-      table.push_back({b, seconds});
-      b += 1 + rng.uniform_index(3 * b);
-      seconds *= rng.uniform(1.0, 4.0);
-    }
-
-    CostModelConfig config;
-    config.comm_launch_latency = 0.0;  // isolate the bandwidth curve
-    CommBandwidthCurve curve = fit_comm_curve(table);
-    config = apply_comm_calibration(config, curve, table.front().bytes,
-                                    table.back().bytes);
-    Topology topo(TopologyConfig{});
-    CostModel model(config, topo);
-    const std::vector<int> pair = {0, 1};
-    // Group {0, 1}: payload is exactly bytes_per_device / 2, so probing
-    // payload b means passing 2b. The model predicts
-    // eval(b) * peak_rate / link_bw; divide the scale back out.
-    const double scale = curve.peak_rate() / topo.alltoall_bandwidth(pair);
-
-    const std::uint64_t lo = table.front().bytes;
-    const std::uint64_t hi = table.back().bytes;
-    // Exactness at the knots.
-    for (const auto& s : table) {
-      const double pred = model.alltoall_seconds(2 * s.bytes, pair) / scale;
-      EXPECT_NEAR(pred / s.seconds, 1.0, 1e-9) << "knot bytes " << s.bytes;
-    }
-    // Between knots the curve interpolates seconds linearly in bytes —
-    // identical to reading the table directly.
-    for (int probe = 0; probe < 64; ++probe) {
-      const std::uint64_t bb = lo + rng.uniform_index(hi - lo + 1);
-      const double pred = model.alltoall_seconds(2 * bb, pair) / scale;
-      const double meas = comm_table_seconds(table, bb);
-      EXPECT_NEAR(pred / meas, 1.0, 1e-6) << "iter " << iter << " bytes "
-                                          << bb;
-      const double eff = config.comm_curve.efficiency_at(bb);
-      ASSERT_GT(eff, 0.0);
-      ASSERT_LE(eff, 1.0);
-    }
-    // Monotonicity: bigger exchanges never get cheaper, including past the
-    // calibrated sweep where the curve extrapolates at the back knot's
-    // average rate.
-    std::vector<std::uint64_t> probes;
-    for (int i = 0; i < 32; ++i) {
-      probes.push_back(lo + rng.uniform_index(2 * (hi - lo) + 1));
-    }
-    std::sort(probes.begin(), probes.end());
-    double last = -1.0;
-    for (std::uint64_t bb : probes) {
-      const double t = model.alltoall_seconds(2 * bb, pair);
-      EXPECT_GE(t, last * (1.0 - 1e-9)) << "bytes " << bb;
-      last = t;
-    }
-  }
-}
-
-TEST(CommCalibration, CoverageAndStructureErrorsAreLoud) {
-  CommBandwidthCurve curve;
-  curve.bytes = {4096, 65536, 1048576};
-  curve.seconds = {2e-6, 2e-5, 3e-4};
-  CostModelConfig config;
-  // Probing below/above the calibrated sweep must throw at load time.
-  EXPECT_THROW(apply_comm_calibration(config, curve, 1024, 1048576),
-               CheckError);
-  EXPECT_THROW(apply_comm_calibration(config, curve, 4096, 4194304),
-               CheckError);
-  EXPECT_NO_THROW(apply_comm_calibration(config, curve, 4096, 1048576));
-  // An empty curve cannot satisfy any required range.
-  EXPECT_THROW(CommBandwidthCurve{}.validate_covers(1, 2), CheckError);
-  // Seconds shrinking with payload (bigger exchange predicted faster).
-  CommBandwidthCurve shrinking;
-  shrinking.bytes = {4096, 8192};
-  shrinking.seconds = {1e-4, 5e-5};
-  EXPECT_THROW(shrinking.validate(), CheckError);
-  // Non-ascending payloads.
-  CommBandwidthCurve unsorted;
-  unsorted.bytes = {8192, 4096};
-  unsorted.seconds = {1e-5, 1e-4};
-  EXPECT_THROW(unsorted.validate(), CheckError);
-  // One knot is not a curve.
-  CommBandwidthCurve lone;
-  lone.bytes = {4096};
-  lone.seconds = {1e-5};
-  EXPECT_THROW(lone.validate(), CheckError);
-}
-
-TEST(CommCalibration, FitKeepsFastestDuplicateAndClampsJitter) {
-  // Duplicate payloads keep the fastest run; an inversion (bigger payload
-  // measured faster) is clamped to monotone, not propagated.
-  std::vector<CommSample> samples = {
-      {100, 2e-5}, {100, 1e-5}, {200, 8e-6}, {400, 4e-5}};
-  CommBandwidthCurve curve = fit_comm_curve(samples);
-  ASSERT_EQ(curve.bytes.size(), 3u);
-  EXPECT_EQ(curve.bytes[0], 100u);
-  EXPECT_DOUBLE_EQ(curve.seconds[0], 1e-5);   // fastest duplicate
-  EXPECT_DOUBLE_EQ(curve.seconds[1], 1e-5);   // clamped up to monotone
-  EXPECT_DOUBLE_EQ(curve.seconds[2], 4e-5);
-}
 
 // ---- SIMD kernels vs scalar fp64 references -------------------------------
 

@@ -220,7 +220,6 @@ runtime::TrainerOptions small_trainer_options() {
   topt.workload.num_devices = 4;
   topt.workload.seed = 5;
   topt.adam.lr = 3e-3f;
-  topt.load_calibration = false;  // hermetic: no cwd-dependent curves
   return topt;
 }
 
@@ -263,7 +262,10 @@ TEST(FaultTolerantTrainer, LadderIsExactNoOpOnFaultFreeRuns) {
     // Bitwise, not approximate: EXPECT_EQ on doubles.
     EXPECT_EQ(plain[i], guarded[i]) << "step " << i;
   }
-  EXPECT_FALSE(m.recovery().any_recovery());
+  EXPECT_EQ(m.recovery().transient_step_retries, 0u);
+  EXPECT_EQ(m.recovery().non_finite_steps, 0u);
+  EXPECT_EQ(m.recovery().optimizer_steps_skipped, 0u);
+  EXPECT_EQ(m.recovery().rollbacks, 0u);
   EXPECT_GT(m.recovery().checkpoints_taken, 0u);
   EXPECT_EQ(m.recovery().injected.comm_failures, 0u);
 }
@@ -515,7 +517,6 @@ TEST(FaultTolerantTrainer, ChaosRunConvergesBitwiseIdenticalToCleanRun) {
   EXPECT_GE(m.recovery().non_finite_steps, 1u);
   EXPECT_GE(m.recovery().rollbacks, 1u);
   EXPECT_GE(m.recovery().checkpoints_taken, 1u);
-  EXPECT_TRUE(m.recovery().any_recovery());
 }
 
 TEST(PayloadScan, DetectsBelowReluCorruptionAndReplaysBitwiseClean) {

@@ -132,7 +132,8 @@ TEST(GraphExecutor, StreamFifoEdgesOrderOpsWithoutExplicitDeps) {
     OpGraph g;
     for (int i = 0; i < 6; ++i) {
       Op op;
-      op.label = "f" + std::to_string(i);
+      op.label = "f";
+      op.label += std::to_string(i);
       op.stream = StreamKind::kCompute;
       op.devices = {0};
       op.fn = [&sequence, &mu, i] {

@@ -67,24 +67,6 @@ TEST(Gating, BackwardFiniteDifference) {
   }
 }
 
-TEST(Gating, LoadBalanceLossBoundsAndSkewSensitivity) {
-  Rng rng(7);
-  GatingNetwork gate(8, 4, rng);
-  // Balanced: loss ~ 1; worst case (all to one expert): approaches E.
-  GatingForward balanced;
-  balanced.probs = Tensor::full(Shape{8, 4}, 0.25f);
-  balanced.expert_of = {0, 1, 2, 3, 0, 1, 2, 3};
-  balanced.gate.assign(8, 0.25f);
-  EXPECT_NEAR(gate.load_balance_loss(balanced), 1.0, 1e-5);
-
-  GatingForward skewed;
-  skewed.probs = Tensor(Shape{8, 4});
-  for (std::int64_t t = 0; t < 8; ++t) skewed.probs.at(t, 0) = 1.0f;
-  skewed.expert_of.assign(8, 0);
-  skewed.gate.assign(8, 1.0f);
-  EXPECT_NEAR(gate.load_balance_loss(skewed), 4.0, 1e-5);
-}
-
 TEST(Expert, ForwardMatchesManualMath) {
   Rng rng(3);
   ExpertFFN expert(4, 6, ActivationKind::kReLU, rng);

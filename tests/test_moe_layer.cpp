@@ -25,9 +25,14 @@ struct LayerCase {
 
 std::string case_name(const testing::TestParamInfo<LayerCase>& info) {
   const LayerCase& c = info.param;
-  return "P" + std::to_string(c.devices) + "E" + std::to_string(c.experts) +
-         "n" + std::to_string(c.partitions) +
-         (c.memory_reuse ? core::to_string(c.strategy) : std::string("raw"));
+  std::string name = "P";
+  name += std::to_string(c.devices);
+  name += "E";
+  name += std::to_string(c.experts);
+  name += "n";
+  name += std::to_string(c.partitions);
+  name += c.memory_reuse ? core::to_string(c.strategy) : "raw";
+  return name;
 }
 
 core::MoELayerOptions small_options(const LayerCase& c) {

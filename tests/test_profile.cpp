@@ -361,7 +361,6 @@ TEST(TrainerCorrections, WarmupFitsInstallsAndRestoresProfiling) {
   topt.workload.tokens_per_device = 32;
   topt.workload.num_devices = 2;
   topt.steps = 4;
-  topt.load_calibration = false;  // hermetic: no cwd CSV dependence
   topt.profile_warmup_steps = 2;
   runtime::Trainer trainer(layer, topt);
 
@@ -395,7 +394,6 @@ TEST(TrainerCorrections, StoppingShortOfWarmupRestoresProfilingOverride) {
   topt.workload.tokens_per_device = 32;
   topt.workload.num_devices = 2;
   topt.steps = 1;
-  topt.load_calibration = false;
   topt.profile_warmup_steps = 3;
   runtime::Trainer trainer(layer, topt);
   trainer.run();
@@ -424,7 +422,6 @@ TEST(TrainerCorrections, WarmupLeavesFixedConfigurationNumericsBitwise) {
     topt.workload.num_devices = 2;
     topt.workload.seed = 5;
     topt.steps = 4;
-    topt.load_calibration = false;
     topt.profile_warmup_steps = warmup_steps;
     runtime::Trainer trainer(layer, topt);
     trainer.run();
@@ -453,7 +450,6 @@ TEST(TrainerCorrections, AdaptiveLayerReRanksAfterWarmup) {
   topt.workload.tokens_per_device = 32;
   topt.workload.num_devices = 2;
   topt.steps = 3;
-  topt.load_calibration = false;
   topt.profile_warmup_steps = 2;
   runtime::Trainer trainer(layer, topt);
   trainer.run();

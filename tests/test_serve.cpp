@@ -336,29 +336,6 @@ TEST(SloSelector, PicksLargestFeasibleRungAndDegradesLoudly) {
   EXPECT_EQ(unbounded.partitions_for(10000), full.rungs.back().n_partitions);
 }
 
-// ---- comm clamp counters ---------------------------------------------------
-
-TEST(CommClampStats, OffSweepConsultationsAreCountedAndSharedAcrossCopies) {
-  sim::CommBandwidthCurve curve;
-  curve.bytes = {1024, 4096};
-  curve.seconds = {1e-5, 2e-5};
-  curve.validate();
-  EXPECT_EQ(curve.clamps->total(), 0u);
-
-  curve.efficiency_at(2048);  // in-span: no clamp
-  EXPECT_EQ(curve.clamps->total(), 0u);
-  curve.efficiency_at(128);  // a serving-sized payload below the sweep
-  EXPECT_EQ(curve.clamps->below.load(), 1u);
-  curve.efficiency_at(1 << 20);
-  EXPECT_EQ(curve.clamps->above.load(), 1u);
-
-  // CostModel and Cluster copy their configs; the counters must not fork.
-  sim::CommBandwidthCurve copy = curve;
-  copy.efficiency_at(128);
-  EXPECT_EQ(curve.clamps->below.load(), 2u);
-  EXPECT_EQ(curve.clamps.get(), copy.clamps.get());
-}
-
 // ---- server end-to-end -----------------------------------------------------
 
 /// Direct per-token evaluation (gates are replicated, so routing does not

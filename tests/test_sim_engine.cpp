@@ -195,10 +195,11 @@ TEST(FunctionalExecution, RunsClosuresInTopoOrder) {
 }
 
 TEST(Topology, NodesAndBandwidths) {
-  Topology topo = Topology::multi_node(2, 4);
-  EXPECT_EQ(topo.num_nodes(), 2);
+  const Topology topo = Cluster::dgx_a100_pod(2, 4).topology();
+  EXPECT_EQ(topo.num_devices(), 8);
   EXPECT_EQ(topo.node_of(3), 0);
   EXPECT_EQ(topo.node_of(4), 1);
+  EXPECT_EQ(topo.node_of(7), 1);
   EXPECT_TRUE(topo.same_node(0, 3));
   EXPECT_FALSE(topo.same_node(3, 4));
   EXPECT_GT(topo.p2p_bandwidth(0, 1), topo.p2p_bandwidth(0, 5));
@@ -231,7 +232,7 @@ TEST(CostModel, GemmEfficiencyMonotonic) {
 }
 
 TEST(CostModel, CollectiveCostsScaleWithBytesAndGroup) {
-  Topology topo = Topology::multi_node(2, 4);
+  const Topology topo = Cluster::dgx_a100_pod(2, 4).topology();
   CostModel cost(CostModelConfig{}, topo);
   const auto all = std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7};
   EXPECT_LT(cost.alltoall_seconds(1 * MiB, all),
@@ -243,7 +244,7 @@ TEST(CostModel, CollectiveCostsScaleWithBytesAndGroup) {
   EXPECT_GT(cost.memcpy_seconds(16 * MiB, 0), 0.0);
 }
 
-TEST(Trace, ChromeTraceAndAsciiTimeline) {
+TEST(Trace, ChromeTraceNamesEveryOp) {
   Cluster cluster = ideal_cluster(2);
   OpGraph g;
   const int a = g.add("Alpha", OpCategory::kGemm, StreamKind::kCompute, {0},
@@ -254,9 +255,6 @@ TEST(Trace, ChromeTraceAndAsciiTimeline) {
   EXPECT_NE(json.find("\"Alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"Beta\""), std::string::npos);
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
-  const std::string ascii = ascii_timeline(g, t, 40);
-  EXPECT_NE(ascii.find("dev0 comp"), std::string::npos);
-  EXPECT_NE(ascii.find("dev1 comm"), std::string::npos);
 }
 
 }  // namespace

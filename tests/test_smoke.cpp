@@ -22,7 +22,6 @@ TEST(Smoke, OneTrainingStepRuns) {
   topt.workload.tokens_per_device = 24;
   topt.workload.num_devices = 4;
   topt.steps = 1;
-  topt.load_calibration = false;  // hermetic: no cwd-dependent curves
   runtime::Trainer trainer(layer, topt);
   const double loss = trainer.train_step();
   EXPECT_GT(loss, 0.0);

@@ -233,13 +233,13 @@ TEST(MseLoss, ValueAndGradient) {
   EXPECT_NEAR(g.at(3), numeric, 1e-3);
 }
 
-TEST(ElementwiseOps, AxpyAndMul) {
+TEST(ElementwiseOps, AddAndMul) {
   Tensor a = Tensor::full(Shape{3}, 1.0f);
   Tensor b = Tensor::full(Shape{3}, 2.0f);
-  axpy_(a, 3.0f, b);
-  EXPECT_FLOAT_EQ(a.at(0), 7.0f);
+  add_(a, b);
+  EXPECT_FLOAT_EQ(a.at(0), 3.0f);
   Tensor c = mul(a, b);
-  EXPECT_FLOAT_EQ(c.at(1), 14.0f);
+  EXPECT_FLOAT_EQ(c.at(1), 6.0f);
   Tensor d = scale(b, -1.0f);
   EXPECT_FLOAT_EQ(d.at(2), -2.0f);
 }
