@@ -7,8 +7,9 @@
 /// main() pins the shared pool to one worker, the end-to-end benchmark's
 /// setting: parallel_for runs inline and the rows keep the default clock,
 /// the main thread's CPU time. BM_AdamStepPool runs the same step on the
-/// machine-sized pool with MeasureProcessCPUTime() (all threads), where
-/// the 4M-element step fans out.
+/// machine-sized pool, its workers pinned one per CPU, with
+/// MeasureProcessCPUTime() (all threads), where the 4M-element step fans
+/// out.
 
 #include <benchmark/benchmark.h>
 

@@ -10,8 +10,9 @@
 /// pins the shared pool, the end-to-end benchmark's setting): parallel_for
 /// runs inline, so the rows keep the default clock, the main thread's CPU
 /// time, and it covers all the work. BM_GemmNNPool and BM_GemmFFNPool run
-/// the largest square and FFN GEMMs fanned out over the machine-sized pool
-/// and use MeasureProcessCPUTime() (all threads). items_per_second is FLOP
+/// the largest square and FFN GEMMs fanned out over the machine-sized pool,
+/// its workers pinned one per CPU (micro_pool.h says why), and use
+/// MeasureProcessCPUTime() (all threads). items_per_second is FLOP
 /// per CPU second, which is what the perf gate compares.
 
 #include <benchmark/benchmark.h>

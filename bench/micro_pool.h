@@ -6,6 +6,12 @@
 /// work. A row that exists to measure the pool's fan-out holds a
 /// MachineSizedPool and registers MeasureProcessCPUTime(), so its CPU time
 /// counts every worker.
+///
+/// The machine-sized pool is pinned (ThreadPool::Placement::kPinned). Each
+/// repetition of a row builds a fresh pool, and unpinned new threads start
+/// on their creator's CPU: some repetitions then ran the whole fan-out on
+/// one CPU (CPU time equal to wall time) and others on ~2.5, so a row's
+/// rate per CPU second hopped between the two modes from sweep to sweep.
 
 #include <benchmark/benchmark.h>
 
@@ -13,10 +19,12 @@
 
 namespace mpipe::bench {
 
-/// Puts a machine-sized shared pool in place for one benchmark run, then
-/// restores the one worker the other rows run on.
+/// Puts a pinned machine-sized shared pool in place for one benchmark run,
+/// then restores the one worker the other rows run on.
 struct MachineSizedPool {
-  MachineSizedPool() { ThreadPool::reset_shared(0); }
+  MachineSizedPool() {
+    ThreadPool::reset_shared(0, ThreadPool::Placement::kPinned);
+  }
   ~MachineSizedPool() { ThreadPool::reset_shared(1); }
   MachineSizedPool(const MachineSizedPool&) = delete;
   MachineSizedPool& operator=(const MachineSizedPool&) = delete;

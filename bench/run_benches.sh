@@ -39,7 +39,8 @@
 # items_per_second, items per CPU second, and no row uses the wall clock:
 # the GEMM, data-move and serving suites pin the pool to one worker and
 # their single-kernel rows use the main thread's CPU time; the *Pool rows
-# (largest GEMMs and Adam on the machine-sized pool), the
+# (largest GEMMs and Adam on the machine-sized pool, whose workers are
+# pinned one per CPU: bench/micro_pool.h), the
 # training-step rows and the serving rows use process CPU time (all
 # threads); the alltoall replay runs on the main thread. The bench sources
 # say which clock each row uses and why.
