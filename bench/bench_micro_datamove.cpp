@@ -101,7 +101,7 @@ BENCHMARK(BM_AdamStep)->Arg(1 << 16)->Arg(1 << 22);
 // ---- the same paths on the machine-sized pool ---------------------------
 
 void BM_AdamStepPool(benchmark::State& state) {
-  const bench::MachineSizedPool pool;
+  const bench::MachineSizedPool pool(state);
   BM_AdamStep(state);
 }
 BENCHMARK(BM_AdamStepPool)->Arg(1 << 22)->MeasureProcessCPUTime();

@@ -18,6 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "micro_gemm.h"
 #include "micro_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -27,29 +28,8 @@
 namespace {
 
 using namespace mpipe;
-
-// ---- harness --------------------------------------------------------------
-
-void flops_counter(benchmark::State& state, std::int64_t m, std::int64_t n,
-                   std::int64_t k) {
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(gemm_flops(m, n, k)));
-}
-
-template <typename Fn>
-void run_square(benchmark::State& state, Fn&& fn) {
-  const std::int64_t s = state.range(0);
-  Rng rng(1);
-  Tensor a(Shape{s, s}), b(Shape{s, s}), c(Shape{s, s});
-  init_normal(a, rng);
-  init_normal(b, rng);
-  for (auto _ : state) {
-    fn(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  flops_counter(state, s, s, s);
-}
+using bench::flops_counter;
+using bench::run_square;
 
 // ---- packed kernels -------------------------------------------------------
 
@@ -97,13 +77,13 @@ BENCHMARK(BM_GemmFFN)
 // The same kernels fanned out over the machine-sized pool: what the pool's
 // dispatch and the workers' chunks cost per FLOP.
 void BM_GemmNNPool(benchmark::State& state) {
-  const bench::MachineSizedPool pool;
+  const bench::MachineSizedPool pool(state);
   BM_GemmNN(state);
 }
 BENCHMARK(BM_GemmNNPool)->Arg(1024)->MeasureProcessCPUTime();
 
 void BM_GemmFFNPool(benchmark::State& state) {
-  const bench::MachineSizedPool pool;
+  const bench::MachineSizedPool pool(state);
   BM_GemmFFN(state);
 }
 BENCHMARK(BM_GemmFFNPool)->Args({512, 1024, 4096})->MeasureProcessCPUTime();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "micro_gemm.h"
 #include "micro_pool.h"
 #include "runtime/adam.h"
 #include "tensor/gemm.h"
@@ -29,6 +30,8 @@
 namespace {
 
 using namespace mpipe;
+using bench::flops_counter;
+using bench::run_square;
 
 // ---- pre-rewrite scalar kernels (baseline under identical flags) ----------
 
@@ -100,27 +103,6 @@ void scalar_gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
 }
 
 // ---- square GEMMs: packed library kernel vs scalar copy --------------------
-
-void flops_counter(benchmark::State& state, std::int64_t m, std::int64_t n,
-                   std::int64_t k) {
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(gemm_flops(m, n, k)));
-}
-
-template <typename Fn>
-void run_square(benchmark::State& state, Fn&& fn) {
-  const std::int64_t s = state.range(0);
-  Rng rng(1);
-  Tensor a(Shape{s, s}), b(Shape{s, s}), c(Shape{s, s});
-  init_normal(a, rng);
-  init_normal(b, rng);
-  for (auto _ : state) {
-    fn(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  flops_counter(state, s, s, s);
-}
 
 void BM_GemmNN(benchmark::State& state) {
   run_square(state, [](const Tensor& a, const Tensor& b, Tensor& c) {

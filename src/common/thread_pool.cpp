@@ -7,42 +7,9 @@
 
 #include "common/check.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace mpipe {
 
 namespace {
-
-/// Pins each thread i to the i-th CPU (mod their count) in the calling
-/// thread's affinity mask. Returns false when the platform cannot pin or
-/// the OS refuses a placement; the threads then keep running unpinned.
-bool pin_round_robin(std::vector<std::thread>& threads) {
-#if defined(__linux__)
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
-  std::vector<int> cpus;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
-  }
-  if (cpus.empty()) return false;
-  bool all = true;
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpus[i % cpus.size()], &one);
-    all &= pthread_setaffinity_np(threads[i].native_handle(), sizeof(one),
-                                  &one) == 0;
-  }
-  return all;
-#else
-  (void)threads;
-  return false;
-#endif
-}
 
 // Which pool (if any) owns the current thread. Used to run nested
 // parallel_for calls inline instead of enqueueing work the blocked parent
@@ -89,7 +56,7 @@ struct ParallelForState {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, Placement placement) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -97,7 +64,6 @@ ThreadPool::ThreadPool(std::size_t threads, Placement placement) {
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  if (placement == Placement::kPinned) pinned_ = pin_round_robin(workers_);
 }
 
 ThreadPool::~ThreadPool() {
@@ -199,8 +165,8 @@ std::unique_ptr<ThreadPool>& shared_slot() {
 
 ThreadPool& ThreadPool::shared() { return *shared_slot(); }
 
-void ThreadPool::reset_shared(std::size_t threads, Placement placement) {
-  shared_slot() = std::make_unique<ThreadPool>(threads, placement);
+void ThreadPool::reset_shared(std::size_t threads) {
+  shared_slot() = std::make_unique<ThreadPool>(threads);
 }
 
 void ThreadPool::worker_loop() {

@@ -25,26 +25,14 @@ namespace mpipe {
 
 class ThreadPool {
  public:
-  /// Where the workers run. kUnpinned leaves placement to the OS scheduler.
-  /// kPinned pins worker i to the i-th CPU (mod their count) the process
-  /// may run on. On a small VM a new thread starts on its creator's CPU and
-  /// can stay there, so a fresh unpinned pool may run its fan-out on one
-  /// CPU; pinning spreads the workers from the first task.
-  enum class Placement { kUnpinned, kPinned };
-
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0,
-                      Placement placement = Placement::kUnpinned);
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-
-  /// True when every worker was pinned (kPinned, and the OS accepted each
-  /// placement); false for an unpinned pool.
-  bool pinned() const { return pinned_; }
 
   /// Submits a task; returns a future for its completion.
   std::future<void> submit(std::function<void()> task);
@@ -78,11 +66,10 @@ class ThreadPool {
   static ThreadPool& shared();
 
   /// Replaces the shared pool with a fresh one of `threads` workers
-  /// (0 = machine size) and the given placement. Test hook for exercising
-  /// kernels under specific pool sizes (e.g. the bitwise-determinism sweep
-  /// in test_runtime); callers must ensure no parallel_for is in flight.
-  static void reset_shared(std::size_t threads,
-                           Placement placement = Placement::kUnpinned);
+  /// (0 = machine size). Test hook for exercising kernels under specific
+  /// pool sizes (e.g. the bitwise-determinism sweep in test_runtime);
+  /// callers must ensure no parallel_for is in flight.
+  static void reset_shared(std::size_t threads);
 
  private:
   void worker_loop();
@@ -92,7 +79,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  bool pinned_ = false;
   std::atomic<std::uint64_t> tasks_enqueued_{0};
 };
 

@@ -11,11 +11,6 @@
 #include <set>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -467,51 +462,6 @@ TEST(ThreadPool, SubmitRunsTask) {
   auto future = pool.submit([] {});
   EXPECT_NO_THROW(future.get());
 }
-
-#if defined(__linux__)
-// A pinned pool puts worker i on the i-th CPU the process may run on. Each
-// worker takes one task that blocks until every worker holds one, so the
-// tasks report one affinity mask per distinct worker.
-TEST(ThreadPool, PinnedWorkersEachOwnOneCpu) {
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
-  std::vector<int> cpus;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
-  }
-  const std::size_t workers = std::min<std::size_t>(cpus.size(), 4);
-
-  ThreadPool pool(workers, ThreadPool::Placement::kPinned);
-  ASSERT_TRUE(pool.pinned());
-  std::mutex mu;
-  std::condition_variable all_arrived;
-  std::size_t arrived = 0;
-  std::vector<int> owned;  // the single CPU in each worker's mask
-  std::vector<std::future<void>> done;
-  for (std::size_t w = 0; w < workers; ++w) {
-    done.push_back(pool.submit([&] {
-      cpu_set_t mask;
-      CPU_ZERO(&mask);
-      pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
-      int cpu = -1;
-      for (int c = 0; c < CPU_SETSIZE && CPU_COUNT(&mask) == 1; ++c) {
-        if (CPU_ISSET(c, &mask)) cpu = c;
-      }
-      std::unique_lock<std::mutex> lock(mu);
-      owned.push_back(cpu);
-      ++arrived;
-      all_arrived.notify_all();
-      all_arrived.wait(lock, [&] { return arrived == workers; });
-    }));
-  }
-  for (auto& f : done) f.get();
-  std::sort(owned.begin(), owned.end());
-  EXPECT_EQ(owned, std::vector<int>(cpus.begin(), cpus.begin() + workers));
-
-  EXPECT_FALSE(ThreadPool(2).pinned());
-}
-#endif
 
 }  // namespace
 }  // namespace mpipe
