@@ -240,19 +240,33 @@ TEST(Baselines, FastMoETempPeakIsTheEagerFreeWalk) {
 }
 
 TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
-  // FasterMoE's modeled step time and footprint: its schedule, step
-  // buffers and shadowing accounting must reproduce these recorded values.
-  // Seconds carry a 1e-9 relative tolerance (gcc and clang may contract
-  // floating-point expressions differently); bytes are exact.
+  // FasterMoE's and FastMoE's modeled step time and footprint: their
+  // schedules, throughput scales, step buffers and shadowing accounting
+  // must reproduce these recorded values. Seconds carry a 1e-9 relative
+  // tolerance (gcc and clang may contract floating-point expressions
+  // differently); bytes are exact.
   struct Pin {
     double skew;
-    double threshold;
+    double threshold;  ///< FasterMoE's shadowing threshold
     double forward_seconds;
     double backward_seconds;
     std::uint64_t total_peak;
     std::uint64_t model_states;
   };
-  const Pin pins[] = {
+  auto expect_pinned = [](const core::StepReport& r, const Pin& pin,
+                          const char* system) {
+    EXPECT_NEAR(r.forward_seconds, pin.forward_seconds,
+                1e-9 * pin.forward_seconds)
+        << system << " skew " << pin.skew;
+    EXPECT_NEAR(r.backward_seconds, pin.backward_seconds,
+                1e-9 * pin.backward_seconds)
+        << system << " skew " << pin.skew;
+    EXPECT_EQ(r.memory.total_peak, pin.total_peak)
+        << system << " skew " << pin.skew;
+    EXPECT_EQ(r.memory.model_states, pin.model_states)
+        << system << " skew " << pin.skew;
+  };
+  const Pin faster_pins[] = {
       // Unskewed: no destination is hot, shadowing stays off.
       {0.0, 1.5, 0.0036294180947724743, 0.0055375046921712096,
        1311375360ull, 1075445760ull},
@@ -261,7 +275,7 @@ TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
       {0.4, 1.2, 0.0047433623400506475, 0.007966198085355921,
        1660420096ull, 1142554624ull},
   };
-  for (const Pin& pin : pins) {
+  for (const Pin& pin : faster_pins) {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
     baselines::FasterMoEOptions o;
     o.d_model = 1024;
@@ -270,16 +284,25 @@ TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
     o.mode = core::ExecutionMode::kTimingOnly;
     o.shadowing.threshold = pin.threshold;
     baselines::FasterMoELayer layer(cluster, o);
-    const core::StepReport r = layer.step_timing(4096, pin.skew);
-    EXPECT_NEAR(r.forward_seconds, pin.forward_seconds,
-                1e-9 * pin.forward_seconds)
-        << "skew " << pin.skew;
-    EXPECT_NEAR(r.backward_seconds, pin.backward_seconds,
-                1e-9 * pin.backward_seconds)
-        << "skew " << pin.skew;
-    EXPECT_EQ(r.memory.total_peak, pin.total_peak) << "skew " << pin.skew;
-    EXPECT_EQ(r.memory.model_states, pin.model_states)
-        << "skew " << pin.skew;
+    expect_pinned(layer.step_timing(4096, pin.skew), pin, "FasterMoE");
+  }
+  // FastMoE: the unpipelined pipeline schedule at CUDA-core compute and
+  // grouped-AllToAll bandwidth (no shadowing; threshold unused).
+  const Pin fast_pins[] = {
+      {0.0, 0.0, 0.0052569409973987373, 0.0071472498170196963,
+       1311375360ull, 1075445760ull},
+      {0.4, 0.0, 0.0084236588489409129, 0.013294090020104052,
+       1593311232ull, 1075445760ull},
+  };
+  for (const Pin& pin : fast_pins) {
+    sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
+    baselines::FastMoEOptions o;
+    o.d_model = 1024;
+    o.d_hidden = 4096;
+    o.num_experts = 64;
+    o.mode = core::ExecutionMode::kTimingOnly;
+    baselines::FastMoELayer layer(cluster, o);
+    expect_pinned(layer.step_timing(4096, pin.skew), pin, "FastMoE");
   }
 }
 
