@@ -46,16 +46,22 @@ inline core::StepReport pipemoe_step(sim::Cluster& cluster,
   return layer.step_timing(tokens, skew);
 }
 
-inline core::StepReport fastmoe_step(sim::Cluster& cluster,
-                                     const runtime::ModelSpec& spec,
-                                     std::int64_t tokens,
-                                     double skew = 0.0) {
-  baselines::FastMoEOptions o;
+/// Timing-only layer options of a baseline: the spec's shape, everything
+/// else at its default (the baseline layers pin the rest).
+inline core::MoELayerOptions baseline_options(const runtime::ModelSpec& spec) {
+  core::MoELayerOptions o;
   o.d_model = spec.d_model;
   o.d_hidden = spec.d_hidden;
   o.num_experts = spec.num_experts;
   o.mode = core::ExecutionMode::kTimingOnly;
-  baselines::FastMoELayer layer(cluster, o);
+  return o;
+}
+
+inline core::StepReport fastmoe_step(sim::Cluster& cluster,
+                                     const runtime::ModelSpec& spec,
+                                     std::int64_t tokens,
+                                     double skew = 0.0) {
+  baselines::FastMoELayer layer(cluster, baseline_options(spec));
   return layer.step_timing(tokens, skew);
 }
 
@@ -63,12 +69,7 @@ inline core::StepReport fastermoe_step(sim::Cluster& cluster,
                                        const runtime::ModelSpec& spec,
                                        std::int64_t tokens,
                                        double skew = 0.0) {
-  baselines::FasterMoEOptions o;
-  o.d_model = spec.d_model;
-  o.d_hidden = spec.d_hidden;
-  o.num_experts = spec.num_experts;
-  o.mode = core::ExecutionMode::kTimingOnly;
-  baselines::FasterMoELayer layer(cluster, o);
+  baselines::FasterMoELayer layer(cluster, baseline_options(spec));
   return layer.step_timing(tokens, skew);
 }
 

@@ -76,24 +76,10 @@ std::vector<std::pair<int, int>> exchange(
   return out;
 }
 
-core::MoELayerOptions to_layer_options(const FasterMoEOptions& options) {
-  core::MoELayerOptions o;
-  o.d_model = options.d_model;
-  o.d_hidden = options.d_hidden;
-  o.num_experts = options.num_experts;
-  o.activation = options.activation;
-  // Pipelining off: one partition holding the whole batch, per-step stash
-  // buffers and eagerly freed gradient scratch. The split-by-N pipeline
-  // runs over the destination devices inside the schedule, not over
-  // micro-batches.
-  o.pipeline = false;
-  o.num_partitions = 1;
-  o.memory_reuse = false;
-  o.compute_scale = options.compute_scale;
-  o.parallel_execution = options.parallel_execution;
-  o.mode = options.mode;
-  o.seed = options.seed;
-  return o;
+core::MoELayerOptions faster_options(core::MoELayerOptions options) {
+  MPIPE_EXPECTS(options.compute_dtype == DType::kF32,
+                "FasterMoE's P2P fragments move fp32 rows");
+  return unpipelined_options(std::move(options), "FasterMoE");
 }
 
 }  // namespace
@@ -290,10 +276,10 @@ sim::OpGraph FasterMoEScheduleBuilder::build_backward(
 }
 
 FasterMoELayer::FasterMoELayer(sim::Cluster& cluster,
-                               FasterMoEOptions options)
-    : core::MoELayer(cluster, to_layer_options(options),
+                               core::MoELayerOptions options,
+                               ShadowingConfig shadowing)
+    : core::MoELayer(cluster, faster_options(std::move(options)),
                      std::make_unique<FasterMoEScheduleBuilder>(
-                         cluster, options.compute_scale, options.shadowing)) {
-}
+                         cluster, kCudaCoreComputeScale, shadowing)) {}
 
 }  // namespace mpipe::baselines

@@ -11,36 +11,20 @@
 /// for reduced traffic on hot experts.
 ///
 /// The schedule is a core::ScheduleBuilder; FasterMoELayer runs it on
-/// core::MoELayer with pipelining off (one partition, Eq-3 eager-free
-/// temp accounting) and no buffer reuse, so parameters, buffers, checks and
-/// step drivers are the shared runtime's. The builder states the
-/// split-by-N order, the P2P fragments and the shadowing ops; the router,
-/// gate scaling, expert stages and gate-gradient sync come from the shared
-/// emitters in core/schedule_ops.h, the same ones the pipeline builder
-/// uses.
+/// core::MoELayer with FastMoE's pinned options (one partition, Eq-3
+/// eager-free temp accounting, no buffer reuse), so parameters, buffers,
+/// checks and step drivers are the shared runtime's. The builder states
+/// the split-by-N order, the P2P fragments and the shadowing ops; the
+/// router, gate scaling, expert stages and gate-gradient sync come from
+/// the shared emitters in core/schedule_ops.h, the same ones the pipeline
+/// builder uses.
 
+#include "baselines/fastmoe.h"
 #include "baselines/shadowing.h"
 #include "comm/process_group.h"
 #include "core/moe_layer.h"
 
 namespace mpipe::baselines {
-
-struct FasterMoEOptions {
-  std::int64_t d_model = 1024;
-  std::int64_t d_hidden = 4096;
-  int num_experts = 64;
-  moe::ActivationKind activation = moe::ActivationKind::kReLU;
-  /// CUDA-core vs Tensor-Core throughput ratio.
-  double compute_scale = 0.45;
-  /// Shadowing applies to timing-mode steps; functional steps validate the
-  /// P2P pipeline numerics without it.
-  ShadowingConfig shadowing{};
-  /// Run functional steps on the concurrent graph executor (see
-  /// core::MoELayerOptions::parallel_execution).
-  bool parallel_execution = false;
-  core::ExecutionMode mode = core::ExecutionMode::kFull;
-  std::uint64_t seed = 42;
-};
 
 /// FasterMoE's split-by-N schedule over a one-partition step context: per
 /// destination device, P2P gathers, the expert computation and P2P
@@ -72,11 +56,15 @@ class FasterMoEScheduleBuilder : public core::ScheduleBuilder {
   ShadowingConfig shadowing_;
 };
 
-/// A MoELayer running the FasterMoE schedule: the constructor only maps
-/// the options and fixes the schedule.
+/// A MoELayer running the FasterMoE schedule at CUDA-core compute:
+/// the constructor only pins the options (unpipelined_options) and passes
+/// the builder. Shadowing applies to timing-only steps; functional steps
+/// validate the P2P pipeline numerics without it. The P2P fragments move
+/// fp32 rows, so a compute_dtype other than kF32 is rejected.
 class FasterMoELayer : public core::MoELayer {
  public:
-  FasterMoELayer(sim::Cluster& cluster, FasterMoEOptions options);
+  FasterMoELayer(sim::Cluster& cluster, core::MoELayerOptions options,
+                 ShadowingConfig shadowing = {});
 };
 
 }  // namespace mpipe::baselines

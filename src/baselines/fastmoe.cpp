@@ -1,27 +1,29 @@
 #include "baselines/fastmoe.h"
 
+#include <string>
+
+#include "common/check.h"
+
 namespace mpipe::baselines {
 
-namespace {
-core::MoELayerOptions to_layer_options(const FastMoEOptions& options) {
-  core::MoELayerOptions o;
-  o.d_model = options.d_model;
-  o.d_hidden = options.d_hidden;
-  o.num_experts = options.num_experts;
-  o.activation = options.activation;
-  o.pipeline = false;
-  o.num_partitions = 1;
-  o.memory_reuse = false;
-  o.compute_scale = options.compute_scale;
-  o.comm_scale = options.comm_scale;
-  o.parallel_execution = options.parallel_execution;
-  o.mode = options.mode;
-  o.seed = options.seed;
-  return o;
+core::MoELayerOptions unpipelined_options(core::MoELayerOptions options,
+                                          const char* baseline) {
+  MPIPE_EXPECTS(options.num_partitions == 0 || options.num_partitions == 1,
+                std::string(baseline) + " runs one partition");
+  MPIPE_EXPECTS(!options.strategy.has_value(),
+                std::string(baseline) + " has no reuse strategy");
+  options.pipeline = false;
+  options.num_partitions = 1;
+  options.memory_reuse = false;
+  return options;
 }
-}  // namespace
 
-FastMoELayer::FastMoELayer(sim::Cluster& cluster, FastMoEOptions options)
-    : core::MoELayer(cluster, to_layer_options(options)) {}
+FastMoELayer::FastMoELayer(sim::Cluster& cluster,
+                           core::MoELayerOptions options)
+    : core::MoELayer(cluster,
+                     unpipelined_options(std::move(options), "FastMoE"),
+                     std::make_unique<core::PipelineScheduleBuilder>(
+                         cluster, kCudaCoreComputeScale,
+                         kGroupedAllToAllCommScale)) {}
 
 }  // namespace mpipe::baselines

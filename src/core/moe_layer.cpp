@@ -120,11 +120,8 @@ MoELayer::MoELayer(sim::Cluster& cluster, MoELayerOptions options,
                    std::unique_ptr<ScheduleBuilder> schedule)
     : cluster_(&cluster),
       options_(std::move(options)),
-      world_(comm::ProcessGroup::world(cluster)),
       builder_(schedule ? std::move(schedule)
-                        : std::make_unique<PipelineScheduleBuilder>(
-                              world_, staging_, options_.compute_scale,
-                              options_.comm_scale)) {
+                        : std::make_unique<PipelineScheduleBuilder>(cluster)) {
   MPIPE_EXPECTS(options_.d_model > 0 && options_.d_hidden > 0,
                 "bad layer dimensions");
   const int P = cluster.num_devices();
@@ -202,6 +199,7 @@ LayerRefs MoELayer::refs() {
   if (options_.mode == ExecutionMode::kFull) {
     r.gates = &gates_;
     r.experts = &experts_;
+    r.staging = &staging_;
   }
   return r;
 }

@@ -66,14 +66,6 @@ struct MoELayerOptions {
   /// its gradient allreduce) always stays fp32.
   DType compute_dtype = DType::kF32;
 
-  /// Effective compute-throughput multiplier (< 1 models the baselines'
-  /// CUDA-core kernels; PipeMoE/MPipeMoE use Tensor Cores at 1.0).
-  double compute_scale = 1.0;
-
-  /// Effective collective-bandwidth multiplier (< 1 models AllToAll
-  /// implemented as grouped per-pair send/recv, as in FastMoE).
-  double comm_scale = 1.0;
-
   /// Run the functional op graphs concurrently on the shared ThreadPool
   /// (sim::ExecutionPolicy::kParallel): independent partitions'/devices'
   /// dispatch, expert GEMMs, combine and offload ops genuinely overlap,
@@ -114,12 +106,12 @@ std::vector<int> partition_candidates(const MoELayerOptions& options);
 class MoELayer {
  public:
   /// `schedule` builds the step graphs; null selects MPipeMoE's
-  /// PipelineScheduleBuilder (scaled by options.compute_scale/comm_scale).
+  /// PipelineScheduleBuilder at Tensor-Core throughput.
   MoELayer(sim::Cluster& cluster, MoELayerOptions options,
            std::unique_ptr<ScheduleBuilder> schedule = nullptr);
-  /// Baselines (FastMoE, FasterMoE) are MoELayer subclasses that only fix
-  /// the options and schedule. Not copyable or movable: the schedule
-  /// builder and the granularity searcher hold references into the layer.
+  /// Baselines (FastMoE, FasterMoE) are MoELayer subclasses that only pin
+  /// the options and pass their schedule builder. Not copyable or movable:
+  /// the granularity searcher's trial function captures `this`.
   virtual ~MoELayer() = default;
   MoELayer(const MoELayer&) = delete;
   MoELayer& operator=(const MoELayer&) = delete;
@@ -252,7 +244,6 @@ class MoELayer {
 
   sim::Cluster* cluster_;
   MoELayerOptions options_;
-  comm::ProcessGroup world_;
   std::deque<mem::DeviceAllocator> allocators_;
   mem::HostStaging staging_;
   /// Host storage of the forward's and the backward's pool slots on every

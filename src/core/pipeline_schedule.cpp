@@ -83,11 +83,10 @@ int alltoall(sim::OpGraph& g, MoeStepContext& ctx,
 
 }  // namespace
 
-PipelineScheduleBuilder::PipelineScheduleBuilder(
-    const comm::ProcessGroup& group, mem::HostStaging& staging,
-    double compute_scale, double comm_scale)
-    : group_(group),
-      staging_(staging),
+PipelineScheduleBuilder::PipelineScheduleBuilder(const sim::Cluster& cluster,
+                                                 double compute_scale,
+                                                 double comm_scale)
+    : world_(comm::ProcessGroup::world(cluster)),
       compute_scale_(compute_scale),
       comm_scale_(comm_scale) {
   MPIPE_EXPECTS(compute_scale > 0.0, "compute scale must be positive");
@@ -107,10 +106,10 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
                           !restores_tm_by_recompute(ctx.strategy);
 
   sim::OpGraph g;
-  OpEmitter ops(g, ctx, refs, group_, compute_scale_);
+  OpEmitter ops(g, ctx, refs, world_, compute_scale_);
   auto a2a = [&](const char* name, int p, std::vector<int> deps,
                  auto segments) {
-    return alltoall(g, ctx, group_, comm_scale_, tag(name, p), p,
+    return alltoall(g, ctx, world_, comm_scale_, tag(name, p), p,
                     std::move(deps), segments);
   };
 
@@ -150,7 +149,7 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
     if (offload_tdi) {
       for (int d = 0; d < P; ++d) {
         od_tdi[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)] =
-            ops.offload(staging_, Stash::kTdi, tag("Htdi", p, d), p, d,
+            ops.offload(Stash::kTdi, tag("Htdi", p, d), p, d,
                         {s_ops[static_cast<std::size_t>(p)]});
       }
     }
@@ -172,7 +171,7 @@ sim::OpGraph PipelineScheduleBuilder::build_forward(
     if (offload_tm) {
       for (int d = 0; d < P; ++d) {
         od_tm[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)] =
-            ops.offload(staging_, Stash::kTm, tag("Htm", p, d), p, d,
+            ops.offload(Stash::kTm, tag("Htm", p, d), p, d,
                         {at(c1, p, d)});
       }
     }
@@ -213,10 +212,10 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
   const bool tm_by_recompute = restores_tm_by_recompute(ctx.strategy);
 
   sim::OpGraph g;
-  OpEmitter ops(g, ctx, refs, group_, compute_scale_);
+  OpEmitter ops(g, ctx, refs, world_, compute_scale_);
   auto a2a = [&](const char* name, int p, std::vector<int> deps,
                  auto segments) {
-    return alltoall(g, ctx, group_, comm_scale_, tag(name, p), p,
+    return alltoall(g, ctx, world_, comm_scale_, tag(name, p), p,
                     std::move(deps), segments);
   };
 
@@ -266,7 +265,7 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
         // Prefetch from host (S1, S3).
         for (int d = 0; d < P; ++d) {
           rs_tdi[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)] =
-              ops.prefetch(staging_, Stash::kTdi, tag("Dtdi", p, d), p, d,
+              ops.prefetch(Stash::kTdi, tag("Dtdi", p, d), p, d,
                            war_tdi);
         }
       }
@@ -281,7 +280,7 @@ sim::OpGraph PipelineScheduleBuilder::build_backward(
                           recv_rows(ctx, p, d), std::move(deps));
         } else {
           // Prefetch T_M from host (S1, S2).
-          id = ops.prefetch(staging_, Stash::kTm, tag("Dtm", p, d), p, d,
+          id = ops.prefetch(Stash::kTm, tag("Dtm", p, d), p, d,
                             std::move(deps));
         }
         rs_tm[static_cast<std::size_t>(p)][static_cast<std::size_t>(d)] = id;

@@ -9,9 +9,12 @@
 /// the next writer (WAR edges), which the tests assert.
 ///
 /// MoELayer is the one layer runtime; a ScheduleBuilder is what plugs a
-/// schedule into it. The layer owns parameters, allocators, gating, the
-/// dispatch plan and the step buffers, runs the graphs and fills the
-/// StepReport; the builder only turns one step context into op graphs.
+/// schedule into it — MPipeMoE's pipeline, FastMoE (the same builder at
+/// one partition and scaled-down throughput) or FasterMoE. The layer owns
+/// parameters, allocators, gating, the dispatch plan, the step buffers
+/// and the host staging, runs the graphs and fills the StepReport; the
+/// builder only turns one step context (and the step's LayerRefs) into op
+/// graphs, and holds no reference into the layer.
 /// A builder states only the schedule — which ops, in what order, with
 /// which dependency and WAR edges. Each op kind's cost, closure, hazard
 /// declarations and functional-vs-timing form come from its one emitter
@@ -26,10 +29,12 @@
 
 namespace mpipe::core {
 
-/// Borrowed views of the layer's parameters; null in timing-only mode.
+/// Borrowed views of the layer's parameters and host staging for one
+/// step; all null in timing-only steps and probes.
 struct LayerRefs {
   std::vector<moe::GatingNetwork>* gates = nullptr;             ///< [device]
   std::vector<std::vector<moe::ExpertFFN>>* experts = nullptr;  ///< [dev][k]
+  mem::HostStaging* staging = nullptr;  ///< offload/prefetch slots
 };
 
 /// The schedule half of a MoE layer step: turns the step context (plan +
@@ -62,14 +67,13 @@ class ScheduleBuilder {
 class PipelineScheduleBuilder : public ScheduleBuilder {
  public:
   /// `compute_scale` multiplies the effective compute throughput: the
-  /// PipeMoE/MPipeMoE kernels use Tensor Cores (scale 1.0); the FastMoE /
-  /// FasterMoE baselines run the paper's CUDA-core kernels (< 1.0).
-  /// `comm_scale` likewise multiplies collective bandwidth (< 1 models a
-  /// grouped send/recv AllToAll instead of a fused one).
-  PipelineScheduleBuilder(const comm::ProcessGroup& group,
-                          mem::HostStaging& staging,
-                          double compute_scale = 1.0,
-                          double comm_scale = 1.0);
+  /// PipeMoE/MPipeMoE kernels use Tensor Cores (scale 1.0); the FastMoE
+  /// baseline runs the paper's CUDA-core kernels (< 1.0). `comm_scale`
+  /// likewise multiplies collective bandwidth (< 1 models a grouped
+  /// send/recv AllToAll instead of a fused one).
+  explicit PipelineScheduleBuilder(const sim::Cluster& cluster,
+                                   double compute_scale = 1.0,
+                                   double comm_scale = 1.0);
 
   /// Emits gating + the n-partition S/C1/C2/R pipeline + gate scaling.
   sim::OpGraph build_forward(MoeStepContext& ctx,
@@ -81,8 +85,7 @@ class PipelineScheduleBuilder : public ScheduleBuilder {
                               const LayerRefs& refs) const override;
 
  private:
-  const comm::ProcessGroup& group_;
-  mem::HostStaging& staging_;
+  comm::ProcessGroup world_;
   double compute_scale_;
   double comm_scale_;
 };

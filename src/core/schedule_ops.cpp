@@ -477,34 +477,31 @@ int OpEmitter::expert(ExpertStage stage, std::string label, int p, int d,
   return id;
 }
 
-int OpEmitter::offload(mem::HostStaging& staging, Stash what,
-                       std::string label, int p, int d,
+int OpEmitter::offload(Stash what, std::string label, int p, int d,
                        std::vector<int> deps) {
-  return host_copy(staging, what, /*to_host=*/true, std::move(label), p, d,
+  return host_copy(what, /*to_host=*/true, std::move(label), p, d,
                    std::move(deps));
 }
 
-int OpEmitter::prefetch(mem::HostStaging& staging, Stash what,
-                        std::string label, int p, int d,
+int OpEmitter::prefetch(Stash what, std::string label, int p, int d,
                         std::vector<int> deps) {
-  return host_copy(staging, what, /*to_host=*/false, std::move(label), p, d,
+  return host_copy(what, /*to_host=*/false, std::move(label), p, d,
                    std::move(deps));
 }
 
-int OpEmitter::host_copy(mem::HostStaging& staging, Stash what, bool to_host,
-                         std::string label, int p, int d,
-                         std::vector<int> deps) {
+int OpEmitter::host_copy(Stash what, bool to_host, std::string label, int p,
+                         int d, std::vector<int> deps) {
   const std::int64_t rows = recv_rows(ctx_, p, d);
   const std::int64_t width =
       what == Stash::kTdi ? ctx_.d_model : ctx_.d_hidden;
   const DType dt = ctx_.dtype;
   // Slots are created here, at graph-build time; the closures only copy.
   mem::HostStaging::Slot* slot =
-      ctx_.functional() ? &staging.slot(d, what, p) : nullptr;
+      ctx_.functional() ? &refs_.staging->slot(d, what, p) : nullptr;
   std::function<void()> fn;
   if (slot != nullptr) {
     auto* c = &ctx_;
-    auto* st = &staging;
+    auto* st = refs_.staging;
     if (to_host) {
       fn = [c, st, slot, what, p, d, rows, dt] {
         st->store(*slot, stash_buffer(*c, what, d, p), rows, dt);

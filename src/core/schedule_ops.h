@@ -97,19 +97,20 @@ class OpEmitter {
              std::int64_t rows, std::vector<int> deps);
 
   /// D2H copy of device d's received rows of `what` in partition p into
-  /// staging slot (d, what, p), rounded to ctx.dtype's wire format.
-  int offload(mem::HostStaging& staging, Stash what, std::string label,
-              int p, int d, std::vector<int> deps);
+  /// staging slot (d, what, p) of refs.staging, rounded to ctx.dtype's
+  /// wire format.
+  int offload(Stash what, std::string label, int p, int d,
+              std::vector<int> deps);
   /// H2D copy of slot (d, what, p) back into the ring slot `offload` read,
   /// emptying the staging slot for the next step.
-  int prefetch(mem::HostStaging& staging, Stash what, std::string label,
-               int p, int d, std::vector<int> deps);
+  int prefetch(Stash what, std::string label, int p, int d,
+               std::vector<int> deps);
 
  private:
   std::int64_t num_experts() const;
   /// offload (`to_host`) or prefetch of one staged activation block.
-  int host_copy(mem::HostStaging& staging, Stash what, bool to_host,
-                std::string label, int p, int d, std::vector<int> deps);
+  int host_copy(Stash what, bool to_host, std::string label, int p, int d,
+                std::vector<int> deps);
 
   sim::OpGraph& g_;
   MoeStepContext& ctx_;

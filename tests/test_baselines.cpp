@@ -37,7 +37,7 @@ TEST(Baselines, FastMoEMatchesMPipeMoEForward) {
   mo.seed = 5;
   core::MoELayer mpipe_layer(c1, mo);
 
-  baselines::FastMoEOptions fo;
+  core::MoELayerOptions fo;
   fo.d_model = 12;
   fo.d_hidden = 24;
   fo.num_experts = 8;
@@ -64,7 +64,7 @@ TEST(Baselines, FasterMoEMatchesMPipeMoEForwardAndBackward) {
   mo.seed = 5;
   core::MoELayer mpipe_layer(c1, mo);
 
-  baselines::FasterMoEOptions fo;
+  core::MoELayerOptions fo;
   fo.d_model = 12;
   fo.d_hidden = 24;
   fo.num_experts = 8;
@@ -94,7 +94,7 @@ TEST(Baselines, FasterMoEMatchesMPipeMoEForwardAndBackward) {
 
 TEST(Baselines, FasterMoERejectsMisshapedInputsAndGradients) {
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
-  baselines::FasterMoEOptions fo;
+  core::MoELayerOptions fo;
   fo.d_model = 12;
   fo.d_hidden = 24;
   fo.num_experts = 8;
@@ -123,13 +123,41 @@ TEST(Baselines, FasterMoERejectsMisshapedInputsAndGradients) {
   EXPECT_THROW(faster.backward(misshaped), CheckError);
 }
 
+TEST(Baselines, RejectSettingsTheyWouldDrop) {
+  // A baseline pins one unpipelined partition without reuse; a caller's
+  // fixed partition count or strategy is refused, not silently replaced.
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
+  core::MoELayerOptions o;
+  o.d_model = 12;
+  o.d_hidden = 24;
+  o.num_experts = 8;
+  o.num_partitions = 1;
+  EXPECT_NO_THROW(baselines::FastMoELayer(cluster, o));
+  EXPECT_NO_THROW(baselines::FasterMoELayer(cluster, o));
+  for (int n : {2, 4}) {
+    o.num_partitions = n;
+    EXPECT_THROW(baselines::FastMoELayer(cluster, o), CheckError) << n;
+    EXPECT_THROW(baselines::FasterMoELayer(cluster, o), CheckError) << n;
+  }
+  o.num_partitions = 0;
+  o.strategy = core::ReuseStrategy::kS1;
+  EXPECT_THROW(baselines::FastMoELayer(cluster, o), CheckError);
+  EXPECT_THROW(baselines::FasterMoELayer(cluster, o), CheckError);
+  // FasterMoE's P2P fragments move fp32 rows; FastMoE's AllToAll takes
+  // the reduced wire format like MPipeMoE's.
+  o.strategy.reset();
+  o.compute_dtype = DType::kBF16;
+  EXPECT_NO_THROW(baselines::FastMoELayer(cluster, o));
+  EXPECT_THROW(baselines::FasterMoELayer(cluster, o), CheckError);
+}
+
 TEST(Baselines, FasterMoEParallelExecutionMatchesSerialBitwise) {
   // The P2P-fragmented baseline graphs run on the concurrent executor too
   // (their send/recv ops self-annotate from segment tables); parallel
   // execution must reproduce the serial reference bit for bit.
   auto run = [](bool parallel) {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
-    baselines::FasterMoEOptions fo;
+    core::MoELayerOptions fo;
     fo.d_model = 12;
     fo.d_hidden = 24;
     fo.num_experts = 8;
@@ -174,14 +202,14 @@ TEST(Baselines, PipeMoEFasterThanBaselinesAtPaperScale) {
   po.mode = core::ExecutionMode::kTimingOnly;
   core::MoELayer pipemoe(cluster, po);
 
-  baselines::FastMoEOptions fo;
+  core::MoELayerOptions fo;
   fo.d_model = 2048;
   fo.d_hidden = 8192;
   fo.num_experts = 64;
   fo.mode = core::ExecutionMode::kTimingOnly;
   baselines::FastMoELayer fastmoe(cluster, fo);
 
-  baselines::FasterMoEOptions ro;
+  core::MoELayerOptions ro;
   ro.d_model = 2048;
   ro.d_hidden = 8192;
   ro.num_experts = 64;
@@ -198,21 +226,22 @@ TEST(Baselines, PipeMoEFasterThanBaselinesAtPaperScale) {
 
 TEST(Baselines, FasterMoEShadowingUsesMoreMemoryThanFastMoE) {
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-  baselines::FastMoEOptions fo;
+  core::MoELayerOptions fo;
   fo.d_model = 1024;
   fo.d_hidden = 4096;
   fo.num_experts = 64;
   fo.mode = core::ExecutionMode::kTimingOnly;
   baselines::FastMoELayer fastmoe(cluster, fo);
 
-  baselines::FasterMoEOptions ro;
+  core::MoELayerOptions ro;
   ro.d_model = 1024;
   ro.d_hidden = 4096;
   ro.num_experts = 64;
   ro.mode = core::ExecutionMode::kTimingOnly;
-  ro.shadowing.enabled = true;
-  ro.shadowing.threshold = 1.2;
-  baselines::FasterMoELayer fastermoe(cluster, ro);
+  baselines::ShadowingConfig shadowing;
+  shadowing.enabled = true;
+  shadowing.threshold = 1.2;
+  baselines::FasterMoELayer fastermoe(cluster, ro, shadowing);
 
   // Skewed routing makes device 0 hot, triggering shadowing.
   const auto fast_mem = fastmoe.step_timing(4096, 0.4).memory.total_peak;
@@ -225,7 +254,7 @@ TEST(Baselines, FastMoETempPeakIsTheEagerFreeWalk) {
   // produced: the backward's temp peak is dx (BM) plus the two adjacent
   // tensors of Eq 3 (BM + BH). The gradient scratch itself is untracked.
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-  baselines::FastMoEOptions fo;
+  core::MoELayerOptions fo;
   fo.d_model = 1024;
   fo.d_hidden = 4096;
   fo.num_experts = 64;
@@ -277,13 +306,14 @@ TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
   };
   for (const Pin& pin : faster_pins) {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-    baselines::FasterMoEOptions o;
+    core::MoELayerOptions o;
     o.d_model = 1024;
     o.d_hidden = 4096;
     o.num_experts = 64;
     o.mode = core::ExecutionMode::kTimingOnly;
-    o.shadowing.threshold = pin.threshold;
-    baselines::FasterMoELayer layer(cluster, o);
+    baselines::ShadowingConfig shadowing;
+    shadowing.threshold = pin.threshold;
+    baselines::FasterMoELayer layer(cluster, o, shadowing);
     expect_pinned(layer.step_timing(4096, pin.skew), pin, "FasterMoE");
   }
   // FastMoE: the unpipelined pipeline schedule at CUDA-core compute and
@@ -296,7 +326,7 @@ TEST(Baselines, FasterMoEModeledStepNumbersArePinned) {
   };
   for (const Pin& pin : fast_pins) {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-    baselines::FastMoEOptions o;
+    core::MoELayerOptions o;
     o.d_model = 1024;
     o.d_hidden = 4096;
     o.num_experts = 64;
@@ -365,13 +395,14 @@ TEST(Baselines, HeterogeneousBandwidthHurtsFasterMoEMore) {
     return layer.step_timing(8192).step_seconds();
   };
   auto faster_time = [&](sim::Cluster& cluster) {
-    baselines::FasterMoEOptions o;
+    core::MoELayerOptions o;
     o.d_model = 2048;
     o.d_hidden = 8192;
     o.num_experts = 64;
     o.mode = core::ExecutionMode::kTimingOnly;
-    o.shadowing.enabled = false;
-    baselines::FasterMoELayer layer(cluster, o);
+    baselines::ShadowingConfig shadowing;
+    shadowing.enabled = false;
+    baselines::FasterMoELayer layer(cluster, o, shadowing);
     return layer.step_timing(8192).step_seconds();
   };
   const double pipe_slowdown = pipe_time(hetero) / pipe_time(homo);

@@ -144,18 +144,19 @@ TEST(MoELayerCapacity, OomSurfacesWithContext) {
 TEST(Shadowing, ReducesFasterMoECommUnderHotExpert) {
   sim::Cluster c1 = sim::Cluster::dgx_a100_pod(2, 4);
   sim::Cluster c2 = sim::Cluster::dgx_a100_pod(2, 4);
-  baselines::FasterMoEOptions with;
-  with.d_model = 1024;
-  with.d_hidden = 4096;
-  with.num_experts = 64;
-  with.mode = core::ExecutionMode::kTimingOnly;
-  with.shadowing.enabled = true;
-  with.shadowing.threshold = 1.3;
-  baselines::FasterMoEOptions without = with;
-  without.shadowing.enabled = false;
+  core::MoELayerOptions o;
+  o.d_model = 1024;
+  o.d_hidden = 4096;
+  o.num_experts = 64;
+  o.mode = core::ExecutionMode::kTimingOnly;
+  baselines::ShadowingConfig with;
+  with.enabled = true;
+  with.threshold = 1.3;
+  baselines::ShadowingConfig without = with;
+  without.enabled = false;
 
-  baselines::FasterMoELayer shadowed(c1, with);
-  baselines::FasterMoELayer plain(c2, without);
+  baselines::FasterMoELayer shadowed(c1, o, with);
+  baselines::FasterMoELayer plain(c2, o, without);
   // Heavy skew: device 0 is hot; shadowing keeps its traffic local.
   const auto t_shadowed = shadowed.step_timing(16384, 0.3);
   const auto t_plain = plain.step_timing(16384, 0.3);

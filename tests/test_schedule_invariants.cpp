@@ -59,9 +59,7 @@ TEST_P(ScheduleInvariants, StreamsNeverOverlapAndOpsAllFinish) {
                                         64 / cluster.num_devices(),
                                         GetParam().n);
   ctx.dev.resize(static_cast<std::size_t>(cluster.num_devices()));
-  comm::ProcessGroup world = comm::ProcessGroup::world(cluster);
-  mem::HostStaging staging;
-  core::PipelineScheduleBuilder builder(world, staging);
+  core::PipelineScheduleBuilder builder(cluster);
 
   for (sim::OpGraph* graph :
        {new sim::OpGraph(builder.build_forward(ctx, {})),
@@ -111,9 +109,7 @@ TEST_P(ScheduleInvariants, WarOrderingOnRingSlots) {
   ctx.d_hidden = 4096;
   ctx.plan = moe::Dispatcher::synthetic(4096, 4, 16, GetParam().n);
   ctx.dev.resize(4);
-  comm::ProcessGroup world = comm::ProcessGroup::world(cluster);
-  mem::HostStaging staging;
-  core::PipelineScheduleBuilder builder(world, staging);
+  core::PipelineScheduleBuilder builder(cluster);
   sim::OpGraph fwd = builder.build_forward(ctx, {});
   auto timing = cluster.time_only(fwd);
 
@@ -159,9 +155,7 @@ TEST_P(ScheduleInvariants, StrategySpecificOpsPresent) {
   ctx.d_hidden = 2048;
   ctx.plan = moe::Dispatcher::synthetic(2048, 4, 16, GetParam().n);
   ctx.dev.resize(4);
-  comm::ProcessGroup world = comm::ProcessGroup::world(cluster);
-  mem::HostStaging staging;
-  core::PipelineScheduleBuilder builder(world, staging);
+  core::PipelineScheduleBuilder builder(cluster);
   sim::OpGraph fwd = builder.build_forward(ctx, {});
   sim::OpGraph bwd = builder.build_backward(ctx, {});
 
@@ -277,7 +271,6 @@ struct FunctionalForwardFixture {
   static constexpr std::int64_t kHidden = 32;
 
   sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, kDevices);
-  comm::ProcessGroup world = comm::ProcessGroup::world(cluster);
   mem::HostStaging staging;
   std::deque<mem::DeviceAllocator> allocators;
   std::vector<std::vector<moe::ExpertFFN>> experts;
@@ -349,6 +342,7 @@ struct FunctionalForwardFixture {
     }
     refs.experts = &experts;
     refs.gates = &gates;
+    refs.staging = &staging;
   }
 };
 
@@ -359,7 +353,7 @@ TEST(HazardValidator, RejectsBuilderGraphWithRemovedWarEdge) {
   // op). The intact graph must validate; dropping exactly those edges
   // from S2's dependency list must be rejected, naming the slot pair.
   FunctionalForwardFixture fixture(/*n=*/4);
-  core::PipelineScheduleBuilder builder(fixture.world, fixture.staging);
+  core::PipelineScheduleBuilder builder(fixture.cluster);
   sim::OpGraph intact = builder.build_forward(fixture.ctx, fixture.refs);
   EXPECT_NO_THROW(sim::validate_hazards(intact));
 
@@ -486,10 +480,8 @@ TEST(ScheduleFingerprint, PipelineTimingOnly) {
   // forward-only}, each through the default builder and a scaled one
   // (CUDA-core compute, grouped AllToAll).
   const sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-  const comm::ProcessGroup world = comm::ProcessGroup::world(cluster);
-  mem::HostStaging staging;
-  const core::PipelineScheduleBuilder plain(world, staging);
-  const core::PipelineScheduleBuilder scaled(world, staging, 0.45, 0.6);
+  const core::PipelineScheduleBuilder plain(cluster);
+  const core::PipelineScheduleBuilder scaled(cluster, 0.45, 0.6);
   const std::map<std::pair<core::ReuseStrategy, double>, std::string> want = {
       {{core::ReuseStrategy::kNone, 0.0}, "d86d626d62b89577"},
       {{core::ReuseStrategy::kNone, 0.4}, "fa647891f97eb302"},
@@ -560,8 +552,7 @@ TEST(ScheduleFingerprint, PipelineFunctional) {
           FunctionalForwardFixture fixture(n, strategy);
           fixture.ctx.dtype = dt;
           fixture.ctx.forward_only = forward_only;
-          const core::PipelineScheduleBuilder builder(fixture.world,
-                                                      fixture.staging);
+          const core::PipelineScheduleBuilder builder(fixture.cluster);
           hash_step(h, builder, fixture.ctx, fixture.refs);
         }
       }
@@ -675,22 +666,23 @@ TEST(StepMemoryFingerprint, Baselines) {
   GraphHasher fast, faster;
   for (double skew : {0.0, 0.4}) {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(2, 4);
-    baselines::FastMoEOptions fo;
+    core::MoELayerOptions fo;
     fo.mode = core::ExecutionMode::kTimingOnly;
     baselines::FastMoELayer fast_layer(cluster, fo);
     fast_layer.step_timing(4096, skew);
     hash_memory(fast, fast_layer);
 
-    baselines::FasterMoEOptions so;
-    so.shadowing.enabled = true;
+    core::MoELayerOptions so;
     so.mode = core::ExecutionMode::kTimingOnly;
-    baselines::FasterMoELayer faster_layer(cluster, so);
+    baselines::ShadowingConfig shadowing;
+    shadowing.enabled = true;
+    baselines::FasterMoELayer faster_layer(cluster, so, shadowing);
     faster_layer.step_timing(4096, skew);
     hash_memory(faster, faster_layer);
   }
   {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
-    baselines::FastMoEOptions fo;
+    core::MoELayerOptions fo;
     fo.d_model = 16;
     fo.d_hidden = 32;
     fo.num_experts = 4;
@@ -699,7 +691,7 @@ TEST(StepMemoryFingerprint, Baselines) {
   }
   {
     sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, 4);
-    baselines::FasterMoEOptions so;
+    core::MoELayerOptions so;
     so.d_model = 16;
     so.d_hidden = 32;
     so.num_experts = 4;
