@@ -58,12 +58,14 @@ struct MoELayerOptions {
   /// Wire/storage format of the expert hot path. kF32 (default) is the
   /// exact legacy path — bitwise identical results. kBF16 / kI8 store the
   /// expert weights quantized (fp32 masters kept for the optimizer and
-  /// weight-grad GEMMs) and round every dispatch/combine payload and
-  /// activation offload through the reduced wire format; all GEMMs
-  /// dequantize at pack time and accumulate in fp32. Halves (bf16) or
-  /// quarters (int8, plus one fp32 scale per row) the AllToAll payload
-  /// bytes and the offload/staging residency. The router (gating GEMM and
-  /// its gradient allreduce) always stays fp32.
+  /// weight-grad GEMMs) and round every dispatch/combine payload (and so
+  /// the T_DI offloads of S1/S3, which stage those rows) through the
+  /// reduced wire format; all GEMMs dequantize at pack time and accumulate
+  /// in fp32. Halves (bf16) or quarters (int8, plus one fp32 scale per row)
+  /// the AllToAll payload bytes and the T_DI staging residency. T_M, the
+  /// fp32 FFN intermediate, is offloaded (S1/S2) in fp32, so every strategy
+  /// restores exactly what `none` keeps. The router (gating GEMM and its
+  /// gradient allreduce) always stays fp32.
   DType compute_dtype = DType::kF32;
 
   /// Run the functional op graphs concurrently on the shared ThreadPool

@@ -494,7 +494,12 @@ int OpEmitter::host_copy(Stash what, bool to_host, std::string label, int p,
   const std::int64_t rows = recv_rows(ctx_, p, d);
   const std::int64_t width =
       what == Stash::kTdi ? ctx_.d_model : ctx_.d_hidden;
-  const DType dt = ctx_.dtype;
+  // Each stash is staged in the format its device buffer is accounted in
+  // (MoELayer::setup_forward_buffers): T_DI holds dispatch wire rows, so
+  // its round trip is exact in ctx.dtype; T_M is the fp32 FFN intermediate
+  // that S3/S4 recompute and `none` keeps, so S1/S2 must restore it
+  // unrounded.
+  const DType dt = what == Stash::kTdi ? ctx_.dtype : DType::kF32;
   // Slots are created here, at graph-build time; the closures only copy.
   mem::HostStaging::Slot* slot =
       ctx_.functional() ? &refs_.staging->slot(d, what, p) : nullptr;

@@ -97,8 +97,8 @@ class OpEmitter {
              std::int64_t rows, std::vector<int> deps);
 
   /// D2H copy of device d's received rows of `what` in partition p into
-  /// staging slot (d, what, p) of refs.staging, rounded to ctx.dtype's
-  /// wire format.
+  /// staging slot (d, what, p) of refs.staging: T_DI in ctx.dtype's wire
+  /// format (the rows it already holds), T_M in fp32.
   int offload(Stash what, std::string label, int p, int d,
               std::vector<int> deps);
   /// H2D copy of slot (d, what, p) back into the ring slot `offload` read,

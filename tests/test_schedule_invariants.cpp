@@ -485,10 +485,10 @@ TEST(ScheduleFingerprint, PipelineTimingOnly) {
   const std::map<std::pair<core::ReuseStrategy, double>, std::string> want = {
       {{core::ReuseStrategy::kNone, 0.0}, "d86d626d62b89577"},
       {{core::ReuseStrategy::kNone, 0.4}, "fa647891f97eb302"},
-      {{core::ReuseStrategy::kS1, 0.0}, "65e4d242646044db"},
-      {{core::ReuseStrategy::kS1, 0.4}, "eade596ffae2a106"},
-      {{core::ReuseStrategy::kS2, 0.0}, "2c9efad5fff94eaf"},
-      {{core::ReuseStrategy::kS2, 0.4}, "e0375563d2b74130"},
+      {{core::ReuseStrategy::kS1, 0.0}, "a7e1ef28ad4fb8af"},
+      {{core::ReuseStrategy::kS1, 0.4}, "a410e7bd143600d6"},
+      {{core::ReuseStrategy::kS2, 0.0}, "6663ce2b97af3f17"},
+      {{core::ReuseStrategy::kS2, 0.4}, "b67d9905e9725e82"},
       {{core::ReuseStrategy::kS3, 0.0}, "df0c673078bfa0ab"},
       {{core::ReuseStrategy::kS3, 0.4}, "05b993d4ea9f4fdf"},
       {{core::ReuseStrategy::kS4, 0.0}, "a9e66bd201ffff61"},
@@ -539,8 +539,8 @@ TEST(ScheduleFingerprint, PipelineFunctional) {
   // Per strategy: n in {1, 2, 4} x {fp32, int8} x {training, forward-only}.
   const std::map<core::ReuseStrategy, std::string> want = {
       {core::ReuseStrategy::kNone, "06d6f70f2bc7bc4a"},
-      {core::ReuseStrategy::kS1, "07a1a21438898366"},
-      {core::ReuseStrategy::kS2, "73e6cef3b1041517"},
+      {core::ReuseStrategy::kS1, "054f06e35c925132"},
+      {core::ReuseStrategy::kS2, "93ed6172af35eea7"},
       {core::ReuseStrategy::kS3, "30ac1c6ff5f0bb8c"},
       {core::ReuseStrategy::kS4, "8f6c2f6c4538f08b"},
   };
@@ -748,16 +748,18 @@ void hash_floats(GraphHasher& h, const Tensor& t) {
 TEST(MultiExpertStepFingerprint, OutputsAndGradients) {
   // Per (experts per device, strategy): n in {1, 2, 4} x {fp32, bf16,
   // int8}, one forward/backward each. Serial and parallel execution on a
-  // 4-worker pool must both give the pinned hash.
+  // 4-worker pool must both give the pinned hash. Every strategy restores
+  // exactly what `none` keeps (T_DI in its wire format, T_M in fp32), so
+  // all five share one hash per expert count.
   const std::map<std::pair<int, core::ReuseStrategy>, std::string> want = {
       {{2, core::ReuseStrategy::kNone}, "b3b55ccd6cea5585"},
-      {{2, core::ReuseStrategy::kS1}, "6a62d7225d24fd70"},
-      {{2, core::ReuseStrategy::kS2}, "6a62d7225d24fd70"},
+      {{2, core::ReuseStrategy::kS1}, "b3b55ccd6cea5585"},
+      {{2, core::ReuseStrategy::kS2}, "b3b55ccd6cea5585"},
       {{2, core::ReuseStrategy::kS3}, "b3b55ccd6cea5585"},
       {{2, core::ReuseStrategy::kS4}, "b3b55ccd6cea5585"},
       {{4, core::ReuseStrategy::kNone}, "50af9e99ae56eaed"},
-      {{4, core::ReuseStrategy::kS1}, "fd3fbf16ae856ee8"},
-      {{4, core::ReuseStrategy::kS2}, "fd3fbf16ae856ee8"},
+      {{4, core::ReuseStrategy::kS1}, "50af9e99ae56eaed"},
+      {{4, core::ReuseStrategy::kS2}, "50af9e99ae56eaed"},
       {{4, core::ReuseStrategy::kS3}, "50af9e99ae56eaed"},
       {{4, core::ReuseStrategy::kS4}, "50af9e99ae56eaed"},
   };
