@@ -10,11 +10,13 @@
 #include "common/check.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "baselines/fastermoe.h"
@@ -965,6 +967,117 @@ TEST(ScheduleOverlap, VeryFineGranularityHurts) {
   };
   // At a small batch, n=16 must be worse than the best coarse setting.
   EXPECT_GT(seconds_for(16), std::min(seconds_for(1), seconds_for(2)));
+}
+
+// ---- layer-level differential fuzz ----------------------------------------------
+// Random small layers against the unpipelined n = 1 layer with the same
+// parameters, in every dtype and every reuse strategy, serially and on a
+// 4-worker pool. Each token's output row is computed the same way however
+// the batch is partitioned, so outputs must match the reference bitwise;
+// gradients sum over partitions in another order, so they agree to fp32
+// reordering. At one partition count every strategy and both executors
+// must agree bitwise: a restore returns exactly what `none` keeps.
+
+/// Outputs, then dX and every parameter gradient, of one forward/backward.
+struct FuzzStep {
+  std::vector<float> outputs;
+  std::vector<float> gradients;
+};
+
+FuzzStep fuzz_step(const core::MoELayerOptions& o, int devices,
+                   std::int64_t batch) {
+  sim::Cluster cluster = sim::Cluster::dgx_a100_pod(1, devices);
+  core::MoELayer layer(cluster, o);
+  Rng rng(o.seed + 1);
+  std::vector<Tensor> xs, dys;
+  for (int d = 0; d < devices; ++d) {
+    xs.emplace_back(Shape{batch, o.d_model});
+    init_normal(xs.back(), rng);
+    dys.emplace_back(Shape{batch, o.d_model});
+    init_normal(dys.back(), rng);
+  }
+  auto append = [](std::vector<float>& out, const Tensor& t) {
+    out.insert(out.end(), t.data(), t.data() + t.numel());
+  };
+  FuzzStep step;
+  for (const Tensor& y : layer.forward(xs)) append(step.outputs, y);
+  for (const Tensor& dx : layer.backward(dys)) append(step.gradients, dx);
+  for (const Tensor* g : layer.gradients()) append(step.gradients, *g);
+  return step;
+}
+
+TEST(LayerDifferentialFuzz, EveryScheduleMatchesTheUnpipelinedLayer) {
+  constexpr int kCases = 60;
+  const int partitions[] = {1, 2, 3, 4, 8, 16};
+  const core::ReuseStrategy strategies[] = {
+      core::ReuseStrategy::kNone, core::ReuseStrategy::kS1,
+      core::ReuseStrategy::kS2, core::ReuseStrategy::kS3,
+      core::ReuseStrategy::kS4};
+  ThreadPool::reset_shared(4);
+  Rng draw(2024);
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {  // [lo, hi]
+    return lo + static_cast<std::int64_t>(
+                    draw.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  for (int c = 0; c < kCases; ++c) {
+    const int devices = static_cast<int>(pick(1, 4));
+    core::MoELayerOptions o;
+    o.num_experts = devices * static_cast<int>(pick(1, 3));
+    o.d_model = pick(1, 24);
+    o.d_hidden = pick(1, 40);
+    o.seed = static_cast<std::uint64_t>(100 + c);
+    const std::int64_t batch = c % 3 == 0 ? 0 : c % 3 == 1 ? 1 : pick(2, 69);
+    const int n = partitions[pick(0, 5)];
+    for (DType dt : {DType::kF32, DType::kBF16, DType::kI8}) {
+      o.compute_dtype = dt;
+      core::MoELayerOptions ref_options = o;
+      ref_options.pipeline = false;
+      ref_options.memory_reuse = false;
+      const FuzzStep ref = fuzz_step(ref_options, devices, batch);
+
+      std::optional<FuzzStep> first;
+      for (core::ReuseStrategy strategy : strategies) {
+        for (bool parallel : {false, true}) {
+          const std::string where =
+              "case " + std::to_string(c) + ": P=" + std::to_string(devices) +
+              " E=" + std::to_string(o.num_experts) +
+              " M=" + std::to_string(o.d_model) +
+              " H=" + std::to_string(o.d_hidden) +
+              " B=" + std::to_string(batch) + " n=" + std::to_string(n) +
+              " " + to_string(dt) + " " + core::to_string(strategy) +
+              (parallel ? " parallel" : " serial");
+          core::MoELayerOptions piped = o;
+          piped.num_partitions = n;
+          piped.memory_reuse = strategy != core::ReuseStrategy::kNone;
+          piped.strategy.reset();
+          if (piped.memory_reuse) piped.strategy = strategy;
+          piped.parallel_execution = parallel;
+          const FuzzStep got = fuzz_step(piped, devices, batch);
+
+          ASSERT_EQ(got.outputs.size(), ref.outputs.size()) << where;
+          ASSERT_EQ(got.gradients.size(), ref.gradients.size()) << where;
+          for (std::size_t i = 0; i < ref.outputs.size(); ++i) {
+            ASSERT_EQ(got.outputs[i], ref.outputs[i])
+                << where << ", output " << i;
+          }
+          for (std::size_t i = 0; i < ref.gradients.size(); ++i) {
+            ASSERT_NEAR(got.gradients[i], ref.gradients[i],
+                        2e-6f * std::max(1.0f, std::abs(ref.gradients[i])))
+                << where << ", gradient " << i;
+          }
+          if (!first) {
+            first = got;
+            continue;
+          }
+          for (std::size_t i = 0; i < got.gradients.size(); ++i) {
+            ASSERT_EQ(got.gradients[i], first->gradients[i])
+                << where << ", gradient " << i << " vs none serial";
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::reset_shared(0);  // restore the machine-sized pool
 }
 
 }  // namespace
