@@ -664,12 +664,8 @@ CorrectionWarmup::CorrectionWarmup(int budget) : budget_(budget) {
 }
 
 ProfileOverrideScope CorrectionWarmup::profile_step(MoELayer& layer,
-                                                    bool otherwise,
-                                                    bool trace_last) const {
-  const bool last = active() && reports() + 1 >= budget_;
-  return ProfileOverrideScope(
-      layer, active() || otherwise,
-      (trace_last && last) || layer.options().trace_execution);
+                                                    bool otherwise) const {
+  return ProfileOverrideScope(layer, active() || otherwise);
 }
 
 bool CorrectionWarmup::observe(MoELayer& layer, const StepReport& report) {

@@ -157,8 +157,8 @@ class MoELayer {
   /// flips it on for its warmup steps).
   void set_profile_execution(bool on) { options_.profile_execution = on; }
 
-  /// Toggles chrome-trace serialisation of profiled steps (runtime::
-  /// Trainer has it on for the warmup step whose trace it dumps).
+  /// Toggles chrome-trace serialisation of profiled steps (see
+  /// examples/moe_transformer_training.cpp, which dumps one step's trace).
   void set_trace_execution(bool on) { options_.trace_execution = on; }
 
   /// Installs measured per-op-class correction factors (fitted from
@@ -266,30 +266,23 @@ class MoELayer {
   StepReport report_;
 };
 
-/// Scoped override of a layer's profile_execution / trace_execution
-/// switches: snapshots both on entry, sets them to the given values, and
-/// restores the snapshot on every exit — normal return or exception — so a
-/// warmup step that throws cannot leave profiling stuck on.
+/// Scoped override of a layer's profile_execution switch: snapshots it on
+/// entry, sets it to the given value, and restores the snapshot on every
+/// exit — normal return or exception — so a warmup step that throws
+/// cannot leave profiling stuck on.
 class ProfileOverrideScope {
  public:
-  ProfileOverrideScope(MoELayer& layer, bool profile, bool trace)
-      : layer_(&layer),
-        profile_(layer.options().profile_execution),
-        trace_(layer.options().trace_execution) {
+  ProfileOverrideScope(MoELayer& layer, bool profile)
+      : layer_(&layer), profile_(layer.options().profile_execution) {
     layer.set_profile_execution(profile);
-    layer.set_trace_execution(trace);
   }
-  ~ProfileOverrideScope() {
-    layer_->set_profile_execution(profile_);
-    layer_->set_trace_execution(trace_);
-  }
+  ~ProfileOverrideScope() { layer_->set_profile_execution(profile_); }
   ProfileOverrideScope(const ProfileOverrideScope&) = delete;
   ProfileOverrideScope& operator=(const ProfileOverrideScope&) = delete;
 
  private:
   MoELayer* layer_;
   bool profile_;
-  bool trace_;
 };
 
 /// The measured-vs-modeled warmup shared by runtime::Trainer and
@@ -310,10 +303,8 @@ class CorrectionWarmup {
 
   /// One step's profiling override, restored when the returned scope
   /// ends: profiling is on while the warmup is active and `otherwise`
-  /// after it. With `trace_last`, the step whose report will complete the
-  /// warmup also serialises its chrome traces.
-  ProfileOverrideScope profile_step(MoELayer& layer, bool otherwise,
-                                    bool trace_last = false) const;
+  /// after it.
+  ProfileOverrideScope profile_step(MoELayer& layer, bool otherwise) const;
 
   /// Feeds a finished step's report; reports outside the warmup and
   /// unprofiled ones are ignored. Returns true exactly when this report

@@ -1,12 +1,10 @@
 #include "runtime/trainer.h"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "common/logging.h"
 #include "runtime/checkpoint.h"
 #include "tensor/ops.h"
 
@@ -17,13 +15,6 @@ namespace {
 /// Step-level replays of a TransientError that escaped the comm-level
 /// retry, before escalating to rollback/abort.
 constexpr int kMaxStepRetries = 2;
-
-void write_json(const std::string& path, const std::string& json) {
-  std::ofstream out(path);
-  if (!out || !(out << json)) {
-    MPIPE_LOG_WARN << "failed to write trace " << path;
-  }
-}
 
 }  // namespace
 
@@ -55,8 +46,7 @@ double Trainer::train_step_impl(bool guard, bool& non_finite) {
   // steps survives, and a caller that stops short of the warmup (or a step
   // that throws into a replay) never leaves warmup profiling stuck on.
   const auto restore_switches = warmup_.profile_step(
-      *layer_, layer_->options().profile_execution,
-      /*trace_last=*/!options_.trace_path.empty());
+      *layer_, layer_->options().profile_execution);
 
   layer_->zero_grad();
   auto batch = workload_.next_batch();
@@ -102,10 +92,7 @@ double Trainer::train_step_impl(bool guard, bool& non_finite) {
   // After the last warmup step the layer holds the fitted factors and has
   // flushed its searcher, so the very next step re-ranks granularity and
   // strategy with reality-corrected costs.
-  if (warmup_.observe(*layer_, report) && !options_.trace_path.empty()) {
-    write_json(options_.trace_path + ".fwd.json", report.forward_trace_json);
-    write_json(options_.trace_path + ".bwd.json", report.backward_trace_json);
-  }
+  warmup_.observe(*layer_, report);
   return loss;
 }
 

@@ -59,10 +59,6 @@ struct TrainerOptions {
   /// paper's analytic model, not consulted). 0 disables; the layer's own
   /// profile_execution option is restored after the warmup.
   int profile_warmup_steps = 0;
-  /// When non-empty and warmup profiling ran, the last warmup step's
-  /// measured-vs-simulated chrome traces are written to
-  /// <trace_path>.fwd.json / <trace_path>.bwd.json (chrome://tracing).
-  std::string trace_path;
   FaultToleranceOptions fault_tolerance;
 };
 
